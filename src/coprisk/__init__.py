@@ -6,9 +6,8 @@ nonparametric first-stage estimates with a copula-graphic plug-in and a
 minimum-distance search over the dependence parameter.
 """
 
-from .cge import CgeCurve, TrimBounds, copula_graphic, evaluate, trim_support
+from .cge import CgeCurve, TrimBounds, copula_graphic, trim_support
 from .copula import (
-    ClaytonCopula,
     conditional_v_given_u,
     generator,
     generator_inverse,
@@ -16,21 +15,17 @@ from .copula import (
     tau_from_theta,
     theta_from_tau,
 )
-from .data import Dataset, Observation, StrataIndex, load_csv, pool_risks, stratify
+from .data import Dataset, StrataIndex, load_csv, pool_risks, stratify
 from .errors import ConvergenceError, CopriskError, DataError, EstimationError
 from .estimators import (
     FitResult2SE,
     FitResult3SE,
-    cvm_objective_aft,
-    cvm_objective_ph,
     fgls_fit,
     fit_2se,
     fit_3se,
     ph_weibull_fit,
-    semiparam_b,
     three_stage_point,
     two_stage_point,
-    variance_objective,
 )
 from .first_stage import StepFunction, overall_survival, sub_distribution
 from .inference import BootstrapResult, bootstrap
@@ -53,7 +48,6 @@ __all__ = [
     "AftModel",
     "BootstrapResult",
     "CgeCurve",
-    "ClaytonCopula",
     "ConvergenceError",
     "CopriskError",
     "DataError",
@@ -63,7 +57,6 @@ __all__ = [
     "FitResult2SE",
     "FitResult3SE",
     "McReport",
-    "Observation",
     "PhModel",
     "StepFunction",
     "StrataIndex",
@@ -72,9 +65,6 @@ __all__ = [
     "conditional_v_given_u",
     "copula_graphic",
     "cumulative_hazard",
-    "cvm_objective_aft",
-    "cvm_objective_ph",
-    "evaluate",
     "fgls_fit",
     "fit_2se",
     "fit_3se",
@@ -91,7 +81,6 @@ __all__ = [
     "ph_weibull_fit",
     "pool_risks",
     "sample_pair",
-    "semiparam_b",
     "stratify",
     "sub_distribution",
     "survival",
@@ -102,5 +91,4 @@ __all__ = [
     "three_stage_point",
     "trim_support",
     "two_stage_point",
-    "variance_objective",
 ]

@@ -9,6 +9,10 @@ where ``pi_hat(u-)`` is the left limit (the at-risk fraction just before u)
 and ``dF(u)`` the incidence jump.  Evaluating the integrand at the left limit
 keeps the first event well defined and treats same-time events as occurring
 before same-time censorings.
+
+Only the generator depends on theta.  ``curve_basis`` builds a stratum's
+theta-free pieces once; ``curve_values`` is the per-theta kernel that the
+estimators' searches call; ``copula_graphic`` composes the two.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .copula import generator, generator_inverse_deriv, _validate_theta
+from .copula import generator, _validate_theta
 from .data import Dataset
 from .errors import EstimationError
 from .first_stage import StepFunction
@@ -53,20 +57,25 @@ class TrimBounds:
     kept: np.ndarray
 
 
-def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> CgeCurve:
-    """Plug-in survival curve for cause 1 at dependence parameter theta.
+@dataclass(frozen=True)
+class CurveBasis:
+    """The theta-free part of one stratum's copula-graphic curve.
 
-    pi_hat and f_t_hat must come from the same stratum.  For theta < 0 the
-    curve clamps at zero once the accumulated sum leaves the generator's
-    support.
+    event_times: the cause-1 knot times; jumps: the incidence jumps dF there;
+    log_pi_left: log pi_hat(t-) at each knot.
     """
-    theta = _validate_theta(theta)
+
+    event_times: np.ndarray
+    jumps: np.ndarray
+    log_pi_left: np.ndarray
+
+
+def curve_basis(pi_hat: StepFunction, f_t_hat: StepFunction) -> CurveBasis:
+    """Precompute the pieces of the curve that do not depend on theta.
+
+    pi_hat and f_t_hat must come from the same stratum.
+    """
     times = f_t_hat.jump_times
-    if times.size == 0:
-        return CgeCurve(
-            step=StepFunction(np.empty(0), np.empty(0), initial_value=1.0),
-            theta=theta,
-        )
     jumps = np.diff(np.concatenate(([f_t_hat.initial_value], f_t_hat.values)))
     pi_left = pi_hat.left_limit(times)
     bad = pi_left <= 0.0
@@ -76,19 +85,36 @@ def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) ->
             f"overall survival vanishes at event time {t_bad}; the curve "
             "integrand diverges there"
         )
-    increments = -generator_inverse_deriv(pi_left, theta) * jumps
-    running = np.cumsum(increments)
-    surv = generator(running, theta)
-    return CgeCurve(step=StepFunction(times, surv, initial_value=1.0), theta=theta)
+    return CurveBasis(event_times=times, jumps=jumps, log_pi_left=np.log(pi_left))
 
 
-def evaluate(curve: CgeCurve, t):
-    """Right-continuous lookup of the curve at time(s) t."""
-    return curve(t)
+def curve_values(basis: CurveBasis, theta: float) -> np.ndarray:
+    """Curve values at the basis's event times for dependence theta.
+
+    The integrand -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1).  For
+    theta < 0 the curve clamps at zero once the accumulated sum leaves the
+    generator's support.
+    """
+    running = np.cumsum(np.exp(-(theta + 1.0) * basis.log_pi_left) * basis.jumps)
+    return generator(running, theta)
 
 
-def trim_support(curves: Iterable[CgeCurve], ds: Dataset) -> TrimBounds:
+def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> CgeCurve:
+    """Plug-in survival curve for cause 1 at dependence parameter theta.
+
+    pi_hat and f_t_hat must come from the same stratum.
+    """
+    theta = _validate_theta(theta)
+    basis = curve_basis(pi_hat, f_t_hat)
+    surv = curve_values(basis, theta)
+    step = StepFunction(basis.event_times, surv, initial_value=1.0)
+    return CgeCurve(step=step, theta=theta)
+
+
+def trim_support(curves: Iterable[CgeCurve | CurveBasis], ds: Dataset) -> TrimBounds:
     """Support window for estimators that compare curves across strata.
+
+    Only each curve's event times are used, so the theta-free bases serve too.
 
     x_star is the smallest last-event time across strata (each curve plateaus
     after its own last cause-1 event), x_double_star the largest first-event

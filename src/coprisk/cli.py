@@ -28,7 +28,7 @@ from .estimators import (
     two_stage_point,
 )
 from .first_stage import overall_survival, sub_distribution
-from .cge import copula_graphic
+from .cge import curve_basis, curve_values
 from .inference import bootstrap
 from .marginals import FAMILIES, AftModel
 from .simulate import DgpSpec, generate_dataset, monte_carlo
@@ -300,13 +300,14 @@ def cmd_curve(args) -> int:
         writer = csv.writer(out)
         writer.writerow(["stratum", "tau", "t", "survival"])
         for level, idx in strata.items():
-            pi_hat = overall_survival(ds.x[idx])
-            ft_hat = sub_distribution(ds.x[idx], ds.delta[idx])
+            basis = curve_basis(
+                overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx])
+            )
             label = ";".join(f"{v:g}" for v in level) or "all"
             for tau in taus:
-                curve = copula_graphic(pi_hat, ft_hat, theta_from_tau(tau))
+                surv = curve_values(basis, theta_from_tau(tau))
                 writer.writerow([label, f"{tau:g}", "0", "1"])
-                for t, s in zip(curve.step.jump_times, curve.step.values):
+                for t, s in zip(basis.event_times, surv):
                     writer.writerow([label, f"{tau:g}", f"{t:.12g}", f"{s:.12g}"])
     finally:
         if args.output:

@@ -11,8 +11,6 @@ All functions accept scalars or numpy arrays and are pure (thread-safe).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError
@@ -142,33 +140,3 @@ def conditional_v_given_u(u, w, theta: float):
         lo = np.where(above, lo, mid)
     v = 0.5 * (lo + hi)
     return _ret(v, scalar)
-
-
-@dataclass(frozen=True)
-class ClaytonCopula:
-    """Clayton copula with dependence parameter theta in [-1, inf)."""
-
-    theta: float
-
-    def __post_init__(self):
-        _validate_theta(self.theta)
-
-    @classmethod
-    def from_tau(cls, tau: float) -> "ClaytonCopula":
-        return cls(theta_from_tau(tau))
-
-    @property
-    def tau(self) -> float:
-        return tau_from_theta(self.theta)
-
-    def generator(self, u):
-        return generator(u, self.theta)
-
-    def generator_inverse(self, s):
-        return generator_inverse(s, self.theta)
-
-    def generator_inverse_deriv(self, s):
-        return generator_inverse_deriv(s, self.theta)
-
-    def conditional_v_given_u(self, u, w):
-        return conditional_v_given_u(u, w, self.theta)

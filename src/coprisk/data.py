@@ -15,13 +15,6 @@ from .errors import DataError
 MAX_STRATA = 64
 
 
-@dataclass(frozen=True)
-class Observation:
-    x: float
-    delta: int
-    z: tuple[float, ...]
-
-
 class Dataset:
     """Immutable sample of (x, delta, z) rows.
 
@@ -69,9 +62,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def row(self, i: int) -> Observation:
-        return Observation(float(self.x[i]), int(self.delta[i]), tuple(self.z[i]))
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)

@@ -12,7 +12,13 @@ estimate.
 
 Both searches run on a Kendall's-tau grid followed by golden-section
 refinement inside the winning bracket, so local minima away from the global
-one are handled.  Estimation is deterministic: no randomness is involved.
+one are handled; the grid pass's local minima are reported in the fit's
+diagnostics.  Estimation is deterministic: no randomness is involved.
+
+Each fit builds one plan per dataset before its search: every stratum's
+theta-free curve basis, each row's knot index for its curve lookup and the
+regression rows.  A criterion call then only runs the per-theta curve kernel
+(``cge.curve_values``), a gather and the small regression or variance.
 
 Numerical policy of the three-stage fit (all measured on simulated benchmark
 designs; see the package README for the summary):
@@ -37,15 +43,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .cge import CgeCurve, TrimBounds, copula_graphic, trim_support
+from .cge import CurveBasis, TrimBounds, curve_basis, curve_values, trim_support
 from .copula import theta_from_tau
 from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
-from .first_stage import StepFunction, overall_survival, sub_distribution
+from .first_stage import overall_survival, sub_distribution
 from .marginals import AftModel, PhModel, _check_family, sw_inverse, sw_survival
 
 # Curve values are clamped into [S_CLAMP, 1 - S_CLAMP] before the decreasing
@@ -103,17 +109,10 @@ def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, int]:
     return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP), int(np.count_nonzero(clamped))
 
 
-def _solve_ls(a: np.ndarray, y: np.ndarray, weights) -> np.ndarray:
+def _solve_ls(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     n, p = a.shape
     if n <= p:
         raise EstimationError(f"regression needs more than {p} rows, got {n}")
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or np.any(w <= 0):
-            raise EstimationError("weights must be a positive vector of length n")
-        scale = 1.0 / np.sqrt(w)
-        a = a * scale[:, None]
-        y = y * scale
     if np.linalg.matrix_rank(a) < p:
         raise EstimationError(
             "design matrix is rank deficient (e.g. constant transformed curve "
@@ -123,13 +122,13 @@ def _solve_ls(a: np.ndarray, y: np.ndarray, weights) -> np.ndarray:
     return coef
 
 
-def fgls_fit(ds: Dataset, s_hat, family: str, weights=None) -> FglsFit:
+def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
     """Recover chi = (log alpha, beta', 1/sigma) from per-row survival values.
 
     Fits log(x_i) = -log(alpha) - z_i'beta + (1/sigma) * S_W^{-1}(s_i) by
-    (optionally weighted) least squares over the supplied rows; identity
-    weights by default.  For the exponential family the known unit slope
-    moves the transform to the left hand side and sigma is fixed at 1.
+    ordinary least squares over the supplied rows.  For the exponential
+    family the known unit slope moves the transform to the left hand side
+    and sigma is fixed at 1.
     """
     _check_family(family)
     s_hat = np.asarray(s_hat, dtype=float)
@@ -144,7 +143,7 @@ def fgls_fit(ds: Dataset, s_hat, family: str, weights=None) -> FglsFit:
         y = y - sw
     else:
         a = np.column_stack([-ones, -ds.z, sw])
-    chi = _solve_ls(a, y, weights)
+    chi = _solve_ls(a, y)
     return FglsFit(family=family, chi=chi, n_clamped=n_clamped)
 
 
@@ -184,7 +183,7 @@ class PhWeibullFit:
         return PhModel("weibull", alpha, self.coef[2:], sigma)
 
 
-def ph_weibull_fit(ds: Dataset, s_hat, weights=None) -> PhWeibullFit:
+def ph_weibull_fit(ds: Dataset, s_hat) -> PhWeibullFit:
     """Recover Weibull-baseline PH parameters from per-row survival values."""
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (ds.n,):
@@ -192,7 +191,7 @@ def ph_weibull_fit(ds: Dataset, s_hat, weights=None) -> PhWeibullFit:
     s_cl, n_clamped = _clamp_curve_values(s_hat)
     y = np.log(-np.log(s_cl))
     a = np.column_stack([np.ones(ds.n), np.log(ds.x), ds.z])
-    coef = _solve_ls(a, y, weights)
+    coef = _solve_ls(a, y)
     return PhWeibullFit(coef=coef, n_clamped=n_clamped)
 
 
@@ -204,23 +203,25 @@ def _ph_survival_from_coef(coef: np.ndarray, x, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Curve preparation and criterion evaluation
+# Fit plans: the theta-free pieces, built once per dataset
 # ---------------------------------------------------------------------------
 
 
-def _stratum_step_functions(ds: Dataset, strata: StrataIndex):
-    pi_fns: dict[tuple, StepFunction] = {}
-    ft_fns: dict[tuple, StepFunction] = {}
-    for level, idx in strata.items():
-        pi_fns[level] = overall_survival(ds.x[idx])
-        ft_fns[level] = sub_distribution(ds.x[idx], ds.delta[idx])
-    return pi_fns, ft_fns
+def _stratum_bases(ds: Dataset, strata: StrataIndex) -> list[CurveBasis]:
+    return [
+        curve_basis(
+            overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx])
+        )
+        for idx in strata.indices
+    ]
 
 
-def _stratum_curves(pi_fns, ft_fns, theta: float) -> dict[tuple, CgeCurve]:
-    return {
-        level: copula_graphic(pi_fns[level], ft_fns[level], theta) for level in pi_fns
-    }
+def _lookup(basis: CurveBasis, theta: float, pos: np.ndarray, window=None) -> np.ndarray:
+    """Curve values at knot indices pos (0 = before the first event)."""
+    values = curve_values(basis, theta)
+    if window is not None:
+        values = smooth_curve_values(values, window)
+    return np.concatenate(([1.0], values))[pos]
 
 
 def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
@@ -241,100 +242,142 @@ def _smooth_window(n_knots: int, smooth_knots) -> int:
     return max(1, int(smooth_knots))
 
 
-def _row_curve_values(
-    ds: Dataset,
-    strata: StrataIndex,
-    curves: Mapping[tuple, CgeCurve],
-    smooth_knots=0,
-) -> np.ndarray:
+@dataclass(frozen=True)
+class _CvmPlan:
+    """What the three-stage criterion needs that does not depend on theta.
+
+    strata holds, per stratum, its curve basis, its row indices, each row's
+    knot index for the left-limit lookup and the presmoothing window (None
+    for no presmoothing).  events_ds is the cause-1 subset the regression
+    runs on (None when there are no cause-1 rows).
+    """
+
+    ds: Dataset
+    strata: tuple[tuple[CurveBasis, np.ndarray, np.ndarray, int | None], ...]
+    events: np.ndarray
+    events_ds: Dataset | None
+
+
+def _cvm_plan(ds: Dataset, smooth_knots=None) -> _CvmPlan:
+    strata = stratify(ds)
+    smooth = smooth_knots is None or smooth_knots > 1
+    parts = []
+    for basis, idx in zip(_stratum_bases(ds, strata), strata.indices):
+        times = basis.event_times
+        pos = np.searchsorted(times, ds.x[idx], side="left")
+        window = _smooth_window(times.size, smooth_knots) if smooth else None
+        parts.append((basis, idx, pos, window))
+    events = np.flatnonzero(ds.delta == 1)
+    events_ds = ds.subset(events) if events.size else None
+    return _CvmPlan(ds=ds, strata=tuple(parts), events=events, events_ds=events_ds)
+
+
+def _row_values(plan: _CvmPlan, theta: float) -> np.ndarray:
     """Per-row curve values at the left limit of each observed duration."""
-    s = np.empty(ds.n)
-    for level, idx in strata.items():
-        try:
-            curve = curves[level]
-        except KeyError:
-            raise ValueError(f"no curve supplied for stratum {level}") from None
-        values = curve.step.values
-        if smooth_knots is None or smooth_knots > 1:
-            values = smooth_curve_values(
-                values, _smooth_window(values.size, smooth_knots)
-            )
-        table = np.concatenate([[curve.step.initial_value], values])
-        pos = np.searchsorted(curve.step.jump_times, ds.x[idx], side="left")
-        s[idx] = table[pos]
+    s = np.empty(plan.ds.n)
+    for basis, idx, pos, window in plan.strata:
+        s[idx] = _lookup(basis, theta, pos, window)
     return s
 
 
-def _cvm_value(
-    ds: Dataset,
-    strata: StrataIndex,
-    curves: Mapping[tuple, CgeCurve],
-    family: str,
-    model_kind: str,
-    events_only: bool,
-    weights,
-    smooth_knots=0,
-):
-    s_hat = _row_curve_values(ds, strata, curves, smooth_knots=smooth_knots)
-    s_cl, n_clamped = _clamp_curve_values(s_hat)
-    events = np.flatnonzero(ds.delta == 1)
-    if events.size == 0:
+def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, family: str, model_kind: str,
+               events_only: bool):
+    """Criterion from per-row curve values.
+
+    Returns (value, regression fit, mean gap, number of clamped rows).
+    """
+    if plan.events_ds is None:
         raise EstimationError("no cause-1 rows; the duration regression is empty")
-    sub = ds.subset(events)
-    sub_weights = None if weights is None else np.asarray(weights, float)[events]
+    s_cl, n_clamped = _clamp_curve_values(s_hat)
+    ds, events = plan.ds, plan.events
     if model_kind == "aft":
-        fit = fgls_fit(sub, s_cl[events], family, weights=sub_weights)
+        fit = fgls_fit(plan.events_ds, s_cl[events], family)
         s_mod = _aft_survival_from_chi(family, fit.chi, ds.x, ds.z)
-    elif model_kind == "ph":
-        fit = ph_weibull_fit(sub, s_cl[events], weights=sub_weights)
-        s_mod = _ph_survival_from_coef(fit.coef, ds.x, ds.z)
     else:
-        raise ValueError(f"unknown model_kind {model_kind!r}; use 'aft' or 'ph'")
-    fit = (
-        FglsFit(fit.family, fit.chi, n_clamped)
-        if isinstance(fit, FglsFit)
-        else PhWeibullFit(fit.coef, n_clamped)
-    )
+        fit = ph_weibull_fit(plan.events_ds, s_cl[events])
+        s_mod = _ph_survival_from_coef(fit.coef, ds.x, ds.z)
     gap = s_mod - s_cl
     if events_only:
         gap = gap[events]
     value = float(np.mean(gap**2))
     if not np.isfinite(value):
         raise EstimationError("criterion evaluated to a non-finite value")
-    return value, fit, float(np.mean(gap))
+    return value, fit, float(np.mean(gap)), n_clamped
 
 
-def cvm_objective_aft(
-    ds: Dataset,
-    theta: float,
-    family: str,
-    curves: Mapping[tuple, CgeCurve],
-    events_only: bool = False,
-    weights=None,
-) -> float:
-    """Mean squared gap between the fitted AFT survival and the given curves.
+def _pair_structure(strata: StrataIndex):
+    # reference stratum = the largest (ties resolved lexicographically); the
+    # remaining strata each contribute one contrast row z_j - z_ref
+    sizes = strata.sizes
+    ref = int(np.argmax(sizes))
+    ref_level = np.asarray(strata.levels[ref], dtype=float)
+    others = [j for j in range(strata.n_strata) if j != ref]
+    diffs = np.array(
+        [np.asarray(strata.levels[j], dtype=float) - ref_level for j in others]
+    )
+    k = ref_level.shape[0]
+    if np.linalg.matrix_rank(diffs) < k:
+        raise EstimationError(
+            "covariate level contrasts do not span the coefficient space; "
+            "more distinct covariate vectors are needed"
+        )
+    return ref, others, np.linalg.pinv(diffs)
 
-    curves maps each covariate level (tuple of z values) to its curve at this
-    theta; the marginal parameters are re-fitted internally (regression on the
-    cause-1 rows, curve values read at the left limit).
+
+@dataclass(frozen=True)
+class _VariancePlan:
+    """What the two-stage criterion needs that does not depend on theta.
+
+    bases and pos run over the reference stratum first, then the others;
+    pos holds each kept row's knot index for the right-continuous lookup.
     """
-    del theta  # dependence enters through the supplied curves
-    strata = stratify(ds)
-    value, _, _ = _cvm_value(ds, strata, curves, family, "aft", events_only, weights)
-    return value
+
+    trim: TrimBounds
+    bases: tuple[CurveBasis, ...]
+    pos: tuple[np.ndarray, ...]
+    diffs_pinv: np.ndarray
 
 
-def cvm_objective_ph(
-    ds: Dataset,
-    theta: float,
-    curves: Mapping[tuple, CgeCurve],
-    events_only: bool = False,
-    weights=None,
-) -> float:
-    """Parametric-PH analogue of cvm_objective_aft (Weibull baseline)."""
-    del theta
-    strata = stratify(ds)
-    value, _, _ = _cvm_value(ds, strata, curves, "weibull", "ph", events_only, weights)
+def _variance_plan(ds: Dataset, strata: StrataIndex) -> _VariancePlan:
+    ref, others, diffs_pinv = _pair_structure(strata)
+    bases = _stratum_bases(ds, strata)
+    # the trimmed window depends only on each stratum's event times
+    trim = trim_support(bases, ds)
+    x_kept = ds.x[trim.kept]
+    if x_kept.size < 2:
+        raise EstimationError("fewer than 2 rows survive trimming")
+    bases = tuple(bases[j] for j in (ref, *others))
+    pos = tuple(np.searchsorted(b.event_times, x_kept, side="right") for b in bases)
+    return _VariancePlan(trim=trim, bases=bases, pos=pos, diffs_pinv=diffs_pinv)
+
+
+def _kept_values(plan: _VariancePlan, theta: float) -> list[np.ndarray]:
+    """Each stratum's curve at the kept durations, reference stratum first."""
+    return [_lookup(basis, theta, pos) for basis, pos in zip(plan.bases, plan.pos)]
+
+
+def _b_matrix(kept_values, diffs_pinv: np.ndarray) -> np.ndarray:
+    """Per-row PH coefficients from the strata's curve values, reference first."""
+    # log cumulative hazards log(-log S) per stratum at the kept durations
+    log_l = []
+    for s in kept_values:
+        with np.errstate(divide="ignore"):
+            lam = -np.log(s)
+        if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
+            raise EstimationError(
+                "a curve value of 0 or 1 inside the trimmed window makes the "
+                "coefficient undefined"
+            )
+        log_l.append(np.log(lam))
+    contrasts = np.column_stack([ll - log_l[0] for ll in log_l[1:]])
+    return contrasts @ diffs_pinv.T
+
+
+def _coef_variance(b: np.ndarray) -> float:
+    """Sample variance of the summed per-row coefficients."""
+    value = float(np.var(b.sum(axis=1), ddof=1))
+    if not np.isfinite(value):
+        raise EstimationError("criterion evaluated to a non-finite value")
     return value
 
 
@@ -383,7 +426,10 @@ def _search_tau(criterion: Callable[[float], float], grid: np.ndarray):
     """Grid pass, then golden-section inside the best bracket.
 
     Criterion failures (EstimationError) are recorded as NaN and skipped; the
-    search fails only if every grid point fails.
+    search fails only if every grid point fails.  Returns (tau_hat, trace,
+    number of failed grid points, grid local minima): the last are the grid
+    taus whose finite value lies below both finite neighbours, so a
+    criterion with several modes shows them all.
     """
     trace: list[tuple[float, float]] = []
     values = np.full(grid.size, np.nan)
@@ -399,6 +445,10 @@ def _search_tau(criterion: Callable[[float], float], grid: np.ndarray):
     best = int(np.nanargmin(values))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid.size - 1)])
+    # a comparison with NaN is false, so failed points never count
+    mid = values[1:-1]
+    is_min = (mid < values[:-2]) & (mid < values[2:])
+    minima = tuple(float(t) for t in grid[1:-1][is_min])
 
     def safe(tau: float) -> float:
         try:
@@ -411,7 +461,7 @@ def _search_tau(criterion: Callable[[float], float], grid: np.ndarray):
     finite = [(t, v) for t, v in trace if np.isfinite(v)]
     tau_hat, _ = min(finite, key=lambda tv: (tv[1], tv[0]))
     trace.sort(key=lambda tv: tv[0])
-    return tau_hat, tuple(trace), n_failed
+    return tau_hat, tuple(trace), n_failed, minima
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +487,6 @@ def fit_3se(
     model_kind: str = "aft",
     tau_grid=None,
     events_only: bool = False,
-    weights=None,
     smooth_knots=None,
 ) -> FitResult3SE:
     """Three-stage fit: stratified curves, marginal regression, dependence search.
@@ -448,125 +497,37 @@ def fit_3se(
     presmoothing window, an integer fixes it, and 0 disables presmoothing.
     """
     _check_family(family)
+    if model_kind not in ("aft", "ph"):
+        raise ValueError(f"unknown model_kind {model_kind!r}; use 'aft' or 'ph'")
     if model_kind == "ph" and family != "weibull":
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
     grid = _validate_tau_grid(tau_grid)
-    strata = stratify(ds)
-    pi_fns, ft_fns = _stratum_step_functions(ds, strata)
+    plan = _cvm_plan(ds, smooth_knots)
 
-    def criterion(tau: float) -> float:
-        theta = theta_from_tau(tau)
-        curves = _stratum_curves(pi_fns, ft_fns, theta)
-        value, _, _ = _cvm_value(
-            ds, strata, curves, family, model_kind, events_only, weights,
-            smooth_knots=smooth_knots,
-        )
-        return value
+    def evaluate(tau: float):
+        s_hat = _row_values(plan, theta_from_tau(tau))
+        return _cvm_value(plan, s_hat, family, model_kind, events_only)
 
-    tau_hat, trace, n_failed = _search_tau(criterion, grid)
-    theta_hat = theta_from_tau(tau_hat)
-
-    curves = _stratum_curves(pi_fns, ft_fns, theta_hat)
-    _, fit, mean_gap = _cvm_value(
-        ds, strata, curves, family, model_kind, events_only, weights,
-        smooth_knots=smooth_knots,
-    )
-    model = fit.model()
-    diagnostics = {
-        "n_clamped": fit.n_clamped,
-        "mean_gap": mean_gap,
-        "n_grid_failed": n_failed,
-    }
+    tau_hat, trace, n_failed, minima = _search_tau(lambda tau: evaluate(tau)[0], grid)
+    _, fit, mean_gap, n_clamped = evaluate(tau_hat)
     return FitResult3SE(
         tau_hat=tau_hat,
-        theta_hat=theta_hat,
-        model=model,
+        theta_hat=theta_from_tau(tau_hat),
+        model=fit.model(),
         objective_trace=trace,
         kept_n=ds.n,
-        diagnostics=diagnostics,
+        diagnostics={
+            "n_clamped": n_clamped,
+            "mean_gap": mean_gap,
+            "n_grid_failed": n_failed,
+            "grid_local_minima": minima,
+        },
     )
 
 
 # ---------------------------------------------------------------------------
 # Two-stage semiparametric estimator
 # ---------------------------------------------------------------------------
-
-
-def semiparam_b(x_i, theta: float, curve_z1: CgeCurve, curve_z2: CgeCurve, z1, z2):
-    """Per-observation PH coefficient from one pair of stratum curves (k = 1)."""
-    for curve in (curve_z1, curve_z2):
-        if not np.isclose(curve.theta, theta):
-            raise ValueError("curve was computed at a different theta")
-    z1, z2 = float(z1), float(z2)
-    if z1 == z2:
-        raise ValueError("z1 and z2 must differ")
-    s1 = float(curve_z1(x_i))
-    s2 = float(curve_z2(x_i))
-    if not (0.0 < s1 < 1.0) or not (0.0 < s2 < 1.0):
-        raise EstimationError(
-            f"curve value at x = {x_i} is 0 or 1; the coefficient is undefined "
-            "there (trim the support first)"
-        )
-    return float(np.log(np.log(s2) / np.log(s1)) / (z2 - z1))
-
-
-def _pair_structure(strata: StrataIndex):
-    # reference stratum = the largest (ties resolved lexicographically); the
-    # remaining strata each contribute one contrast row z_j - z_ref
-    sizes = strata.sizes
-    ref = int(np.argmax(sizes))
-    ref_level = np.asarray(strata.levels[ref], dtype=float)
-    others = [j for j in range(strata.n_strata) if j != ref]
-    diffs = np.array(
-        [np.asarray(strata.levels[j], dtype=float) - ref_level for j in others]
-    )
-    k = ref_level.shape[0]
-    if np.linalg.matrix_rank(diffs) < k:
-        raise EstimationError(
-            "covariate level contrasts do not span the coefficient space; "
-            "more distinct covariate vectors are needed"
-        )
-    return ref, others, np.linalg.pinv(diffs)
-
-
-def _b_matrix(
-    x_kept: np.ndarray,
-    strata: StrataIndex,
-    curves: Mapping[tuple, CgeCurve],
-    ref: int,
-    others: list[int],
-    diffs_pinv: np.ndarray,
-) -> np.ndarray:
-    # cumulative hazards -log S per stratum at the kept durations
-    log_l = []
-    for j in (ref, *others):
-        s = curves[strata.levels[j]](x_kept)
-        with np.errstate(divide="ignore"):
-            lam = -np.log(s)
-        if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
-            raise EstimationError(
-                "a curve value of 0 or 1 inside the trimmed window makes the "
-                "coefficient undefined"
-            )
-        log_l.append(np.log(lam))
-    contrasts = np.column_stack([ll - log_l[0] for ll in log_l[1:]])
-    return contrasts @ diffs_pinv.T
-
-
-def variance_objective(
-    ds: Dataset,
-    theta: float,
-    curves: Mapping[tuple, CgeCurve],
-    trim: TrimBounds,
-) -> float:
-    """Sample variance of the summed per-observation coefficients at this theta."""
-    del theta
-    strata = stratify(ds)
-    ref, others, diffs_pinv = _pair_structure(strata)
-    if trim.kept.size < 2:
-        raise EstimationError("fewer than 2 rows survive trimming")
-    b = _b_matrix(ds.x[trim.kept], strata, curves, ref, others, diffs_pinv)
-    return float(np.var(b.sum(axis=1), ddof=1))
 
 
 @dataclass(frozen=True)
@@ -597,38 +558,23 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
             "the semiparametric fit needs at least one covariate taking two or "
             "more values in the sample; a single stratum is not identified"
         )
-    pi_fns, ft_fns = _stratum_step_functions(ds, strata)
-    ref, others, diffs_pinv = _pair_structure(strata)
+    plan = _variance_plan(ds, strata)
 
-    # the trimmed window depends only on each stratum's event times, not theta
-    trim = trim_support(_stratum_curves(pi_fns, ft_fns, 0.0).values(), ds)
-    x_kept = ds.x[trim.kept]
-    if x_kept.size < 2:
-        raise EstimationError("fewer than 2 rows survive trimming")
+    def b_at(tau: float) -> np.ndarray:
+        return _b_matrix(_kept_values(plan, theta_from_tau(tau)), plan.diffs_pinv)
 
-    def b_at(theta: float) -> np.ndarray:
-        curves = _stratum_curves(pi_fns, ft_fns, theta)
-        return _b_matrix(x_kept, strata, curves, ref, others, diffs_pinv)
-
-    def criterion(tau: float) -> float:
-        b = b_at(theta_from_tau(tau))
-        value = float(np.var(b.sum(axis=1), ddof=1))
-        if not np.isfinite(value):
-            raise EstimationError("criterion evaluated to a non-finite value")
-        return value
-
-    tau_hat, trace, n_failed = _search_tau(criterion, grid)
-    theta_hat = theta_from_tau(tau_hat)
-    beta_hat = b_at(theta_hat).mean(axis=0)
+    tau_hat, trace, n_failed, minima = _search_tau(
+        lambda tau: _coef_variance(b_at(tau)), grid
+    )
     return FitResult2SE(
         tau_hat=tau_hat,
-        theta_hat=theta_hat,
-        beta_hat=beta_hat,
+        theta_hat=theta_from_tau(tau_hat),
+        beta_hat=b_at(tau_hat).mean(axis=0),
         objective_trace=trace,
-        x_star=trim.x_star,
-        x_double_star=trim.x_double_star,
-        kept_n=int(x_kept.size),
-        diagnostics={"n_grid_failed": n_failed},
+        x_star=plan.trim.x_star,
+        x_double_star=plan.trim.x_double_star,
+        kept_n=int(plan.trim.kept.size),
+        diagnostics={"n_grid_failed": n_failed, "grid_local_minima": minima},
     )
 
 

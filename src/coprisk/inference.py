@@ -3,11 +3,14 @@
 Replicate r draws its resample from an RNG substream keyed by (seed, r), so
 results are bit-identical for a given seed regardless of execution order or
 the degree of parallelism.  Replicates on which the fit procedure raises an
-EstimationError are skipped and counted.
+EstimationError are skipped and counted.  ``map_replicates`` is the one
+serial-or-process-pool loop, shared with the Monte Carlo harness.
 """
 
 from __future__ import annotations
 
+import functools
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -57,14 +60,35 @@ def _infer_names(values) -> tuple[str, ...]:
     return tuple(f"p{i}" for i in range(np.atleast_1d(np.asarray(values)).shape[0]))
 
 
-def _one_replicate(args):
-    fit, ds, seed, r, names = args
+def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs: int,
+                   chunksize: int) -> list:
+    """[worker(fn, *args, r) for r in range(count)], in a process pool if jobs > 1.
+
+    Results come back in replicate order either way.  fn is the caller's
+    callable; it must be picklable to reach the pool's workers, which is
+    checked before any worker starts.
+    """
+    if jobs <= 1:
+        return [worker(fn, *args, r) for r in range(count)]
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ValueError(
+            f"{fn!r} cannot be sent to worker processes ({exc}); with jobs > 1 "
+            "pass a module-level function or a functools.partial of one"
+        ) from None
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(functools.partial(worker, fn, *args), range(count),
+                             chunksize=chunksize))
+
+
+def _one_replicate(fit, ds, seed, names, r):
     rng = substream_rng(seed, r)
     idx = rng.integers(0, ds.n, size=ds.n)
     try:
-        return r, _as_vector(fit(ds.subset(idx)), names)
+        return _as_vector(fit(ds.subset(idx)), names)
     except EstimationError:
-        return r, None
+        return None
 
 
 def bootstrap(
@@ -79,7 +103,8 @@ def bootstrap(
     """Resample rows with replacement B times and refit.
 
     fit maps a Dataset to a parameter vector or {name: value} dict.  More than
-    B/2 failed replicates aborts with an error.
+    B/2 failed replicates aborts with an error.  jobs > 1 runs the replicates
+    in worker processes, so fit must then be picklable (see map_replicates).
     """
     b = int(b)
     if b < 2:
@@ -90,14 +115,8 @@ def bootstrap(
     names = tuple(param_names) if param_names is not None else _infer_names(point_raw)
     point = _as_vector(point_raw, names)
 
-    tasks = [(fit, ds, seed, r, names) for r in range(b)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_one_replicate, tasks, chunksize=8))
-    else:
-        raw = [_one_replicate(t) for t in tasks]
-    raw.sort(key=lambda item: item[0])
-    rows = [vec for _, vec in raw if vec is not None]
+    raw = map_replicates(_one_replicate, fit, (ds, seed, names), b, jobs, chunksize=8)
+    rows = [vec for vec in raw if vec is not None]
     n_failed = b - len(rows)
     if n_failed > b / 2:
         raise EstimationError(

@@ -4,7 +4,6 @@ Monte Carlo harness reporting squared bias and MSE per parameter."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -13,7 +12,7 @@ import numpy as np
 from .copula import conditional_v_given_u, theta_from_tau
 from .data import Dataset
 from .errors import EstimationError
-from .inference import substream_rng
+from .inference import map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
 _OPEN_UNIT_EPS = 1e-15
@@ -96,13 +95,12 @@ class McReport:
     wall_time_s: float = field(compare=False)
 
 
-def _mc_replicate(args):
-    spec, estimator, seed, r = args
+def _mc_replicate(estimator, spec, seed, r):
     ds = generate_dataset(spec, substream_rng(seed, r))
     try:
-        return r, estimator(ds)
+        return estimator(ds)
     except EstimationError:
-        return r, None
+        return None
 
 
 def monte_carlo(
@@ -117,20 +115,15 @@ def monte_carlo(
 
     Only parameters named in ``truth`` are summarised.  Replicates on which
     the estimator raises an EstimationError are skipped and counted; more
-    than reps/2 failures aborts.
+    than reps/2 failures aborts.  jobs > 1 runs the replicates in worker
+    processes, so the estimator must then be picklable.
     """
     reps = int(reps)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     start = time.perf_counter()
-    tasks = [(spec, estimator, seed, r) for r in range(reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_mc_replicate, tasks, chunksize=1))
-    else:
-        raw = [_mc_replicate(t) for t in tasks]
-    raw.sort(key=lambda item: item[0])
-    results = [est for _, est in raw if est is not None]
+    raw = map_replicates(_mc_replicate, estimator, (spec, seed), reps, jobs, chunksize=1)
+    results = [est for est in raw if est is not None]
     n_failed = reps - len(results)
     if n_failed > reps / 2:
         raise EstimationError(

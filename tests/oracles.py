@@ -7,6 +7,8 @@ implementations.
 
 import numpy as np
 
+from coprisk.errors import EstimationError
+
 
 def nelson_aalen_survival(x, delta, t):
     """exp(-cause-1 Nelson-Aalen cumulative hazard) at time t, by set counting."""
@@ -51,3 +53,24 @@ def study_design_sample(rng, n=60, cap=0.7):
         first_event = x[delta == 1].min()
         if np.any((x < first_event) & (delta == 0)):
             return x, delta
+
+
+def semiparam_b(x_i, theta, curve_z1, curve_z2, z1, z2):
+    """Per-observation PH coefficient from one pair of stratum curves (k = 1).
+
+    Scalar reference for the two-stage fit's vectorised coefficient rows.
+    """
+    for curve in (curve_z1, curve_z2):
+        if not np.isclose(curve.theta, theta):
+            raise ValueError("curve was computed at a different theta")
+    z1, z2 = float(z1), float(z2)
+    if z1 == z2:
+        raise ValueError("z1 and z2 must differ")
+    s1 = float(curve_z1(x_i))
+    s2 = float(curve_z2(x_i))
+    if not (0.0 < s1 < 1.0) or not (0.0 < s2 < 1.0):
+        raise EstimationError(
+            f"curve value at x = {x_i} is 0 or 1; the coefficient is undefined "
+            "there (trim the support first)"
+        )
+    return float(np.log(np.log(s2) / np.log(s1)) / (z2 - z1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coprisk.cge import CgeCurve, copula_graphic, evaluate, trim_support
+from coprisk.cge import CgeCurve, copula_graphic, trim_support
 from coprisk.data import Dataset
 from coprisk.errors import EstimationError
 from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
@@ -42,10 +42,10 @@ def test_matches_nelson_aalen_oracle_at_independence():
 
 def test_evaluate_lookup_conventions():
     curve = curve_from_sample([1.0, 2.0, 3.0], [1, 1, 0], theta=1.0)
-    assert evaluate(curve, 0.5) == 1.0
-    at_jump = evaluate(curve, 1.0)
+    assert curve(0.5) == 1.0
+    at_jump = curve(1.0)
     assert at_jump < 1.0  # right-continuous: includes the jump at 1
-    assert evaluate(curve, 100.0) == curve.step.final_value
+    assert curve(100.0) == curve.step.final_value
 
 
 def test_theta_ordering_on_study_design_samples():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprisk.copula import (
-    ClaytonCopula,
     _conditional_cdf,
     conditional_v_given_u,
     generator,
@@ -27,6 +26,7 @@ THETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0]
 
 def test_generator_at_zero_is_one():
     assert generator(0.0, 3.7) == 1.0
+    assert generator(0.0, 8.0) == 1.0
 
 
 def test_generator_independence_branch():
@@ -49,6 +49,8 @@ def test_generator_domain_errors():
         generator(-0.1, 1.0)
     with pytest.raises(ValueError):
         generator(1.0, -1.5)
+    with pytest.raises(ValueError):
+        generator(1.0, -2.0)
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -67,6 +69,7 @@ def test_generator_nonincreasing_and_convex(theta):
 
 def test_inverse_examples():
     assert generator_inverse(1.0, 2.3) == 0.0
+    assert generator_inverse(1.0, 8.0) == 0.0
     assert generator_inverse(0.5, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert generator_inverse(0.5, 0.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -115,6 +118,7 @@ def test_deriv_ratio_strictly_increasing():
 
 def test_tau_examples():
     assert tau_from_theta(8.0) == pytest.approx(0.8, abs=1e-12)
+    assert theta_from_tau(0.8) == pytest.approx(8.0, abs=1e-12)
     assert tau_from_theta(0.0) == 0.0
     assert tau_from_theta(-1.0) == -1.0
 
@@ -195,17 +199,3 @@ def test_conditional_fuzz_in_unit_interval(theta, u, w):
     v = conditional_v_given_u(u, w, theta)
     assert 0.0 < v < 1.0
 
-
-# ---------------------------------------------------------------------------
-# dataclass wrapper
-# ---------------------------------------------------------------------------
-
-
-def test_clayton_copula_wrapper():
-    cop = ClaytonCopula.from_tau(0.8)
-    assert cop.theta == pytest.approx(8.0, abs=1e-12)
-    assert cop.tau == pytest.approx(0.8, abs=1e-12)
-    assert cop.generator(0.0) == 1.0
-    assert cop.generator_inverse(1.0) == 0.0
-    with pytest.raises(ValueError):
-        ClaytonCopula(-2.0)

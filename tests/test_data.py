@@ -70,8 +70,10 @@ def test_dataset_subset_and_row():
     ds = Dataset([1.0, 2.0, 3.0], [1, 0, 1], [[0.0], [1.0], [0.0]])
     sub = ds.subset([2, 0])
     assert list(sub.x) == [3.0, 1.0]
-    row = ds.row(1)
-    assert row.x == 2.0 and row.delta == 0 and row.z == (1.0,)
+    rows = ds.subset([1, 0])
+    assert list(rows.x) == [2.0, 1.0]
+    assert list(rows.delta) == [0, 1]
+    assert rows.z.tolist() == [[1.0], [0.0]]
 
 
 def test_pool_risks():

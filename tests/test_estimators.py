@@ -5,28 +5,34 @@ import functools
 import numpy as np
 import pytest
 
-from coprisk.cge import CgeCurve, TrimBounds, copula_graphic, trim_support
+from coprisk.cge import CgeCurve, copula_graphic
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
     _b_matrix,
+    _coef_variance,
+    _cvm_plan,
+    _cvm_value,
+    _kept_values,
     _pair_structure,
-    _stratum_curves,
-    _stratum_step_functions,
-    cvm_objective_aft,
+    _row_values,
+    _search_tau,
+    _smooth_window,
+    _variance_plan,
     fgls_fit,
     fit_2se,
     fit_3se,
     ph_weibull_fit,
-    semiparam_b,
+    smooth_curve_values,
     three_stage_point,
     two_stage_point,
-    variance_objective,
 )
 from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
 from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel, PhModel, inverse_survival, ph_survival, survival
 from coprisk.simulate import DgpSpec, generate_dataset
+
+from oracles import semiparam_b
 
 BENCH = dict(alpha=1.0, beta=[1.0], sigma=1.5)
 
@@ -89,15 +95,6 @@ def test_fgls_clamp_diagnostic():
     assert fit.n_clamped == 3
 
 
-def test_fgls_weights_hook():
-    ds, s_exact, _ = noiseless_dataset("weibull")
-    unweighted = fgls_fit(ds, s_exact, "weibull")
-    weighted = fgls_fit(ds, s_exact, "weibull", weights=np.full(ds.n, 2.0))
-    assert np.allclose(unweighted.chi, weighted.chi)
-    with pytest.raises(EstimationError):
-        fgls_fit(ds, s_exact, "weibull", weights=np.zeros(ds.n))
-
-
 def test_ph_weibull_noiseless_recovery():
     model = PhModel("weibull", 1.0, [0.8], 1.5)
     rng = np.random.default_rng(7)
@@ -116,28 +113,12 @@ def test_ph_weibull_noiseless_recovery():
 # ---------------------------------------------------------------------------
 
 
-def constant_piece_curves(ds, theta, survival_fn):
-    """Curves that are exactly survival_fn on a neighbourhood of each x."""
-    curves = {}
-    for level, idx in stratify(ds).items():
-        xs = np.sort(ds.x[idx])
-        # jumps strictly between observations so every x sits inside a piece
-        jumps = np.concatenate([[xs[0] * 0.5], 0.5 * (xs[:-1] + xs[1:])])
-        values = survival_fn(xs, level)
-        curves[level] = CgeCurve(
-            step=StepFunction(jumps, values, initial_value=1.0), theta=theta
-        )
-    return curves
-
-
 def test_cvm_perfect_fit_is_zero():
+    # per-row curve values equal to the true survival fit the model exactly
     ds, _, model = noiseless_dataset("weibull", n=120)
-
-    def exact(xs, level):
-        return survival(model, xs, np.tile(np.asarray(level), (xs.size, 1)))
-
-    curves = constant_piece_curves(ds, 0.5, exact)
-    value = cvm_objective_aft(ds, 0.5, "weibull", curves)
+    plan = _cvm_plan(ds, smooth_knots=0)
+    s_exact = survival(model, ds.x, ds.z)
+    value, _, _, _ = _cvm_value(plan, s_exact, "weibull", "aft", False)
     assert value <= 1e-18
 
 
@@ -154,10 +135,32 @@ def test_cvm_trace_is_finite_on_simulated_data():
     assert np.all(np.isfinite(values))
 
 
-def test_cvm_requires_matching_curves():
-    ds, s_exact, model = noiseless_dataset("weibull", n=60)
-    with pytest.raises(ValueError, match="no curve"):
-        cvm_objective_aft(ds, 0.0, "weibull", {})
+# ---------------------------------------------------------------------------
+# dependence search
+# ---------------------------------------------------------------------------
+
+
+def two_minimum_criterion(fail_at=()):
+    """Minima at tau = -0.2 (value 0.05) and tau = 0.6 (value 0)."""
+
+    def criterion(tau):
+        if any(abs(tau - t) < 1e-9 for t in fail_at):
+            raise EstimationError("fails here")
+        return min((tau + 0.2) ** 2 + 0.05, (tau - 0.6) ** 2)
+
+    return criterion
+
+
+def test_search_tau_reports_grid_local_minima():
+    grid = np.linspace(-0.9, 0.9, 19)
+    criterion = two_minimum_criterion(fail_at=(0.2,))
+    tau_hat, _, n_failed, minima = _search_tau(criterion, grid)
+    assert tau_hat == pytest.approx(0.6, abs=1e-4)
+    assert n_failed == 1
+    assert minima == pytest.approx((-0.2, 0.6), abs=1e-12)
+    # a failed neighbour hides a minimum: it is not below both finite neighbours
+    _, _, _, minima = _search_tau(two_minimum_criterion(fail_at=(0.5,)), grid)
+    assert minima == pytest.approx((-0.2,), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,10 @@ def test_fit_3se_recovers_benchmark_dependence():
     assert res.theta_hat == pytest.approx(2 * res.tau_hat / (1 - res.tau_hat))
     assert -0.9 <= res.tau_hat <= 0.9
     assert res.kept_n == ds.n
-    assert set(res.diagnostics) == {"n_clamped", "mean_gap", "n_grid_failed"}
+    assert set(res.diagnostics) == {
+        "n_clamped", "mean_gap", "n_grid_failed", "grid_local_minima"
+    }
+    assert all(-0.9 < t < 0.9 for t in res.diagnostics["grid_local_minima"])
 
 
 def test_fit_3se_deterministic():
@@ -302,6 +308,51 @@ def test_semiparam_b_boundary_error():
         semiparam_b(1.2, 0.7, c1, c2, 0.0, 1.0)  # theta mismatch
 
 
+def stratum_curves(ds, theta):
+    """{level: copula_graphic curve} built the direct, per-theta way."""
+    return {
+        level: copula_graphic(
+            overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx]), theta
+        )
+        for level, idx in stratify(ds).items()
+    }
+
+
+def test_plan_values_equal_curve_lookups():
+    model = AftModel("weibull", **BENCH)
+    spec = DgpSpec(n=900, tau=0.8, model_t=model, model_c=model, p_z=0.4)
+    ds2 = generate_dataset(spec, 31)
+    # a third stratum, z = 2, without cause-1 events
+    rng = np.random.default_rng(5)
+    ds3 = Dataset(
+        np.concatenate([ds2.x, rng.uniform(0.1, 3.0, 40)]),
+        np.concatenate([ds2.delta, np.zeros(40, dtype=int)]),
+        np.concatenate([ds2.z, np.full((40, 1), 2.0)]),
+    )
+    strata3 = stratify(ds3)
+    strata2 = stratify(ds2)
+    ref, others, _ = _pair_structure(strata2)
+    plan2 = _variance_plan(ds2, strata2)
+    x_kept = ds2.x[plan2.trim.kept]
+    for theta in (-0.5, 0.0, 2.0, 8.0):
+        curves = stratum_curves(ds3, theta)
+        for smooth_knots in (None, 25, 0):
+            rows = _row_values(_cvm_plan(ds3, smooth_knots), theta)
+            for level, idx in strata3.items():
+                step = curves[level].step
+                values = step.values
+                if smooth_knots is None or smooth_knots > 1:
+                    window = _smooth_window(values.size, smooth_knots)
+                    values = smooth_curve_values(values, window)
+                smoothed = StepFunction(step.jump_times, values, 1.0)
+                assert np.all(rows[idx] == smoothed.left_limit(ds3.x[idx]))
+            assert np.all(rows[strata3.indices[2]] == 1.0)
+        curves = stratum_curves(ds2, theta)
+        kept = _kept_values(plan2, theta)
+        for j, values in zip((ref, *others), kept):
+            assert np.all(values == curves[strata2.levels[j]](x_kept))
+
+
 @pytest.mark.parametrize("p_z", [0.3, 0.7])  # reference stratum z = 0, then z = 1
 def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
     model = AftModel("weibull", **BENCH)
@@ -309,14 +360,13 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
         DgpSpec(n=1500, tau=0.8, model_t=model, model_c=model, p_z=p_z), 21
     )
     strata = stratify(ds)
-    pi_fns, ft_fns = _stratum_step_functions(ds, strata)
-    ref, others, diffs_pinv = _pair_structure(strata)
+    ref, _, _ = _pair_structure(strata)
     assert strata.levels[ref] == ((0.0,) if p_z < 0.5 else (1.0,))
-    trim = trim_support(_stratum_curves(pi_fns, ft_fns, 0.0).values(), ds)
-    x_kept = ds.x[trim.kept]
+    plan = _variance_plan(ds, strata)
+    x_kept = ds.x[plan.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
-        curves = _stratum_curves(pi_fns, ft_fns, theta)
-        b = _b_matrix(x_kept, strata, curves, ref, others, diffs_pinv)
+        curves = stratum_curves(ds, theta)
+        b = _b_matrix(_kept_values(plan, theta), plan.diffs_pinv)
         assert b.shape == (x_kept.size, 1)
         expected = [
             semiparam_b(x, theta, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
@@ -326,38 +376,32 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
 
 
 def _variance_fixture(b_values):
-    # dataset whose three kept rows produce exactly the given coefficients
-    x = np.array([1.0, 2.0, 3.0, 1.2, 2.2, 3.2, 0.9])
-    z = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0], [0.0]])
-    ds = Dataset(x, np.ones(7, dtype=int), z)
-    times = np.array([1.0, 2.0, 3.0])
+    # two strata's curve values at three kept rows whose coefficients are
+    # exactly b_values; the single contrast z1 - z0 = 1
     l0 = np.array([0.2, 0.4, 0.6])
     s0 = np.exp(-l0)
     s1 = np.exp(-l0 * np.exp(np.asarray(b_values)))
-    curves = {
-        (0.0,): CgeCurve(StepFunction(times, s0, 1.0), 0.0),
-        (1.0,): CgeCurve(StepFunction(times, s1, 1.0), 0.0),
-    }
-    trim = TrimBounds(x_star=3.0, x_double_star=1.0, kept=np.array([0, 1, 2]))
-    return ds, curves, trim
+    return [s0, s1], np.linalg.pinv(np.array([[1.0]]))
 
 
 def test_variance_objective_hand_value():
-    ds, curves, trim = _variance_fixture([1.0, 2.0, 3.0])
-    assert variance_objective(ds, 0.0, curves, trim) == pytest.approx(1.0, abs=1e-10)
+    b = _b_matrix(*_variance_fixture([1.0, 2.0, 3.0]))
+    assert _coef_variance(b) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_variance_objective_zero_for_ph_curves():
-    for theta in (-0.5, 0.0, 2.0):
-        ds, curves, trim = _variance_fixture([0.7, 0.7, 0.7])
-        assert variance_objective(ds, theta, curves, trim) <= 1e-20
+    b = _b_matrix(*_variance_fixture([0.7, 0.7, 0.7]))
+    assert _coef_variance(b) <= 1e-20
 
 
 def test_variance_objective_single_row_error():
-    ds, curves, trim = _variance_fixture([1.0, 2.0, 3.0])
-    lone = TrimBounds(trim.x_star, trim.x_double_star, kept=np.array([0]))
+    # the z = 0 stratum's only event at 2 is the z = 1 stratum's first-event
+    # bound and its own last-event bound, so the window [2, 2] keeps one row
+    x = np.array([2.0, 4.0, 1.0, 3.0])
+    delta = np.array([1, 0, 1, 1])
+    ds = Dataset(x, delta, [[0.0], [0.0], [1.0], [1.0]])
     with pytest.raises(EstimationError, match="fewer than 2"):
-        variance_objective(ds, 0.0, curves, lone)
+        fit_2se(ds)
 
 
 def test_fit_2se_runs_and_is_deterministic():
@@ -376,6 +420,7 @@ def test_fit_2se_runs_and_is_deterministic():
     assert 0 < first.kept_n <= ds.n
     assert first.beta_hat.shape == (1,)
     assert -0.9 <= first.tau_hat <= 0.9
+    assert set(first.diagnostics) == {"n_grid_failed", "grid_local_minima"}
 
 
 def test_fit_2se_requires_covariate_variation():

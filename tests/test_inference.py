@@ -57,6 +57,12 @@ def test_parallel_execution_is_bit_identical():
     assert np.array_equal(serial.replicates, parallel.replicates)
 
 
+def test_parallel_rejects_unpicklable_fit():
+    # a lambda cannot reach worker processes; fail before any worker starts
+    with pytest.raises(ValueError, match="functools.partial"):
+        bootstrap(lambda d: mean_duration(d), make_dataset(n=60), b=4, jobs=2)
+
+
 def test_mean_estimator_se_close_to_analytic():
     ds = make_dataset(n=400, seed=11)
     res = bootstrap(mean_duration, ds, b=2000, seed=0)

@@ -131,6 +131,13 @@ def test_monte_carlo_parallel_matches_serial():
     assert serial.mse == parallel.mse
 
 
+def test_monte_carlo_parallel_rejects_unpicklable_estimator():
+    # a lambda cannot reach worker processes; fail before any worker starts
+    spec = benchmark_spec(n=40)
+    with pytest.raises(ValueError, match="functools.partial"):
+        monte_carlo(spec, lambda d: _mean_duration(d), {"m": 0.5}, reps=4, jobs=2)
+
+
 def test_monte_carlo_too_many_failures():
     spec = benchmark_spec(n=40)
 
