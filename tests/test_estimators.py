@@ -13,7 +13,7 @@ from coprisk.estimators import (
     _coef_variance,
     _cvm_plan,
     _cvm_value,
-    _kept_values,
+    _kept_log_hazards,
     _pair_structure,
     _row_values,
     _search_tau,
@@ -348,9 +348,11 @@ def test_plan_values_equal_curve_lookups():
                 assert np.all(rows[idx] == smoothed.left_limit(ds3.x[idx]))
             assert np.all(rows[strata3.indices[2]] == 1.0)
         curves = stratum_curves(ds2, theta)
-        kept = _kept_values(plan2, theta)
-        for j, values in zip((ref, *others), kept):
-            assert np.all(values == curves[strata2.levels[j]](x_kept))
+        log_l = _kept_log_hazards(plan2, theta)
+        for j, values in zip((ref, *others), log_l):
+            with np.errstate(divide="ignore"):
+                expected = np.log(-np.log(curves[strata2.levels[j]](x_kept)))
+            assert np.all(values == expected)
 
 
 @pytest.mark.parametrize("p_z", [0.3, 0.7])  # reference stratum z = 0, then z = 1
@@ -366,7 +368,8 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
     x_kept = ds.x[plan.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds, theta)
-        b = _b_matrix(_kept_values(plan, theta), plan.diffs_pinv)
+        log_l = _kept_log_hazards(plan, theta)
+        b = _b_matrix(log_l, plan.diffs_pinv, plan.contrasts, plan.b)
         assert b.shape == (x_kept.size, 1)
         expected = [
             semiparam_b(x, theta, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
@@ -376,17 +379,24 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
 
 
 def _variance_fixture(b_values):
-    # two strata's curve values at three kept rows whose coefficients are
-    # exactly b_values; the single contrast z1 - z0 = 1
-    l0 = np.array([0.2, 0.4, 0.6])
-    s0 = np.exp(-l0)
-    s1 = np.exp(-l0 * np.exp(np.asarray(b_values)))
-    return [s0, s1], np.linalg.pinv(np.array([[1.0]]))
+    # two strata's log cumulative hazards at three kept rows whose
+    # coefficients are exactly b_values; the single contrast z1 - z0 = 1
+    log_l0 = np.log([0.2, 0.4, 0.6])
+    log_l = np.stack([log_l0, log_l0 + np.asarray(b_values)])
+    return log_l, np.linalg.pinv(np.array([[1.0]])), np.empty((3, 1)), np.empty((3, 1))
 
 
 def test_variance_objective_hand_value():
     b = _b_matrix(*_variance_fixture([1.0, 2.0, 3.0]))
     assert _coef_variance(b) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_b_matrix_rejects_curve_value_one():
+    # log(-log 1) = -inf: a kept row where a curve has not left 1
+    log_l, *rest = _variance_fixture([1.0, 2.0, 3.0])
+    log_l[1, 0] = -np.inf
+    with pytest.raises(EstimationError, match="undefined"):
+        _b_matrix(log_l, *rest)
 
 
 def test_variance_objective_zero_for_ph_curves():
