@@ -23,7 +23,6 @@ from .estimators import (
     fgls_fit,
     fit_2se,
     fit_3se,
-    ph_weibull_fit,
     three_stage_point,
     two_stage_point,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "overall_survival",
     "ph_cumulative_hazard",
     "ph_survival",
-    "ph_weibull_fit",
     "pool_risks",
     "sample_pair",
     "stratify",

@@ -16,9 +16,11 @@ one are handled; the grid pass's local minima are reported in the fit's
 diagnostics.  Estimation is deterministic: no randomness is involved.
 
 Each fit builds one plan per dataset before its search: every stratum's
-theta-free curve basis, each row's knot index for its curve lookup and the
-regression rows.  A criterion call then only runs the per-theta curve kernel
-(``cge.curve_values``), a gather and the small regression or variance.
+theta-free curve basis and each row's knot index for its curve lookup; the
+three-stage plan also holds the regression design over the cause-1 rows and
+the log durations.  A criterion call then only runs the per-theta curve
+kernel (``cge.curve_values``), a gather and one least-squares solve or the
+coefficient variance.  ``fgls_fit`` runs the same regression on its own.
 
 Numerical policy of the three-stage fit (all measured on simulated benchmark
 designs; see the package README for the summary):
@@ -78,30 +80,69 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class FglsFit:
-    """Least-squares fit of the log-linear duration regression.
+    """Least-squares fit of the stage-2 duration regression.
 
-    chi holds the raw coefficients (log alpha, beta', 1/sigma); the
-    exponential family drops the trailing 1/sigma entry (sigma is fixed at 1
-    and the unit-slope transform moves to the response side).
+    For model_kind 'aft', coef holds chi = (log alpha, beta', 1/sigma) from
+    log(x) = -log(alpha) - z'beta + (1/sigma) * S_W^{-1}(s); the exponential
+    family drops the trailing 1/sigma entry (sigma is fixed at 1 and the
+    unit-slope transform moves to the response side).  For 'ph' (Weibull
+    baseline), coef holds (sigma*log alpha, sigma, beta') from
+    log(-log s) = sigma*log(alpha) + sigma*log(x) + z'beta.
     """
 
     family: str
-    chi: np.ndarray
+    model_kind: str
+    coef: np.ndarray
     n_clamped: int
 
     def model(self) -> AftModel:
         """Decode (alpha, beta, sigma); fails if the implied shape is not positive."""
+        c = self.coef
+        if self.model_kind == "ph":
+            sigma = c[1]
+            if not sigma > 0:
+                raise EstimationError(
+                    f"estimated baseline shape {sigma:.6g} is not positive"
+                )
+            return PhModel("weibull", math.exp(c[0] / sigma), c[2:], sigma)
         if self.family == "exponential":
-            return AftModel(self.family, math.exp(self.chi[0]), self.chi[1:], 1.0)
-        inv_sigma = self.chi[-1]
+            return AftModel(self.family, math.exp(c[0]), c[1:], 1.0)
+        inv_sigma = c[-1]
         if not inv_sigma > 0:
             raise EstimationError(
                 f"estimated inverse shape 1/sigma = {inv_sigma:.6g} is not positive; "
                 "the regression slope on the transformed curve is degenerate"
             )
-        return AftModel(
-            self.family, math.exp(self.chi[0]), self.chi[1:-1], 1.0 / inv_sigma
-        )
+        return AftModel(self.family, math.exp(c[0]), c[1:-1], 1.0 / inv_sigma)
+
+
+@dataclass(frozen=True)
+class _Regression:
+    """The theta-free half of the duration regression over a set of rows.
+
+    design holds the columns that do not depend on the curve: [-1, -z] plus a
+    last slot for S_W^{-1}(s) in the AFT form (no slot for the exponential
+    family, whose transform moves to the response), or [1, log x, z] in the
+    PH form.  log_x holds the rows' log durations.  Each solve overwrites the
+    slot, so a regression serves one search at a time.
+    """
+
+    family: str
+    model_kind: str
+    design: np.ndarray
+    log_x: np.ndarray
+
+
+def _regression(family: str, model_kind: str, log_x: np.ndarray,
+                z: np.ndarray) -> _Regression:
+    ones = np.ones(log_x.size)
+    if model_kind == "ph":
+        design = np.column_stack([ones, log_x, z])
+    elif family == "exponential":
+        design = np.column_stack([-ones, -z])
+    else:
+        design = np.column_stack([-ones, -z, ones])
+    return _Regression(family, model_kind, design, log_x)
 
 
 def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -109,17 +150,42 @@ def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, int]:
     return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP), int(np.count_nonzero(clamped))
 
 
-def _solve_ls(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n, p = a.shape
+def _solve(reg: _Regression, s: np.ndarray) -> np.ndarray:
+    """Regression coefficients from the rows' clamped curve values s."""
+    n, p = reg.design.shape
     if n <= p:
         raise EstimationError(f"regression needs more than {p} rows, got {n}")
-    if np.linalg.matrix_rank(a) < p:
+    if reg.model_kind == "ph":
+        y = np.log(-np.log(s))
+    elif reg.family == "exponential":
+        y = reg.log_x - sw_inverse(reg.family, s)
+    else:
+        reg.design[:, -1] = sw_inverse(reg.family, s)
+        y = reg.log_x
+    coef, _, rank, _ = np.linalg.lstsq(reg.design, y, rcond=None)
+    if rank < p:
         raise EstimationError(
             "design matrix is rank deficient (e.g. constant transformed curve "
             "values or collinear covariates)"
         )
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     return coef
+
+
+def _model_survival(reg: _Regression, coef: np.ndarray, log_x: np.ndarray,
+                    z: np.ndarray) -> np.ndarray:
+    """Survival the fitted regression implies at rows (log x, z); robust to a
+    negative fitted slope (the criterion then simply scores poorly)."""
+    if reg.model_kind == "ph":
+        with np.errstate(over="ignore"):
+            return np.exp(-np.exp(coef[0] + coef[1] * log_x + z @ coef[2:]))
+    if reg.family == "exponential":
+        w = log_x + coef[0] + z @ coef[1:]
+    else:
+        inv_sigma = coef[-1]
+        if inv_sigma == 0.0:
+            raise EstimationError("zero inverse shape in the fitted regression")
+        w = (log_x + coef[0] + z @ coef[1:-1]) / inv_sigma
+    return sw_survival(reg.family, w)
 
 
 def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
@@ -128,78 +194,16 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
     Fits log(x_i) = -log(alpha) - z_i'beta + (1/sigma) * S_W^{-1}(s_i) by
     ordinary least squares over the supplied rows.  For the exponential
     family the known unit slope moves the transform to the left hand side
-    and sigma is fixed at 1.
+    and sigma is fixed at 1.  The three-stage fit runs the same regression
+    from its plan.
     """
     _check_family(family)
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (ds.n,):
         raise ValueError("s_hat must supply one survival value per dataset row")
     s_cl, n_clamped = _clamp_curve_values(s_hat)
-    sw = sw_inverse(family, s_cl)
-    y = np.log(ds.x)
-    ones = np.ones(ds.n)
-    if family == "exponential":
-        a = np.column_stack([-ones, -ds.z])
-        y = y - sw
-    else:
-        a = np.column_stack([-ones, -ds.z, sw])
-    chi = _solve_ls(a, y)
-    return FglsFit(family=family, chi=chi, n_clamped=n_clamped)
-
-
-def _aft_survival_from_chi(family: str, chi: np.ndarray, x, z) -> np.ndarray:
-    # S_W evaluated at the regression-implied noise value; robust to a
-    # negative fitted slope (the criterion then simply scores poorly)
-    logx = np.log(np.asarray(x, dtype=float))
-    z = np.asarray(z, dtype=float)
-    if family == "exponential":
-        w = logx + chi[0] + z @ chi[1:]
-    else:
-        inv_sigma = chi[-1]
-        if inv_sigma == 0.0:
-            raise EstimationError("zero inverse shape in the fitted regression")
-        w = (logx + chi[0] + z @ chi[1:-1]) / inv_sigma
-    return sw_survival(family, w)
-
-
-@dataclass(frozen=True)
-class PhWeibullFit:
-    """Least-squares fit of the parametric PH regression with Weibull baseline.
-
-    coef holds (sigma*log alpha, sigma, beta') from the linearised relation
-    log(-log s_i) = sigma*log(alpha) + sigma*log(x_i) + z_i'beta.
-    """
-
-    coef: np.ndarray
-    n_clamped: int
-
-    def model(self) -> PhModel:
-        sigma = self.coef[1]
-        if not sigma > 0:
-            raise EstimationError(
-                f"estimated baseline shape {sigma:.6g} is not positive"
-            )
-        alpha = math.exp(self.coef[0] / sigma)
-        return PhModel("weibull", alpha, self.coef[2:], sigma)
-
-
-def ph_weibull_fit(ds: Dataset, s_hat) -> PhWeibullFit:
-    """Recover Weibull-baseline PH parameters from per-row survival values."""
-    s_hat = np.asarray(s_hat, dtype=float)
-    if s_hat.shape != (ds.n,):
-        raise ValueError("s_hat must supply one survival value per dataset row")
-    s_cl, n_clamped = _clamp_curve_values(s_hat)
-    y = np.log(-np.log(s_cl))
-    a = np.column_stack([np.ones(ds.n), np.log(ds.x), ds.z])
-    coef = _solve_ls(a, y)
-    return PhWeibullFit(coef=coef, n_clamped=n_clamped)
-
-
-def _ph_survival_from_coef(coef: np.ndarray, x, z) -> np.ndarray:
-    logx = np.log(np.asarray(x, dtype=float))
-    z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(-np.exp(coef[0] + coef[1] * logx + z @ coef[2:]))
+    coef = _solve(_regression(family, "aft", np.log(ds.x), ds.z), s_cl)
+    return FglsFit(family, "aft", coef, n_clamped)
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +252,18 @@ class _CvmPlan:
 
     strata holds, per stratum, its curve basis, its row indices, each row's
     knot index for the left-limit lookup and the presmoothing window (None
-    for no presmoothing).  events_ds is the cause-1 subset the regression
-    runs on (None when there are no cause-1 rows).
+    for no presmoothing).  regression holds the design over the cause-1 rows
+    (events); log_x and z cover all rows, for the model's survival.
     """
 
-    ds: Dataset
     strata: tuple[tuple[CurveBasis, np.ndarray, np.ndarray, int | None], ...]
     events: np.ndarray
-    events_ds: Dataset | None
+    regression: _Regression
+    log_x: np.ndarray
+    z: np.ndarray
 
 
-def _cvm_plan(ds: Dataset, smooth_knots=None) -> _CvmPlan:
+def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
     strata = stratify(ds)
     smooth = smooth_knots is None or smooth_knots > 1
     parts = []
@@ -268,41 +273,34 @@ def _cvm_plan(ds: Dataset, smooth_knots=None) -> _CvmPlan:
         window = _smooth_window(times.size, smooth_knots) if smooth else None
         parts.append((basis, idx, pos, window))
     events = np.flatnonzero(ds.delta == 1)
-    events_ds = ds.subset(events) if events.size else None
-    return _CvmPlan(ds=ds, strata=tuple(parts), events=events, events_ds=events_ds)
+    log_x = np.log(ds.x)
+    regression = _regression(family, model_kind, log_x[events], ds.z[events])
+    return _CvmPlan(strata=tuple(parts), events=events, regression=regression,
+                    log_x=log_x, z=ds.z)
 
 
 def _row_values(plan: _CvmPlan, theta: float) -> np.ndarray:
     """Per-row curve values at the left limit of each observed duration."""
-    s = np.empty(plan.ds.n)
+    s = np.empty(plan.log_x.size)
     for basis, idx, pos, window in plan.strata:
         s[idx] = _lookup(basis, theta, pos, window)
     return s
 
 
-def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, family: str, model_kind: str,
-               events_only: bool):
+def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool):
     """Criterion from per-row curve values.
 
-    Returns (value, regression fit, mean gap, number of clamped rows).
+    Returns (value, regression coefficients, mean gap, number of clamped rows).
     """
-    if plan.events_ds is None:
-        raise EstimationError("no cause-1 rows; the duration regression is empty")
     s_cl, n_clamped = _clamp_curve_values(s_hat)
-    ds, events = plan.ds, plan.events
-    if model_kind == "aft":
-        fit = fgls_fit(plan.events_ds, s_cl[events], family)
-        s_mod = _aft_survival_from_chi(family, fit.chi, ds.x, ds.z)
-    else:
-        fit = ph_weibull_fit(plan.events_ds, s_cl[events])
-        s_mod = _ph_survival_from_coef(fit.coef, ds.x, ds.z)
-    gap = s_mod - s_cl
+    coef = _solve(plan.regression, s_cl[plan.events])
+    gap = _model_survival(plan.regression, coef, plan.log_x, plan.z) - s_cl
     if events_only:
-        gap = gap[events]
+        gap = gap[plan.events]
     value = float(np.mean(gap**2))
     if not np.isfinite(value):
         raise EstimationError("criterion evaluated to a non-finite value")
-    return value, fit, float(np.mean(gap)), n_clamped
+    return value, coef, float(np.mean(gap)), n_clamped
 
 
 def _pair_structure(strata: StrataIndex):
@@ -332,9 +330,7 @@ class _VariancePlan:
     pos holds each kept row's knot index for the right-continuous lookup.
     log_l (strata x kept rows), contrasts (kept rows x other strata) and b
     (kept rows x covariates) are scratch arrays that every evaluation
-    overwrites, so a plan serves one search at a time.  Fresh kept-row arrays on each evaluation cost a fit at
-    n = 100000 some 66000 page faults, a third of its time, spent in the
-    kernel at a cost that follows the host's load.
+    overwrites, so a plan serves one search at a time.
     """
 
     trim: TrimBounds
@@ -523,18 +519,17 @@ def fit_3se(
     if model_kind == "ph" and family != "weibull":
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
     grid = _validate_tau_grid(tau_grid)
-    plan = _cvm_plan(ds, smooth_knots)
+    plan = _cvm_plan(ds, family, model_kind, smooth_knots)
 
     def evaluate(tau: float):
-        s_hat = _row_values(plan, theta_from_tau(tau))
-        return _cvm_value(plan, s_hat, family, model_kind, events_only)
+        return _cvm_value(plan, _row_values(plan, theta_from_tau(tau)), events_only)
 
     tau_hat, trace, n_failed, minima = _search_tau(lambda tau: evaluate(tau)[0], grid)
-    _, fit, mean_gap, n_clamped = evaluate(tau_hat)
+    _, coef, mean_gap, n_clamped = evaluate(tau_hat)
     return FitResult3SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
-        model=fit.model(),
+        model=FglsFit(family, model_kind, coef, n_clamped).model(),
         objective_trace=trace,
         kept_n=ds.n,
         diagnostics={

@@ -13,7 +13,7 @@ import functools
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -45,19 +45,8 @@ class BootstrapResult:
         return self.replicates.shape[0]
 
 
-def _as_vector(values, param_names: tuple[str, ...]) -> np.ndarray:
-    if isinstance(values, dict):
-        return np.array([float(values[name]) for name in param_names])
-    out = np.atleast_1d(np.asarray(values, dtype=float))
-    if out.shape != (len(param_names),):
-        raise ValueError("fit procedure returned an unexpected number of parameters")
-    return out
-
-
-def _infer_names(values) -> tuple[str, ...]:
-    if isinstance(values, dict):
-        return tuple(values.keys())
-    return tuple(f"p{i}" for i in range(np.atleast_1d(np.asarray(values)).shape[0]))
+def _as_vector(values: dict, names: tuple[str, ...]) -> np.ndarray:
+    return np.array([float(values[name]) for name in names])
 
 
 def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs: int,
@@ -92,19 +81,19 @@ def _one_replicate(fit, ds, seed, names, r):
 
 
 def bootstrap(
-    fit: Callable[[Dataset], Sequence[float] | dict],
+    fit: Callable[[Dataset], dict[str, float]],
     ds: Dataset,
     b: int,
     level: float = 0.95,
     seed: int = 0,
-    param_names: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> BootstrapResult:
     """Resample rows with replacement B times and refit.
 
-    fit maps a Dataset to a parameter vector or {name: value} dict.  More than
-    B/2 failed replicates aborts with an error.  jobs > 1 runs the replicates
-    in worker processes, so fit must then be picklable (see map_replicates).
+    fit maps a Dataset to a {name: value} dict; the names of the point fit
+    order the result's parameters.  More than B/2 failed replicates aborts
+    with an error.  jobs > 1 runs the replicates in worker processes, so fit
+    must then be picklable (see map_replicates).
     """
     b = int(b)
     if b < 2:
@@ -112,7 +101,7 @@ def bootstrap(
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
     point_raw = fit(ds)
-    names = tuple(param_names) if param_names is not None else _infer_names(point_raw)
+    names = tuple(point_raw)
     point = _as_vector(point_raw, names)
 
     raw = map_replicates(_one_replicate, fit, (ds, seed, names), b, jobs, chunksize=8)

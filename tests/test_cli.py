@@ -61,6 +61,15 @@ def test_fit_single_stratum_2se_exits_4(tmp_path, capsys):
     assert "covariate" in json.loads(err)["error"]["message"]
 
 
+def test_fit_single_cause1_row_exits_4(tmp_path, capsys):
+    path = tmp_path / "one_event.csv"
+    rows = [f"{0.1 * (i + 1)!r},{int(i == 4)},{i % 2}" for i in range(30)]
+    path.write_text("x,delta,z1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "fit", "--input", str(path), "--method", "3se-aft")
+    assert code == 4
+    assert json.loads(err)["error"]["kind"] == "estimation"
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--input", str(tmp_path / "absent.csv"))
     assert code == 3

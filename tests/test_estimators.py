@@ -9,20 +9,22 @@ from coprisk.cge import CgeCurve, copula_graphic
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
+    FglsFit,
     _b_matrix,
     _coef_variance,
     _cvm_plan,
     _cvm_value,
     _kept_log_hazards,
     _pair_structure,
+    _regression,
     _row_values,
     _search_tau,
     _smooth_window,
+    _solve,
     _variance_plan,
     fgls_fit,
     fit_2se,
     fit_3se,
-    ph_weibull_fit,
     smooth_curve_values,
     three_stage_point,
     two_stage_point,
@@ -96,13 +98,15 @@ def test_fgls_clamp_diagnostic():
 
 
 def test_ph_weibull_noiseless_recovery():
+    # the PH form of the regression kernel, as the three-stage plan runs it
     model = PhModel("weibull", 1.0, [0.8], 1.5)
     rng = np.random.default_rng(7)
     x = rng.uniform(0.05, 3.0, 200)
     z = rng.integers(0, 2, (200, 1)).astype(float)
     s = ph_survival(model, x, z)
-    ds = Dataset(x, np.ones(200, dtype=int), z)
-    fitted = ph_weibull_fit(ds, s).model()
+    coef = _solve(_regression("weibull", "ph", np.log(x), z), s)
+    fitted = FglsFit("weibull", "ph", coef, 0).model()
+    assert isinstance(fitted, PhModel)
     assert fitted.alpha == pytest.approx(1.0, abs=1e-8)
     assert fitted.beta[0] == pytest.approx(0.8, abs=1e-8)
     assert fitted.sigma == pytest.approx(1.5, abs=1e-8)
@@ -116,9 +120,9 @@ def test_ph_weibull_noiseless_recovery():
 def test_cvm_perfect_fit_is_zero():
     # per-row curve values equal to the true survival fit the model exactly
     ds, _, model = noiseless_dataset("weibull", n=120)
-    plan = _cvm_plan(ds, smooth_knots=0)
+    plan = _cvm_plan(ds, "weibull", "aft", smooth_knots=0)
     s_exact = survival(model, ds.x, ds.z)
-    value, _, _, _ = _cvm_value(plan, s_exact, "weibull", "aft", False)
+    value, _, _, _ = _cvm_value(plan, s_exact, False)
     assert value <= 1e-18
 
 
@@ -133,6 +137,22 @@ def test_cvm_trace_is_finite_on_simulated_data():
     res = fit_3se(ds, "weibull", tau_grid=np.linspace(-0.9, 0.9, 13))
     values = np.array([v for _, v in res.objective_trace])
     assert np.all(np.isfinite(values))
+
+
+def one_event_dataset():
+    """30 rows in two strata, only one of them a cause-1 failure."""
+    rng = np.random.default_rng(3)
+    delta = np.zeros(30, dtype=int)
+    delta[4] = 1
+    return Dataset(rng.uniform(0.1, 3.0, 30), delta, (np.arange(30) % 2).astype(float))
+
+
+@pytest.mark.parametrize("model_kind", ["aft", "ph"])
+def test_single_cause1_row_is_an_estimation_error(model_kind):
+    # a one-row regression is an estimation failure that the bootstrap and the
+    # Monte Carlo harness skip, not a malformed dataset
+    with pytest.raises(EstimationError):
+        fit_3se(one_event_dataset(), "weibull", model_kind=model_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +357,7 @@ def test_plan_values_equal_curve_lookups():
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds3, theta)
         for smooth_knots in (None, 25, 0):
-            rows = _row_values(_cvm_plan(ds3, smooth_knots), theta)
+            rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots), theta)
             for level, idx in strata3.items():
                 step = curves[level].step
                 values = step.values
