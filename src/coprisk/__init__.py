@@ -6,7 +6,7 @@ nonparametric first-stage estimates with a copula-graphic plug-in and a
 minimum-distance search over the dependence parameter.
 """
 
-from .cge import CgeCurve, TrimBounds, copula_graphic, trim_support
+from .cge import copula_graphic
 from .copula import (
     conditional_v_given_u,
     generator,
@@ -33,8 +33,6 @@ from .marginals import (
     PhModel,
     cumulative_hazard,
     inverse_survival,
-    ph_cumulative_hazard,
-    ph_survival,
     survival,
     sw_inverse,
     sw_survival,
@@ -46,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AftModel",
     "BootstrapResult",
-    "CgeCurve",
     "ConvergenceError",
     "CopriskError",
     "DataError",
@@ -59,7 +56,6 @@ __all__ = [
     "PhModel",
     "StepFunction",
     "StrataIndex",
-    "TrimBounds",
     "bootstrap",
     "conditional_v_given_u",
     "copula_graphic",
@@ -75,8 +71,6 @@ __all__ = [
     "load_csv",
     "monte_carlo",
     "overall_survival",
-    "ph_cumulative_hazard",
-    "ph_survival",
     "pool_risks",
     "sample_pair",
     "stratify",
@@ -87,6 +81,5 @@ __all__ = [
     "tau_from_theta",
     "theta_from_tau",
     "three_stage_point",
-    "trim_support",
     "two_stage_point",
 ]

@@ -11,8 +11,9 @@ keeps the first event well defined and treats same-time events as occurring
 before same-time censorings.
 
 Only the generator depends on theta.  ``curve_basis`` builds a stratum's
-theta-free pieces once; ``curve_values`` is the per-theta kernel that the
-estimators' searches call; ``copula_graphic`` composes the two.
+theta-free pieces once (``stratum_bases`` does so for every stratum of a
+dataset); ``curve_values`` is the per-theta kernel that the estimators'
+searches call; ``copula_graphic`` composes the two into a step function.
 """
 
 from __future__ import annotations
@@ -23,24 +24,9 @@ from typing import Iterable
 import numpy as np
 
 from .copula import generator, _validate_theta
-from .data import Dataset
+from .data import Dataset, StrataIndex
 from .errors import EstimationError
-from .first_stage import StepFunction
-
-
-@dataclass(frozen=True)
-class CgeCurve:
-    """Survival step function recovered at a given dependence parameter."""
-
-    step: StepFunction
-    theta: float
-
-    def __call__(self, t):
-        return self.step(t)
-
-    @property
-    def event_times(self) -> np.ndarray:
-        return self.step.jump_times
+from .first_stage import StepFunction, overall_survival, sub_distribution
 
 
 @dataclass(frozen=True)
@@ -88,6 +74,16 @@ def curve_basis(pi_hat: StepFunction, f_t_hat: StepFunction) -> CurveBasis:
     return CurveBasis(event_times=times, jumps=jumps, log_pi_left=np.log(pi_left))
 
 
+def stratum_bases(ds: Dataset, strata: StrataIndex) -> list[CurveBasis]:
+    """One curve basis per stratum, in the order of strata.indices."""
+    return [
+        curve_basis(
+            overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx])
+        )
+        for idx in strata.indices
+    ]
+
+
 def curve_values(basis: CurveBasis, theta: float) -> np.ndarray:
     """Curve values at the basis's event times for dependence theta.
 
@@ -99,34 +95,34 @@ def curve_values(basis: CurveBasis, theta: float) -> np.ndarray:
     return generator(running, theta)
 
 
-def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> CgeCurve:
+def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> StepFunction:
     """Plug-in survival curve for cause 1 at dependence parameter theta.
 
-    pi_hat and f_t_hat must come from the same stratum.
+    pi_hat and f_t_hat must come from the same stratum.  The curve is 1
+    before the first cause-1 event and steps at each of them.
     """
     theta = _validate_theta(theta)
     basis = curve_basis(pi_hat, f_t_hat)
-    surv = curve_values(basis, theta)
-    step = StepFunction(basis.event_times, surv, initial_value=1.0)
-    return CgeCurve(step=step, theta=theta)
+    return StepFunction(basis.event_times, curve_values(basis, theta), initial_value=1.0)
 
 
-def trim_support(curves: Iterable[CgeCurve | CurveBasis], ds: Dataset) -> TrimBounds:
+def trim_support(bases: Iterable[CurveBasis], ds: Dataset) -> TrimBounds:
     """Support window for estimators that compare curves across strata.
 
-    Only each curve's event times are used, so the theta-free bases serve too.
+    Only each stratum's event times are used, so the window does not depend
+    on theta.
 
     x_star is the smallest last-event time across strata (each curve plateaus
     after its own last cause-1 event), x_double_star the largest first-event
     time (each curve equals 1 before its own first event).
     """
-    curves = list(curves)
-    if not curves:
+    bases = list(bases)
+    if not bases:
         raise EstimationError("trim_support needs at least one curve")
     firsts = []
     lasts = []
-    for curve in curves:
-        times = curve.event_times
+    for basis in bases:
+        times = basis.event_times
         if times.size == 0:
             raise EstimationError(
                 "a stratum has no cause-1 events; its curve never leaves 1"

@@ -27,8 +27,7 @@ from .estimators import (
     three_stage_point,
     two_stage_point,
 )
-from .first_stage import overall_survival, sub_distribution
-from .cge import curve_basis, curve_values
+from .cge import curve_values, stratum_bases
 from .inference import bootstrap
 from .marginals import FAMILIES, AftModel
 from .simulate import DgpSpec, generate_dataset, monte_carlo
@@ -127,24 +126,27 @@ def _fit_payload(result) -> dict:
     }
 
 
-def _run_fit(ds: Dataset, args):
-    grid = _parse_tau_grid(args.tau_grid)
+def _method(args, point: bool = False):
+    """The fit that --method names, or with point=True its flat parameter
+    view, with the method options bound; fit, bootstrap and simulate all
+    take their estimator from here."""
+    options = {"tau_grid": _parse_tau_grid(args.tau_grid)}
     if args.method == "2se":
-        return fit_2se(ds, tau_grid=grid)
-    model_kind = "aft" if args.method == "3se-aft" else "ph"
-    family = args.family if model_kind == "aft" else "weibull"
-    return fit_3se(
-        ds,
-        family,
-        model_kind=model_kind,
-        tau_grid=grid,
+        if args.events_only:
+            raise ValueError("--events-only applies only to the 3se methods")
+        return functools.partial(two_stage_point if point else fit_2se, **options)
+    ph = args.method == "3se-ph"
+    options.update(
+        family="weibull" if ph else args.family,
+        model_kind="ph" if ph else "aft",
         events_only=args.events_only,
     )
+    return functools.partial(three_stage_point if point else fit_3se, **options)
 
 
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
-    result = _run_fit(ds, args)
+    result = _method(args)(ds)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -157,20 +159,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _point_estimator(args):
-    grid = _parse_tau_grid(args.tau_grid)
-    if args.method == "2se":
-        return functools.partial(two_stage_point, tau_grid=grid)
-    model_kind = "aft" if args.method == "3se-aft" else "ph"
-    family = args.family if model_kind == "aft" else "weibull"
-    return functools.partial(
-        three_stage_point, family=family, model_kind=model_kind, tau_grid=grid
-    )
-
-
 def cmd_bootstrap(args) -> int:
     ds = _load_dataset(args)
-    estimator = _point_estimator(args)
+    estimator = _method(args, point=True)
     result = bootstrap(
         estimator, ds, args.reps, level=args.level, seed=args.seed, jobs=args.jobs
     )
@@ -252,7 +243,7 @@ def cmd_gen(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _dgp_from_args(args)
-    estimator = _point_estimator(args)
+    estimator = _method(args, point=True)
     truth = _truth_for(spec, args.method)
     report = monte_carlo(
         spec, estimator, truth, reps=args.reps, seed=args.seed, jobs=args.jobs
@@ -299,10 +290,7 @@ def cmd_curve(args) -> int:
     try:
         writer = csv.writer(out)
         writer.writerow(["stratum", "tau", "t", "survival"])
-        for level, idx in strata.items():
-            basis = curve_basis(
-                overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx])
-            )
+        for level, basis in zip(strata.levels, stratum_bases(ds, strata)):
             label = ";".join(f"{v:g}" for v in level) or "all"
             for tau in taus:
                 surv = curve_values(basis, theta_from_tau(tau))

@@ -49,11 +49,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cge import CurveBasis, TrimBounds, curve_basis, curve_values, trim_support
+from .cge import CurveBasis, TrimBounds, curve_values, stratum_bases, trim_support
 from .copula import theta_from_tau
 from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
-from .first_stage import overall_survival, sub_distribution
 from .marginals import AftModel, PhModel, _check_family, sw_inverse, sw_survival
 
 # Curve values are clamped into [S_CLAMP, 1 - S_CLAMP] before the decreasing
@@ -211,15 +210,6 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
 # ---------------------------------------------------------------------------
 
 
-def _stratum_bases(ds: Dataset, strata: StrataIndex) -> list[CurveBasis]:
-    return [
-        curve_basis(
-            overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx])
-        )
-        for idx in strata.indices
-    ]
-
-
 def _lookup(basis: CurveBasis, theta: float, pos: np.ndarray, window=None) -> np.ndarray:
     """Curve values at knot indices pos (0 = before the first event)."""
     values = curve_values(basis, theta)
@@ -267,7 +257,7 @@ def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _
     strata = stratify(ds)
     smooth = smooth_knots is None or smooth_knots > 1
     parts = []
-    for basis, idx in zip(_stratum_bases(ds, strata), strata.indices):
+    for basis, idx in zip(stratum_bases(ds, strata), strata.indices):
         times = basis.event_times
         pos = np.searchsorted(times, ds.x[idx], side="left")
         window = _smooth_window(times.size, smooth_knots) if smooth else None
@@ -344,7 +334,7 @@ class _VariancePlan:
 
 def _variance_plan(ds: Dataset, strata: StrataIndex) -> _VariancePlan:
     ref, others, diffs_pinv = _pair_structure(strata)
-    bases = _stratum_bases(ds, strata)
+    bases = stratum_bases(ds, strata)
     # the trimmed window depends only on each stratum's event times
     trim = trim_support(bases, ds)
     x_kept = ds.x[trim.kept]
@@ -443,21 +433,24 @@ def _search_tau(criterion: Callable[[float], float], grid: np.ndarray):
     """Grid pass, then golden-section inside the best bracket.
 
     Criterion failures (EstimationError) are recorded as NaN and skipped; the
-    search fails only if every grid point fails.  Returns (tau_hat, trace,
-    number of failed grid points, grid local minima): the last are the grid
-    taus whose finite value lies below both finite neighbours, so a
-    criterion with several modes shows them all.
+    search fails only if every grid point fails, with the points' own
+    messages.  Returns (tau_hat, trace, number of failed grid points, grid
+    local minima): the last are the grid taus whose finite value lies below
+    both finite neighbours, so a criterion with several modes shows them all.
     """
     trace: list[tuple[float, float]] = []
     values = np.full(grid.size, np.nan)
+    failures: dict[str, None] = {}  # distinct messages, in order of appearance
     for i, tau in enumerate(grid):
         try:
             values[i] = criterion(float(tau))
-        except EstimationError:
-            pass
+        except EstimationError as exc:
+            failures[str(exc)] = None
         trace.append((float(tau), float(values[i])))
     if not np.any(np.isfinite(values)):
-        raise EstimationError("criterion failed at every grid point")
+        raise EstimationError(
+            "criterion failed at every grid point: " + "; ".join(failures)
+        )
     n_failed = int(np.count_nonzero(~np.isfinite(values)))
     best = int(np.nanargmin(values))
     lo = float(grid[max(best - 1, 0)])
@@ -606,9 +599,12 @@ def three_stage_point(
     family: str,
     model_kind: str = "aft",
     tau_grid=None,
+    events_only: bool = False,
 ) -> dict[str, float]:
     """fit_3se reduced to a flat {name: value} parameter map."""
-    res = fit_3se(ds, family, model_kind=model_kind, tau_grid=tau_grid)
+    res = fit_3se(
+        ds, family, model_kind=model_kind, tau_grid=tau_grid, events_only=events_only
+    )
     out = {"tau": res.tau_hat, "alpha": res.model.alpha, "sigma": res.model.sigma}
     for j, bj in enumerate(res.model.beta, start=1):
         out[f"beta{j}"] = float(bj)

@@ -41,21 +41,17 @@ class StepFunction:
 
     def __call__(self, t):
         """Right-continuous lookup: the value at t includes any jump at t."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        idx = np.searchsorted(self.jump_times, t, side="right")
-        full = np.concatenate(([self.initial_value], self.values))
-        out = full[idx]
-        return float(out) if scalar else out
+        return self._lookup(t, "right")
 
     def left_limit(self, t):
         """Left limit at t: the value just before any jump at t."""
+        return self._lookup(t, "left")
+
+    def _lookup(self, t, side: str):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        idx = np.searchsorted(self.jump_times, t, side="left")
-        full = np.concatenate(([self.initial_value], self.values))
-        out = full[idx]
-        return float(out) if scalar else out
+        idx = np.searchsorted(self.jump_times, t, side=side)
+        out = np.concatenate(([self.initial_value], self.values))[idx]
+        return float(out) if t.ndim == 0 else out
 
     @property
     def final_value(self) -> float:

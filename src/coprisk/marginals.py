@@ -9,8 +9,10 @@ distribution S_W for the noise term W:
     loglogistic   S_W(w) = 1 / (1 + exp(w))
     lognormal     S_W(w) = 1 - Phi(w)
 
-The AFT cumulative hazard is Lambda(t|z) = -log S_W(sigma * log(alpha t e^{z'b})).
-The PH variant uses the family's baseline hazard at z = 0 scaled by exp(z'beta).
+An ``AftModel`` accelerates time: Lambda(t|z) = -log S_W(sigma * log(alpha t e^{z'b})).
+A ``PhModel`` scales the baseline Lambda(t|0) by exp(z'beta) instead.
+``cumulative_hazard``, ``survival`` and ``inverse_survival`` read the form from
+the model's type.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class PhModel(AftModel):
     """Proportional hazards model: beta acts on the hazard scale.
 
     The baseline cumulative hazard is the family's AFT hazard at z = 0 with
-    the same (alpha, sigma).
+    the same (alpha, sigma); the type selects this form in ``survival``.
     """
 
 
@@ -77,13 +79,6 @@ def _zb(model: AftModel, z):
     # z is a k-vector or an (n, k) matrix; for k = 0 this is identically zero
     z = np.asarray(z, dtype=float)
     return z @ model.beta
-
-
-def _log_m(model: AftModel, t, z):
-    # log(alpha * t * exp(z'beta)); t = 0 maps to -inf and is handled upstream
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(model.alpha) + np.log(t) + _zb(model, z)
 
 
 def sw_survival(family: str, w):
@@ -118,15 +113,24 @@ def sw_inverse(family: str, s):
 
 
 def cumulative_hazard(model: AftModel, t, z):
-    """AFT cumulative hazard Lambda(t|z); zero at t = 0, increasing in t."""
+    """Cumulative hazard Lambda(t|z); zero at t = 0, increasing in t.
+
+    An AftModel enters z'beta inside the time scale; a PhModel multiplies the
+    baseline Lambda(t|0) by exp(z'beta).
+    """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     if np.any(t < 0):
         raise ValueError("time t must be >= 0")
-    w = model.sigma * _log_m(model, t, z)
-    if model.family == "exponential":
-        out = np.exp(w)
-    elif model.family == "weibull":
+    ph = isinstance(model, PhModel)
+    # log(alpha * t * exp(z'beta)), or log(alpha * t) for the PH baseline;
+    # t = 0 maps to -inf and is set to zero hazard below
+    with np.errstate(divide="ignore"):
+        log_m = np.log(model.alpha) + np.log(t)
+    if not ph:
+        log_m = log_m + _zb(model, z)
+    w = model.sigma * log_m
+    if model.family in ("exponential", "weibull"):
         out = np.exp(w)
     elif model.family == "loglogistic":
         with np.errstate(over="ignore"):
@@ -135,11 +139,13 @@ def cumulative_hazard(model: AftModel, t, z):
         with np.errstate(divide="ignore"):
             out = -np.log(ndtr(-w))
     out = np.where(t == 0.0, 0.0, out)
+    if ph:
+        out = out * np.exp(_zb(model, z))
     return float(out) if scalar else out
 
 
 def survival(model: AftModel, t, z):
-    """Marginal survival exp(-Lambda(t|z)), equal to S_W(sigma log(alpha t e^{z'b}))."""
+    """Marginal survival exp(-Lambda(t|z)); S_W(sigma log(alpha t e^{z'b})) for an AftModel."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     out = np.exp(-cumulative_hazard(model, t, z))
@@ -149,28 +155,14 @@ def survival(model: AftModel, t, z):
 def inverse_survival(model: AftModel, u, z):
     """Duration t solving survival(model, t, z) = u, for u in (0, 1).
 
-    All four families invert through t = exp(S_W^{-1}(u)/sigma) / (alpha e^{z'b}).
+    All four families invert through t = exp(S_W^{-1}(u)/sigma) / (alpha e^{z'b});
+    a PhModel inverts its baseline at u ** exp(-z'beta) instead.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
+    zb = _zb(model, z)
+    if isinstance(model, PhModel):
+        u, zb = u ** np.exp(-zb), 0.0
     w = sw_inverse(model.family, u)
-    out = np.exp(np.asarray(w) / model.sigma - np.log(model.alpha) - _zb(model, z))
-    return float(out) if scalar else out
-
-
-def ph_cumulative_hazard(model: AftModel, t, z):
-    """PH cumulative hazard: baseline Lambda0(t) = Lambda(t|0) scaled by exp(z'beta)."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    baseline = AftModel(model.family, model.alpha, np.empty(0), model.sigma)
-    lam0 = cumulative_hazard(baseline, t, np.zeros(t.shape + (0,)))
-    out = np.asarray(lam0) * np.exp(_zb(model, z))
-    return float(out) if scalar else out
-
-
-def ph_survival(model: AftModel, t, z):
-    """PH survival exp(-Lambda0(t) exp(z'beta))."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    out = np.exp(-ph_cumulative_hazard(model, t, z))
+    out = np.exp(np.asarray(w) / model.sigma - np.log(model.alpha) - zb)
     return float(out) if scalar else out

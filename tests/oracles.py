@@ -55,14 +55,12 @@ def study_design_sample(rng, n=60, cap=0.7):
             return x, delta
 
 
-def semiparam_b(x_i, theta, curve_z1, curve_z2, z1, z2):
-    """Per-observation PH coefficient from one pair of stratum curves (k = 1).
+def semiparam_b(x_i, curve_z1, curve_z2, z1, z2):
+    """Per-observation PH coefficient from one pair of stratum curves (k = 1),
+    both recovered at the same dependence.
 
     Scalar reference for the two-stage fit's vectorised coefficient rows.
     """
-    for curve in (curve_z1, curve_z2):
-        if not np.isclose(curve.theta, theta):
-            raise ValueError("curve was computed at a different theta")
     z1, z2 = float(z1), float(z2)
     if z1 == z2:
         raise ValueError("z1 and z2 must differ")

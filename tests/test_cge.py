@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coprisk.cge import CgeCurve, copula_graphic, trim_support
+from coprisk.cge import copula_graphic, curve_basis, trim_support
 from coprisk.data import Dataset
 from coprisk.errors import EstimationError
 from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
@@ -13,6 +13,10 @@ from oracles import mixed_risk_sample, nelson_aalen_survival, study_design_sampl
 
 def curve_from_sample(x, delta, theta):
     return copula_graphic(overall_survival(x), sub_distribution(x, delta), theta)
+
+
+def basis_from_sample(x, delta):
+    return curve_basis(overall_survival(x), sub_distribution(x, delta))
 
 
 def test_hand_example_independence():
@@ -25,7 +29,7 @@ def test_hand_example_independence():
 def test_no_events_curve_is_one():
     curve = curve_from_sample([1.0, 2.0, 3.0], [0, 0, 0], theta=2.0)
     assert curve(100.0) == 1.0
-    assert curve.event_times.size == 0
+    assert curve.jump_times.size == 0
 
 
 def test_matches_nelson_aalen_oracle_at_independence():
@@ -45,7 +49,7 @@ def test_evaluate_lookup_conventions():
     assert curve(0.5) == 1.0
     at_jump = curve(1.0)
     assert at_jump < 1.0  # right-continuous: includes the jump at 1
-    assert curve(100.0) == curve.step.final_value
+    assert curve(100.0) == curve.final_value
 
 
 def test_theta_ordering_on_study_design_samples():
@@ -87,7 +91,7 @@ def test_nonstrict_generator_clamps_at_zero():
     curve = copula_graphic(pi_hat, ft_hat, -0.9)
     assert curve(1.0) > 0.0
     assert curve(2.0) == 0.0
-    assert curve.step.final_value == 0.0
+    assert curve.final_value == 0.0
 
 
 def test_diverging_integrand_reported():
@@ -108,9 +112,9 @@ def _two_strata_dataset():
 
 def test_trim_support_rules():
     ds = _two_strata_dataset()
-    curve_a = curve_from_sample(ds.x[:3], ds.delta[:3], 0.0)
-    curve_b = curve_from_sample(ds.x[3:], ds.delta[3:], 0.0)
-    trim = trim_support([curve_a, curve_b], ds)
+    basis_a = basis_from_sample(ds.x[:3], ds.delta[:3])
+    basis_b = basis_from_sample(ds.x[3:], ds.delta[3:])
+    trim = trim_support([basis_a, basis_b], ds)
     assert trim.x_star == 2.0  # stratum A plateaus after its last event
     assert trim.x_double_star == 1.5  # stratum B's curve is 1 before 1.5
     assert sorted(ds.x[trim.kept]) == [1.5, 2.0]
@@ -120,28 +124,28 @@ def test_trim_x_double_star_at_common_minimum():
     x = np.array([1.0, 2.0, 1.0, 3.0])
     delta = np.array([1, 1, 1, 1])
     ds = Dataset(x, delta, [[0.0], [0.0], [1.0], [1.0]])
-    curve_a = curve_from_sample(x[:2], delta[:2], 0.0)
-    curve_b = curve_from_sample(x[2:], delta[2:], 0.0)
-    trim = trim_support([curve_a, curve_b], ds)
+    basis_a = basis_from_sample(x[:2], delta[:2])
+    basis_b = basis_from_sample(x[2:], delta[2:])
+    trim = trim_support([basis_a, basis_b], ds)
     assert trim.x_double_star == 1.0
 
 
 def test_trim_requires_events_everywhere():
     ds = _two_strata_dataset()
-    curve_a = curve_from_sample(ds.x[:3], ds.delta[:3], 0.0)
-    curve_none = curve_from_sample(ds.x[3:], [0, 0, 0], 0.0)
+    basis_a = basis_from_sample(ds.x[:3], ds.delta[:3])
+    basis_none = basis_from_sample(ds.x[3:], [0, 0, 0])
     with pytest.raises(EstimationError, match="no cause-1 events"):
-        trim_support([curve_a, curve_none], ds)
+        trim_support([basis_a, basis_none], ds)
 
 
 def test_trim_disjoint_supports():
     x = np.array([1.0, 1.2, 5.0, 6.0])
     delta = np.array([1, 1, 1, 1])
     ds = Dataset(x, delta, [[0.0], [0.0], [1.0], [1.0]])
-    curve_a = curve_from_sample(x[:2], delta[:2], 0.0)
-    curve_b = curve_from_sample(x[2:], delta[2:], 0.0)
+    basis_a = basis_from_sample(x[:2], delta[:2])
+    basis_b = basis_from_sample(x[2:], delta[2:])
     with pytest.raises(EstimationError, match="do not overlap"):
-        trim_support([curve_a, curve_b], ds)
+        trim_support([basis_a, basis_b], ds)
 
 
 def test_all_events_incidence_complements_survivor():
@@ -156,6 +160,6 @@ def test_all_events_incidence_complements_survivor():
 
 def test_curve_is_immutable_value_object():
     curve = curve_from_sample([1.0, 2.0], [1, 0], 0.5)
-    assert isinstance(curve, CgeCurve)
+    assert isinstance(curve, StepFunction)
     with pytest.raises(ValueError):
-        curve.step.values[0] = 0.5
+        curve.values[0] = 0.5

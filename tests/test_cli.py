@@ -5,6 +5,11 @@ import json
 import pytest
 
 from coprisk.cli import main
+from coprisk.data import load_csv
+from coprisk.estimators import three_stage_point
+from coprisk.inference import substream_rng
+from coprisk.marginals import AftModel
+from coprisk.simulate import DgpSpec, generate_dataset
 
 
 def run(capsys, *argv):
@@ -67,7 +72,10 @@ def test_fit_single_cause1_row_exits_4(tmp_path, capsys):
     path.write_text("x,delta,z1\n" + "\n".join(rows) + "\n", encoding="utf-8")
     code, _, err = run(capsys, "fit", "--input", str(path), "--method", "3se-aft")
     assert code == 4
-    assert json.loads(err)["error"]["kind"] == "estimation"
+    error = json.loads(err)["error"]
+    assert error["kind"] == "estimation"
+    assert error["message"] == ("criterion failed at every grid point: "
+                                "regression needs more than 3 rows, got 1")
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -138,6 +146,38 @@ def test_bootstrap_subcommand(tmp_path, capsys):
     lines = reps_path.read_text().strip().splitlines()
     assert lines[0].split(",") == result["param_names"]
     assert len(lines) == 1 + result["n_effective"]
+
+
+def test_events_only_reaches_bootstrap_and_simulate(tmp_path, capsys):
+    path = gen_csv(tmp_path, capsys, n=400)
+    ds = load_csv(path)
+    expected = three_stage_point(ds, "weibull", events_only=True)
+    assert expected != three_stage_point(ds, "weibull")
+    code, out, _ = run(capsys, "bootstrap", "--input", str(path), "--reps", "2",
+                       "--events-only")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert dict(zip(result["param_names"], result["estimate"])) == expected
+
+    # one replicate: the Monte Carlo mean is that replicate's estimate
+    model = AftModel("weibull", 1.0, [1.0], 1.5)
+    spec = DgpSpec(n=400, tau=0.5, model_t=model, model_c=model, p_z=0.3)
+    sample = generate_dataset(spec, substream_rng(2, 0))
+    expected = three_stage_point(sample, "weibull", events_only=True)
+    assert expected != three_stage_point(sample, "weibull")
+    code, out, _ = run(capsys, "simulate", "--n", "400", "--tau", "0.5", "--reps", "1",
+                       "--seed", "2", "--events-only")
+    assert code == 0
+    assert json.loads(out)["result"]["mean"] == expected
+
+
+@pytest.mark.parametrize("command", ["fit", "bootstrap", "simulate"])
+def test_2se_with_events_only_is_a_usage_error(tmp_path, capsys, command):
+    source = (["--n", "200", "--reps", "2"] if command == "simulate"
+              else ["--input", str(gen_csv(tmp_path, capsys, n=200))])
+    code, _, err = run(capsys, command, *source, "--method", "2se", "--events-only")
+    assert code == 2
+    assert "--events-only" in json.loads(err)["error"]["message"]
 
 
 def test_curve_dump(tmp_path, capsys):

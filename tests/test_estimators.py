@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from coprisk.cge import CgeCurve, copula_graphic
+from coprisk.cge import copula_graphic
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
@@ -31,7 +31,7 @@ from coprisk.estimators import (
 )
 from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
 from coprisk.inference import substream_rng
-from coprisk.marginals import AftModel, PhModel, inverse_survival, ph_survival, survival
+from coprisk.marginals import AftModel, PhModel, inverse_survival, survival
 from coprisk.simulate import DgpSpec, generate_dataset
 
 from oracles import semiparam_b
@@ -103,7 +103,7 @@ def test_ph_weibull_noiseless_recovery():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.05, 3.0, 200)
     z = rng.integers(0, 2, (200, 1)).astype(float)
-    s = ph_survival(model, x, z)
+    s = survival(model, x, z)
     coef = _solve(_regression("weibull", "ph", np.log(x), z), s)
     fitted = FglsFit("weibull", "ph", coef, 0).model()
     assert isinstance(fitted, PhModel)
@@ -151,7 +151,8 @@ def one_event_dataset():
 def test_single_cause1_row_is_an_estimation_error(model_kind):
     # a one-row regression is an estimation failure that the bootstrap and the
     # Monte Carlo harness skip, not a malformed dataset
-    with pytest.raises(EstimationError):
+    with pytest.raises(EstimationError, match="criterion failed at every grid point: "
+                       "regression needs more than 3 rows, got 1"):
         fit_3se(one_event_dataset(), "weibull", model_kind=model_kind)
 
 
@@ -255,6 +256,23 @@ def test_fit_3se_ph_variant_runs():
     assert res.model.sigma > 0
 
 
+def test_survival_of_a_ph_model_is_the_ph_closed_form():
+    # survival reads the hazard form from the model type: exp(-(alpha t)^sigma e^{z'b})
+    def closed_form(m, t, z):
+        return np.exp(-((m.alpha * t) ** m.sigma) * np.exp(z @ m.beta))
+
+    t = np.linspace(0.05, 3.0, 40)
+    z = (np.arange(40) % 2).astype(float).reshape(-1, 1)
+    model = PhModel("weibull", 0.8, [0.9], 1.4)
+    np.testing.assert_allclose(survival(model, t, z), closed_form(model, t, z),
+                               rtol=1e-12, atol=0)
+    spec = DgpSpec(n=2000, tau=0.8, model_t=AftModel("weibull", **BENCH),
+                   model_c=AftModel("weibull", **BENCH))
+    res = fit_3se(generate_dataset(spec, 1), "weibull", model_kind="ph")
+    np.testing.assert_allclose(survival(res.model, t, z), closed_form(res.model, t, z),
+                               rtol=1e-12, atol=0)
+
+
 def test_fit_3se_mse_shrinks_with_sample_size():
     spec_small = DgpSpec(
         n=500,
@@ -297,35 +315,30 @@ def test_three_stage_point_keys():
 # ---------------------------------------------------------------------------
 
 
-def ph_power_curves(theta, beta=0.7, z1=0.0, z2=1.0):
+def ph_power_curves(beta=0.7, z1=0.0, z2=1.0):
     """Two stratum curves satisfying the exact PH power relation."""
     times = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     s1 = np.array([0.9, 0.75, 0.6, 0.45, 0.3])
     s2 = s1 ** np.exp(beta * (z2 - z1))
-    return (
-        CgeCurve(StepFunction(times, s1, 1.0), theta),
-        CgeCurve(StepFunction(times, s2, 1.0), theta),
-    )
+    return StepFunction(times, s1, 1.0), StepFunction(times, s2, 1.0)
 
 
 def test_semiparam_b_ph_identity():
-    c1, c2 = ph_power_curves(theta=1.5, beta=0.7)
-    assert semiparam_b(1.2, 1.5, c1, c2, 0.0, 1.0) == pytest.approx(0.7, abs=1e-12)
+    c1, c2 = ph_power_curves(beta=0.7)
+    assert semiparam_b(1.2, c1, c2, 0.0, 1.0) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_semiparam_b_equal_curves():
-    c1, _ = ph_power_curves(theta=0.0)
-    assert semiparam_b(1.2, 0.0, c1, c1, 0.0, 1.0) == 0.0
+    c1, _ = ph_power_curves()
+    assert semiparam_b(1.2, c1, c1, 0.0, 1.0) == 0.0
 
 
 def test_semiparam_b_boundary_error():
-    c1, c2 = ph_power_curves(theta=0.0)
+    c1, c2 = ph_power_curves()
     with pytest.raises(EstimationError, match="undefined"):
-        semiparam_b(0.1, 0.0, c1, c2, 0.0, 1.0)  # both curves still at 1
+        semiparam_b(0.1, c1, c2, 0.0, 1.0)  # both curves still at 1
     with pytest.raises(ValueError):
-        semiparam_b(1.2, 0.0, c1, c2, 1.0, 1.0)  # equal covariate values
-    with pytest.raises(ValueError):
-        semiparam_b(1.2, 0.7, c1, c2, 0.0, 1.0)  # theta mismatch
+        semiparam_b(1.2, c1, c2, 1.0, 1.0)  # equal covariate values
 
 
 def stratum_curves(ds, theta):
@@ -359,7 +372,7 @@ def test_plan_values_equal_curve_lookups():
         for smooth_knots in (None, 25, 0):
             rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots), theta)
             for level, idx in strata3.items():
-                step = curves[level].step
+                step = curves[level]
                 values = step.values
                 if smooth_knots is None or smooth_knots > 1:
                     window = _smooth_window(values.size, smooth_knots)
@@ -392,7 +405,7 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
         b = _b_matrix(log_l, plan.diffs_pinv, plan.contrasts, plan.b)
         assert b.shape == (x_kept.size, 1)
         expected = [
-            semiparam_b(x, theta, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
+            semiparam_b(x, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
             for x in x_kept
         ]
         np.testing.assert_allclose(b[:, 0], expected, rtol=0, atol=1e-12)

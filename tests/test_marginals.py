@@ -9,8 +9,6 @@ from coprisk.marginals import (
     PhModel,
     cumulative_hazard,
     inverse_survival,
-    ph_cumulative_hazard,
-    ph_survival,
     survival,
     sw_inverse,
     sw_survival,
@@ -86,12 +84,13 @@ def test_inverse_survival_closed_form():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_inverse_survival_round_trip(family):
     rng = np.random.default_rng(11)
-    m = model(family, alpha=1.3, beta=(0.5,))
+    aft = model(family, alpha=1.3, beta=(0.5,))
     u = rng.uniform(0.005, 0.995, 80)
     z = rng.integers(0, 2, (80, 1)).astype(float)
-    t = inverse_survival(m, u, z)
-    assert np.all(t > 0)
-    assert np.max(np.abs(survival(m, t, z) - u)) <= 1e-10
+    for m in (aft, PhModel(aft.family, aft.alpha, aft.beta, aft.sigma)):
+        t = inverse_survival(m, u, z)
+        assert np.all(t > 0)
+        assert np.max(np.abs(survival(m, t, z) - u)) <= 1e-10
 
 
 def test_inverse_survival_boundary():
@@ -102,11 +101,11 @@ def test_inverse_survival_boundary():
 
 def test_ph_survival_basics():
     m = PhModel("weibull", 1.0, [0.8], 1.5)
-    assert ph_survival(m, 0.0, [1.0]) == 1.0
+    assert survival(m, 0.0, [1.0]) == 1.0
     # z = 0 reduces to the baseline
     base = AftModel("weibull", 1.0, [], 1.5)
     t = np.linspace(0.1, 3.0, 20)
-    assert np.allclose(ph_survival(m, t, np.zeros((20, 1))), survival(base, t, np.zeros((20, 0))))
+    assert np.allclose(survival(m, t, np.zeros((20, 1))), survival(base, t, np.zeros((20, 0))))
 
 
 def test_ph_aft_weibull_identity():
@@ -117,14 +116,14 @@ def test_ph_aft_weibull_identity():
     rng = np.random.default_rng(8)
     t = rng.uniform(0.05, 4.0, 50)
     z = rng.integers(0, 2, (50, 1)).astype(float)
-    assert np.max(np.abs(ph_survival(mph, t, z) - survival(maft, t, z))) <= 1e-12
+    assert np.max(np.abs(survival(mph, t, z) - survival(maft, t, z))) <= 1e-12
 
 
 def test_ph_cumulative_hazard_scales():
     m = PhModel("loglogistic", 0.7, [0.4], 1.2)
     t = np.array([0.5, 1.0, 2.0])
-    lam0 = ph_cumulative_hazard(m, t, np.zeros((3, 1)))
-    lam1 = ph_cumulative_hazard(m, t, np.ones((3, 1)))
+    lam0 = cumulative_hazard(m, t, np.zeros((3, 1)))
+    lam1 = cumulative_hazard(m, t, np.ones((3, 1)))
     assert np.allclose(lam1, lam0 * np.exp(0.4))
 
 
