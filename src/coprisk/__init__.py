@@ -8,15 +8,14 @@ minimum-distance search over the dependence parameter.
 
 from .cge import copula_graphic
 from .copula import (
-    conditional_v_given_u,
     generator,
     generator_inverse,
     generator_inverse_deriv,
     tau_from_theta,
     theta_from_tau,
 )
-from .data import Dataset, StrataIndex, load_csv, pool_risks, stratify
-from .errors import ConvergenceError, CopriskError, DataError, EstimationError
+from .data import Dataset, load_csv, pool_risks, stratify
+from .errors import CopriskError, DataError, EstimationError
 from .estimators import (
     FitResult2SE,
     FitResult3SE,
@@ -28,15 +27,7 @@ from .estimators import (
 )
 from .first_stage import StepFunction, overall_survival, sub_distribution
 from .inference import BootstrapResult, bootstrap
-from .marginals import (
-    AftModel,
-    PhModel,
-    cumulative_hazard,
-    inverse_survival,
-    survival,
-    sw_inverse,
-    sw_survival,
-)
+from .marginals import AftModel, PhModel, inverse_survival, survival
 from .simulate import DgpSpec, McReport, generate_dataset, monte_carlo, sample_pair
 
 __version__ = "0.1.0"
@@ -44,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AftModel",
     "BootstrapResult",
-    "ConvergenceError",
     "CopriskError",
     "DataError",
     "Dataset",
@@ -55,11 +45,8 @@ __all__ = [
     "McReport",
     "PhModel",
     "StepFunction",
-    "StrataIndex",
     "bootstrap",
-    "conditional_v_given_u",
     "copula_graphic",
-    "cumulative_hazard",
     "fgls_fit",
     "fit_2se",
     "fit_3se",
@@ -76,8 +63,6 @@ __all__ = [
     "stratify",
     "sub_distribution",
     "survival",
-    "sw_inverse",
-    "sw_survival",
     "tau_from_theta",
     "theta_from_tau",
     "three_stage_point",

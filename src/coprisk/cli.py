@@ -216,15 +216,15 @@ def _spec_echo(spec: DgpSpec) -> dict:
 
 def _truth_for(spec: DgpSpec, method: str) -> dict[str, float]:
     truth = {"tau": spec.tau}
-    if method == "2se":
-        # the semiparametric coefficient lives on the hazard scale
-        for j, bj in enumerate(spec.model_t.sigma * spec.model_t.beta, start=1):
-            truth[f"beta{j}"] = float(bj)
-    else:
+    if method != "2se":
         truth["alpha"] = spec.model_t.alpha
         truth["sigma"] = spec.model_t.sigma
-        for j, bj in enumerate(spec.model_t.beta, start=1):
-            truth[f"beta{j}"] = float(bj)
+    beta = spec.model_t.beta
+    if method in ("2se", "3se-ph"):
+        # the PH coefficients live on the hazard scale
+        beta = spec.model_t.sigma * beta
+    for j, bj in enumerate(beta, start=1):
+        truth[f"beta{j}"] = float(bj)
     return truth
 
 
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--reps", type=int, default=200, help="bootstrap replicates")
     p_boot.add_argument("--level", type=float, default=0.95)
     p_boot.add_argument("--seed", type=int, default=0)
-    p_boot.add_argument("--jobs", "--threads", dest="jobs", type=int, default=1)
+    p_boot.add_argument("--jobs", type=int, default=1)
     p_boot.add_argument("--replicates-out", default=None, help="CSV path for the replicate matrix")
     p_boot.add_argument("--output", default=None)
     p_boot.set_defaults(func=cmd_bootstrap)
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dgp_options(p_sim)
     _add_method_options(p_sim)
     p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--jobs", "--threads", dest="jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,10 +1,14 @@
-"""Clayton Archimedean copula: generator, inverse, derivative and sampling helpers.
+"""Clayton Archimedean copula: generator, inverse, derivative and conditional sampling.
 
 The generator is ``phi(u) = (1 + theta*u)_+ ** (-1/theta)`` for ``theta != 0``
 and ``phi(u) = exp(-u)`` at ``theta = 0``.  The admissible dependence range is
 ``theta in [-1, inf)``; ``theta = -1`` is perfect negative dependence, ``0`` is
 independence, and ``theta -> inf`` approaches comonotonicity.  Kendall's tau is
 ``theta / (theta + 2)``.
+
+Pairs are sampled by the conditional method: ``conditional_v_given_u`` maps
+a uniform ``w`` to V given U = u through one closed form valid on the whole
+range, with the independence and countermonotone limits as their own branches.
 
 All functions accept scalars or numpy arrays and are pure (thread-safe).
 """
@@ -13,15 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 # Below this magnitude the exponential/logarithmic limit branch is used to
 # avoid catastrophic cancellation in (1+u*theta)**(-1/theta).
 THETA_ZERO_TOL = 1e-8
 
 THETA_MIN = -1.0
-
-_BISECT_TOL = 1e-10
 
 
 def _validate_theta(theta: float) -> float:
@@ -93,22 +93,13 @@ def theta_from_tau(tau: float) -> float:
     return 2.0 * tau / (1.0 - tau)
 
 
-def _conditional_cdf(u: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
-    # P(V <= v | U = u) = dK/du; zero on the copula's zero region (theta < 0).
-    base = np.exp(-theta * np.log(u)) + np.exp(-theta * np.log(v)) - 1.0
-    safe = np.where(base > 0.0, base, 1.0)
-    with np.errstate(over="ignore"):
-        out = np.exp(-(theta + 1.0) * np.log(u)) * np.exp(
-            (-1.0 / theta - 1.0) * np.log(safe)
-        )
-    return np.where(base > 0.0, out, 0.0)
-
-
 def conditional_v_given_u(u, w, theta: float):
-    """Solve dK_theta(u, v)/du = w for v, the conditional quantile of V given U=u.
+    """Conditional quantile of V given U = u: the v with dK_theta(u, v)/du = w.
 
-    Closed form for theta > 0; bisection (tolerance 1e-10) for theta in [-1, 0)
-    where the copula has a zero region; identity at theta = 0.
+    One closed form on theta in (-1, 0) and (0, inf),
+    ``v = (1 + u**-theta * (w**(-theta/(1+theta)) - 1)) ** (-1/theta)``,
+    plus its two limits: ``v = w`` at independence (``|theta| < THETA_ZERO_TOL``)
+    and ``v = 1 - u`` at perfect negative dependence (``theta = -1``).
     """
     theta = _validate_theta(theta)
     u = np.asarray(u, dtype=float)
@@ -120,23 +111,15 @@ def conditional_v_given_u(u, w, theta: float):
 
     if abs(theta) < THETA_ZERO_TOL:
         return _ret(w.copy(), scalar)
+    if theta == THETA_MIN:
+        return _ret(1.0 - u, scalar)
 
+    a = -theta / (1.0 + theta) * np.log(w)
     if theta > 0.0:
-        # v = ((w**(-theta/(1+theta)) - 1) * u**(-theta) + 1) ** (-1/theta),
-        # evaluated in log space so that large theta does not overflow.
-        a = -theta / (1.0 + theta) * np.log(w)
+        # in log space, so that large theta does not overflow
         log_term = np.log(np.expm1(a)) - theta * np.log(u)
         v = np.exp(-np.logaddexp(log_term, 0.0) / theta)
-        return _ret(v, scalar)
-
-    lo = np.full(u.shape, 1e-15)
-    hi = np.full(u.shape, 1.0 - 1e-15)
-    if np.any(_conditional_cdf(u, hi, theta) < w - 1e-9):
-        raise ConvergenceError("conditional inversion failed to bracket the target")
-    while np.max(hi - lo) > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        above = _conditional_cdf(u, mid, theta) >= w
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    v = 0.5 * (lo + hi)
+    else:
+        # u**-theta * expm1(a) lies in (-1, 0) here, where log1p keeps precision
+        v = np.exp(-np.log1p(np.exp(-theta * np.log(u)) * np.expm1(a)) / theta)
     return _ret(v, scalar)

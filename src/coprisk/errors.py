@@ -11,7 +11,3 @@ class DataError(CopriskError):
 
 class EstimationError(CopriskError):
     """Raised when an estimation step cannot produce a valid result."""
-
-
-class ConvergenceError(CopriskError):
-    """Raised when an iterative numerical routine fails to converge."""

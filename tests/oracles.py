@@ -72,3 +72,18 @@ def semiparam_b(x_i, curve_z1, curve_z2, z1, z2):
             "there (trim the support first)"
         )
     return float(np.log(np.log(s2) / np.log(s1)) / (z2 - z1))
+
+
+def clayton_conditional_cdf(u, v, theta):
+    """P(V <= v | U = u) = dK_theta(u, v)/du of the Clayton copula, theta != 0.
+
+    Zero on the copula's zero region (theta < 0).  Round-trip reference for
+    the conditional sampler, which inverts this in v.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    base = u ** -theta + v ** -theta - 1.0
+    safe = np.where(base > 0.0, base, 1.0)
+    with np.errstate(over="ignore"):
+        out = u ** -(theta + 1.0) * safe ** (-1.0 / theta - 1.0)
+    return np.where(base > 0.0, out, 0.0)

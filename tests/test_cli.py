@@ -131,6 +131,20 @@ def test_simulate_2se_truth_is_hazard_scale(tmp_path, capsys):
     assert truth["beta1"] == pytest.approx(1.5)
 
 
+def test_simulate_3se_ph_truth_is_hazard_scale(tmp_path, capsys):
+    # the PH fit estimates sigma * beta; alpha and sigma carry over unchanged
+    out_path = tmp_path / "mc_ph.json"
+    code, _, _ = run(
+        capsys,
+        "simulate", "--method", "3se-ph", "--n", "300", "--tau", "0.5",
+        "--reps", "2", "--seed", "2", "--alpha-t", "1.2", "--sigma-t", "1.5",
+        "--beta-t", "0.8", "--output", str(out_path),
+    )
+    assert code == 0
+    truth = json.loads(out_path.read_text())["result"]["truth"]
+    assert truth == {"tau": 0.5, "alpha": 1.2, "sigma": 1.5, "beta1": 1.5 * 0.8}
+
+
 def test_bootstrap_subcommand(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys, n=200)
     reps_path = tmp_path / "reps.csv"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprisk.copula import (
-    _conditional_cdf,
     conditional_v_given_u,
     generator,
     generator_inverse,
@@ -15,6 +14,7 @@ from coprisk.copula import (
     tau_from_theta,
     theta_from_tau,
 )
+from oracles import clayton_conditional_cdf
 
 THETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0]
 
@@ -156,24 +156,13 @@ def test_conditional_comonotone_limit():
     assert conditional_v_given_u(0.37, 0.9, 1e4) == pytest.approx(0.37, abs=1e-2)
 
 
-@pytest.mark.parametrize("theta", [0.5, 2.0, 8.0])
-def test_conditional_resubstitution_positive_theta(theta):
-    u = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    w = np.array([0.2, 0.5, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("theta", [-0.9, -0.5, -0.1, 0.5, 2.0, 8.0])
+def test_conditional_resubstitution(theta):
+    u = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    w = np.array([0.2, 0.3, 0.5, 0.6, 0.5, 0.2, 0.8, 0.9, 0.95])
     v = conditional_v_given_u(u, w, theta)
-    back = _conditional_cdf(u, np.asarray(v), theta)
+    back = clayton_conditional_cdf(u, v, theta)
     assert np.max(np.abs(back - w)) < 1e-8
-
-
-@pytest.mark.parametrize("theta", [-0.9, -0.5, -0.1])
-def test_conditional_resubstitution_bisection(theta):
-    u = np.array([0.2, 0.4, 0.6, 0.8])
-    w = np.array([0.3, 0.6, 0.2, 0.9])
-    v = conditional_v_given_u(u, w, theta)
-    back = _conditional_cdf(u, np.asarray(v), theta)
-    # the bisection tolerance is 1e-10 in v; near the zero-region boundary
-    # the conditional distribution is steep, so allow the propagated error
-    assert np.max(np.abs(back - w)) < 1e-6
 
 
 def test_conditional_countermonotone():
