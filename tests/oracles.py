@@ -87,3 +87,23 @@ def clayton_conditional_cdf(u, v, theta):
     with np.errstate(over="ignore"):
         out = u ** -(theta + 1.0) * safe ** (-1.0 / theta - 1.0)
     return np.where(base > 0.0, out, 0.0)
+
+
+def padded_window_mean(values, window):
+    """The presmoother by brute force: the mean of each window of the curve
+    padded with window // 2 copies of its first value and window - 1 -
+    window // 2 of its last, then clipped into [0, 1] and made nonincreasing.
+
+    Reference for the running-sum smoother; a window of 1 or a curve of fewer
+    than 3 knots is returned unchanged, and a window longer than the curve is
+    cut to its length.
+    """
+    values = np.asarray(values, dtype=float)
+    if window <= 1 or values.size < 3:
+        return values
+    window = min(int(window), values.size)
+    padded = np.concatenate(
+        [np.full(window // 2, values[0]), values, np.full(window - 1 - window // 2, values[-1])]
+    )
+    means = np.array([padded[i:i + window].mean() for i in range(values.size)])
+    return np.minimum.accumulate(np.clip(means, 0.0, 1.0))

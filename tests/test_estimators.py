@@ -34,7 +34,7 @@ from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel, PhModel, inverse_survival, survival
 from coprisk.simulate import DgpSpec, generate_dataset
 
-from oracles import semiparam_b
+from oracles import padded_window_mean, semiparam_b
 
 BENCH = dict(alpha=1.0, beta=[1.0], sigma=1.5)
 
@@ -154,6 +154,64 @@ def test_single_cause1_row_is_an_estimation_error(model_kind):
     with pytest.raises(EstimationError, match="criterion failed at every grid point: "
                        "regression needs more than 3 rows, got 1"):
         fit_3se(one_event_dataset(), "weibull", model_kind=model_kind)
+
+
+# ---------------------------------------------------------------------------
+# presmoothing
+# ---------------------------------------------------------------------------
+
+
+def noisy_curve(size, seed, tail=1e-3):
+    """A nonincreasing curve in [0, 1] that stays near 1 at first and falls
+    to about tail, with plug-in-like noise and exact zeros in its last knots."""
+    rng = np.random.default_rng(seed)
+    steps = np.cumsum(rng.exponential(1.0, size))
+    log_values = np.log(tail) * (steps / steps[-1]) ** 3 + rng.normal(0.0, 1e-3, size)
+    values = np.minimum.accumulate(np.exp(np.minimum(log_values, 0.0)))
+    values[-max(1, size // 200):] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("size, window", [
+    (40, 0), (40, 1), (2, 5), (1, 5),     # returned unchanged
+    (40, 2), (40, 3), (40, 7), (40, 8),   # even and odd windows
+    (40, 40), (40, 41), (40, 400),        # window at or past the curve's size
+    (3, 2), (3, 3), (4, 9),
+])
+def test_smoother_matches_padded_window_mean(size, window):
+    values = noisy_curve(size, seed=size)
+    smoothed = smooth_curve_values(values, window)
+    np.testing.assert_allclose(smoothed, padded_window_mean(values, window), rtol=0, atol=1e-12)
+    if window <= 1 or size < 3:
+        assert smoothed is values
+
+
+@pytest.mark.parametrize("window", [459, 4684])
+def test_smoother_matches_padded_window_mean_on_a_long_curve(window):
+    # 35128 knots is the largest stratum of the n = 100000 benchmark sample;
+    # its default window is 459, and 4684 without the cap.  The running sums
+    # reach about 12000, so each difference of two carries an absolute
+    # rounding error of a few 1e-12, divided by the window.
+    values = noisy_curve(35_128, seed=window, tail=1e-8)
+    smoothed = smooth_curve_values(values, window)
+    expected = padded_window_mean(values, window)
+    np.testing.assert_allclose(smoothed, expected, rtol=0, atol=1e-12)
+    assert 0.0 < expected[-1] < 1e-7
+    assert np.all(np.diff(smoothed) <= 0.0)
+
+
+@pytest.mark.parametrize("n_knots, smooth_knots, window", [
+    (761, None, 101),     # largest n = 2000 benchmark stratum: 2K/15, uncapped
+    (1076, None, 143),    # 2K/15 = 14 K^(1/3) near here; both round to 143
+    (1083, None, 144),
+    (1084, None, 144),    # first capped: round(2K/15) = 145
+    (35_128, None, 459),  # largest n = 100000 stratum: 14 K^(1/3), not 4684
+    (35_128, 4684, 4684),  # an explicit window is not capped
+    (35_128, 0, 1),
+    (5, None, 1),
+])
+def test_smooth_window(n_knots, smooth_knots, window):
+    assert _smooth_window(n_knots, smooth_knots) == window
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +352,24 @@ def test_fit_3se_mse_shrinks_with_sample_size():
             taus.append(fit_3se(ds, "weibull").tau_hat)
         errs[label] = float(np.mean((np.array(taus) - 0.8) ** 2))
     assert errs["large"] < errs["small"]
+
+
+def test_fit_3se_identifies_dependence_without_covariates():
+    """The parametric model is identified without a covariate.
+
+    At n = 2000 (100 replicates, seed 20250809) the default fit's RMS error
+    of tau around 0.5 is 0.188 and of sigma around 1.5 is 0.075.  Scaled by
+    sqrt(2000 / 20000) and tripled, rounded up to the next hundredth, they
+    give the tolerances.  A fixed fraction-of-knots presmoothing window
+    picked a second minimum near tau = 0 here, with sigma about 1.24.
+    """
+    model = AftModel("weibull", 1.0, [], 1.5)
+    spec = DgpSpec(n=20_000, tau=0.5, model_t=model, model_c=model)
+    for r in range(2):
+        res = fit_3se(generate_dataset(spec, substream_rng(20250809, r)), "weibull")
+        assert abs(res.tau_hat - 0.5) <= 0.18
+        assert abs(res.model.sigma - 1.5) <= 0.08
+        assert res.model.beta.size == 0
 
 
 def test_three_stage_point_keys():
