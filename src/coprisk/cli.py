@@ -420,6 +420,10 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         _error("estimation", str(exc))
         return EXIT_ESTIMATION
+    except OSError as exc:
+        # an output path that cannot be written; unreadable input is a DataError
+        _error("usage", str(exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,12 @@ class Dataset:
 
     def __init__(self, x, delta, z=None):
         x = np.asarray(x, dtype=float)
-        delta = np.asarray(delta, dtype=int)
+        delta = np.asarray(delta)
+        if delta.dtype.kind not in "biu":
+            labels = delta.astype(float)
+            if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+                raise DataError("risk labels delta must be whole numbers")
+        delta = delta.astype(int)
         if z is None:
             z = np.empty((x.shape[0], 0))
         z = np.asarray(z, dtype=float)
@@ -100,8 +105,10 @@ def load_csv(
     """Read a dataset from a UTF-8 CSV file with a header row.
 
     z_cols=None auto-detects covariate columns named z1, z2, ... in order.
-    Rows with non-positive or missing x/delta are rejected with the offending
-    file line number.
+    Header names are stripped of surrounding whitespace.  Rows with a
+    non-positive or missing x, or a missing, negative or non-integral delta
+    (1.0 is accepted, 1.5 is not), are rejected with the offending file line
+    number.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -111,7 +118,8 @@ def load_csv(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file (header row required)")
-        header = [name.strip() for name in reader.fieldnames]
+        # rows are read by the stripped names, so "x, delta" matches "delta"
+        header = reader.fieldnames = [name.strip() for name in reader.fieldnames]
         if x_col not in header or delta_col not in header:
             raise DataError(
                 f"{path}: required columns '{x_col}' and '{delta_col}' not both present"
@@ -134,12 +142,17 @@ def load_csv(
         for lineno, rec in enumerate(reader, start=2):
             try:
                 xval = float(rec[x_col])
-                dval = int(float(rec[delta_col]))
+                dfloat = float(rec[delta_col])
                 zrow = [float(rec[c]) for c in z_cols]
             except (TypeError, ValueError, KeyError) as exc:
                 raise DataError(f"{path}: line {lineno}: unparseable row ({exc})") from exc
             if not np.isfinite(xval) or xval <= 0.0:
                 raise DataError(f"{path}: line {lineno}: duration x must be > 0, got {xval}")
+            if not dfloat.is_integer():
+                raise DataError(
+                    f"{path}: line {lineno}: delta must be a whole number, got {dfloat}"
+                )
+            dval = int(dfloat)
             if dval < 0:
                 raise DataError(f"{path}: line {lineno}: delta must be >= 0, got {dval}")
             xs.append(xval)

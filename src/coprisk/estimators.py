@@ -8,7 +8,8 @@ mean squared gap between the implied parametric survival and the curves.  The
 semiparametric two-stage estimator (2SE) picks the dependence at which the
 per-observation proportional-hazards coefficients implied by pairs of stratum
 curves have minimal variance; their mean at the minimiser is the coefficient
-estimate.
+estimate.  The variance is of each row's summed coefficients, which is one
+fixed linear combination of the strata's log cumulative hazards.
 
 Both searches run on a Kendall's-tau grid followed by golden-section
 refinement inside the winning bracket, so local minima away from the global
@@ -16,11 +17,13 @@ one are handled; the grid pass's local minima are reported in the fit's
 diagnostics.  Estimation is deterministic: no randomness is involved.
 
 Each fit builds one plan per dataset before its search: every stratum's
-theta-free curve basis and each row's knot index for its curve lookup; the
+theta-free curve basis and each row's knot index for its curve lookup.  The
 three-stage plan also holds the regression design over the cause-1 rows and
-the log durations.  A criterion call then only runs the per-theta curve
-kernel (``cge.curve_values``), a gather and one least-squares solve or the
-coefficient variance.  ``fgls_fit`` runs the same regression on its own.
+the log durations; the two-stage plan holds the weights of that linear
+combination.  A criterion call then only runs the per-theta curve kernel
+(``cge.curve_values``), a gather, and one least-squares solve or one weighted
+sum of log cumulative hazard differences.  ``fgls_fit`` runs the same
+regression on its own.
 
 Numerical policy of the three-stage fit (all measured on simulated benchmark
 designs; see the package README for the summary):
@@ -92,9 +95,9 @@ class FglsFit:
     """Least-squares fit of the stage-2 duration regression.
 
     For model_kind 'aft', coef holds chi = (log alpha, beta', 1/sigma) from
-    log(x) = -log(alpha) - z'beta + (1/sigma) * S_W^{-1}(s); the exponential
-    family drops the trailing 1/sigma entry (sigma is fixed at 1 and the
-    unit-slope transform moves to the response side).  For 'ph' (Weibull
+    log(x) = -log(alpha) - z'beta + (1/sigma) * S_W^{-1}(s) in every family;
+    the exponential family's 1/sigma is the fixed unit slope 1.0, not an
+    estimate.  For 'ph' (Weibull
     baseline), coef holds (sigma*log alpha, sigma, beta') from
     log(-log s) = sigma*log(alpha) + sigma*log(x) + z'beta.
     """
@@ -114,8 +117,6 @@ class FglsFit:
                     f"estimated baseline shape {sigma:.6g} is not positive"
                 )
             return PhModel("weibull", math.exp(c[0] / sigma), c[2:], sigma)
-        if self.family == "exponential":
-            return AftModel(self.family, math.exp(c[0]), c[1:], 1.0)
         inv_sigma = c[-1]
         if not inv_sigma > 0:
             raise EstimationError(
@@ -131,9 +132,10 @@ class _Regression:
 
     design holds the columns that do not depend on the curve: [-1, -z] plus a
     last slot for S_W^{-1}(s) in the AFT form (no slot for the exponential
-    family, whose transform moves to the response), or [1, log x, z] in the
-    PH form.  log_x holds the rows' log durations.  Each solve overwrites the
-    slot, so a regression serves one search at a time.
+    family, whose unit-slope transform moves to the response), or
+    [1, log x, z] in the PH form.  log_x holds the rows' log durations.
+    Each solve overwrites the slot, so a regression serves one search at a
+    time.
     """
 
     family: str
@@ -160,7 +162,8 @@ def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _solve(reg: _Regression, s: np.ndarray) -> np.ndarray:
-    """Regression coefficients from the rows' clamped curve values s."""
+    """Regression coefficients from the rows' clamped curve values s; the
+    exponential family's end in its fixed unit slope."""
     n, p = reg.design.shape
     if n <= p:
         raise EstimationError(f"regression needs more than {p} rows, got {n}")
@@ -177,6 +180,8 @@ def _solve(reg: _Regression, s: np.ndarray) -> np.ndarray:
             "design matrix is rank deficient (e.g. constant transformed curve "
             "values or collinear covariates)"
         )
+    if reg.model_kind == "aft" and reg.family == "exponential":
+        return np.append(coef, 1.0)
     return coef
 
 
@@ -185,16 +190,11 @@ def _model_survival(reg: _Regression, coef: np.ndarray, log_x: np.ndarray,
     """Survival the fitted regression implies at rows (log x, z); robust to a
     negative fitted slope (the criterion then simply scores poorly)."""
     if reg.model_kind == "ph":
-        with np.errstate(over="ignore"):
-            return np.exp(-np.exp(coef[0] + coef[1] * log_x + z @ coef[2:]))
-    if reg.family == "exponential":
-        w = log_x + coef[0] + z @ coef[1:]
-    else:
-        inv_sigma = coef[-1]
-        if inv_sigma == 0.0:
-            raise EstimationError("zero inverse shape in the fitted regression")
-        w = (log_x + coef[0] + z @ coef[1:-1]) / inv_sigma
-    return sw_survival(reg.family, w)
+        return sw_survival(reg.family, coef[0] + coef[1] * log_x + z @ coef[2:])
+    inv_sigma = coef[-1]
+    if inv_sigma == 0.0:
+        raise EstimationError("zero inverse shape in the fitted regression")
+    return sw_survival(reg.family, (log_x + coef[0] + z @ coef[1:-1]) / inv_sigma)
 
 
 def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
@@ -203,8 +203,8 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
     Fits log(x_i) = -log(alpha) - z_i'beta + (1/sigma) * S_W^{-1}(s_i) by
     ordinary least squares over the supplied rows.  For the exponential
     family the known unit slope moves the transform to the left hand side
-    and sigma is fixed at 1.  The three-stage fit runs the same regression
-    from its plan.
+    and sigma is fixed at 1, so coef ends in 1.0.  The three-stage fit runs
+    the same regression from its plan.
     """
     _check_family(family)
     s_hat = np.asarray(s_hat, dtype=float)
@@ -218,14 +218,6 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
 # ---------------------------------------------------------------------------
 # Fit plans: the theta-free pieces, built once per dataset
 # ---------------------------------------------------------------------------
-
-
-def _lookup(basis: CurveBasis, theta: float, pos: np.ndarray, window=None) -> np.ndarray:
-    """Curve values at knot indices pos (0 = before the first event)."""
-    values = curve_values(basis, theta)
-    if window is not None:
-        values = smooth_curve_values(values, window)
-    return np.concatenate(([1.0], values))[pos]
 
 
 def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
@@ -257,12 +249,13 @@ class _CvmPlan:
     """What the three-stage criterion needs that does not depend on theta.
 
     strata holds, per stratum, its curve basis, its row indices, each row's
-    knot index for the left-limit lookup and the presmoothing window (None
-    for no presmoothing).  regression holds the design over the cause-1 rows
-    (events); log_x and z cover all rows, for the model's survival.
+    knot index for the left-limit lookup (0 = before the first event) and
+    the presmoothing window (1 for none).  regression holds the design over
+    the cause-1 rows (events); log_x and z cover all rows, for the model's
+    survival.
     """
 
-    strata: tuple[tuple[CurveBasis, np.ndarray, np.ndarray, int | None], ...]
+    strata: tuple[tuple[CurveBasis, np.ndarray, np.ndarray, int], ...]
     events: np.ndarray
     regression: _Regression
     log_x: np.ndarray
@@ -271,13 +264,11 @@ class _CvmPlan:
 
 def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
     strata = stratify(ds)
-    smooth = smooth_knots is None or smooth_knots > 1
     parts = []
     for basis, idx in zip(stratum_bases(ds, strata), strata.indices):
         times = basis.event_times
         pos = np.searchsorted(times, ds.x[idx], side="left")
-        window = _smooth_window(times.size, smooth_knots) if smooth else None
-        parts.append((basis, idx, pos, window))
+        parts.append((basis, idx, pos, _smooth_window(times.size, smooth_knots)))
     events = np.flatnonzero(ds.delta == 1)
     log_x = np.log(ds.x)
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
@@ -289,7 +280,8 @@ def _row_values(plan: _CvmPlan, theta: float) -> np.ndarray:
     """Per-row curve values at the left limit of each observed duration."""
     s = np.empty(plan.log_x.size)
     for basis, idx, pos, window in plan.strata:
-        s[idx] = _lookup(basis, theta, pos, window)
+        values = smooth_curve_values(curve_values(basis, theta), window)
+        s[idx] = np.concatenate(([1.0], values))[pos]
     return s
 
 
@@ -334,21 +326,28 @@ class _VariancePlan:
 
     bases and pos run over the reference stratum first, then the others;
     pos holds each kept row's knot index for the right-continuous lookup.
-    log_l (strata x kept rows), contrasts (kept rows x other strata) and b
-    (kept rows x covariates) are scratch arrays that every evaluation
-    overwrites, so a plan serves one search at a time.
+    A row's coefficients are diffs_pinv applied to its other strata's log
+    cumulative hazard differences from the reference; the criterion reads
+    only their sum, weights = diffs_pinv.sum(axis=0) applied to the same
+    differences.  log_l (strata x kept rows) is the one scratch array, which
+    every evaluation overwrites, so a plan serves one search at a time.
     """
 
     trim: TrimBounds
     bases: tuple[CurveBasis, ...]
     pos: tuple[np.ndarray, ...]
     diffs_pinv: np.ndarray
+    weights: np.ndarray
     log_l: np.ndarray
-    contrasts: np.ndarray
-    b: np.ndarray
 
 
-def _variance_plan(ds: Dataset, strata: StrataIndex) -> _VariancePlan:
+def _variance_plan(ds: Dataset) -> _VariancePlan:
+    strata = stratify(ds)
+    if ds.k < 1 or strata.n_strata < 2:
+        raise EstimationError(
+            "the semiparametric fit needs at least one covariate taking two or "
+            "more values in the sample; a single stratum is not identified"
+        )
     ref, others, diffs_pinv = _pair_structure(strata)
     bases = stratum_bases(ds, strata)
     # the trimmed window depends only on each stratum's event times
@@ -360,45 +359,35 @@ def _variance_plan(ds: Dataset, strata: StrataIndex) -> _VariancePlan:
     pos = tuple(np.searchsorted(b.event_times, x_kept, side="right") for b in bases)
     return _VariancePlan(
         trim=trim, bases=bases, pos=pos, diffs_pinv=diffs_pinv,
-        log_l=np.empty((len(bases), x_kept.size)),
-        contrasts=np.empty((x_kept.size, len(others))),
-        b=np.empty((x_kept.size, diffs_pinv.shape[0])),
+        weights=diffs_pinv.sum(axis=0), log_l=np.empty((len(bases), x_kept.size)),
     )
 
 
-def _kept_log_hazards(plan: _VariancePlan, theta: float) -> np.ndarray:
-    """log(-log S) of each stratum's curve at the kept durations, one row per
-    stratum, reference first, written into plan.log_l.
+def _kept_contrasts(plan: _VariancePlan, theta: float) -> np.ndarray:
+    """Each other stratum's log(-log S) minus the reference's at the kept
+    durations: a view of plan.log_l (other strata x kept rows).
 
     The transform runs over each stratum's knots, which are fewer than the
-    kept rows, and the rows then gather from it; a curve value of 0 or 1
-    gives a non-finite entry.
+    kept rows, and the rows then gather from it.
     """
-    for basis, pos, out in zip(plan.bases, plan.pos, plan.log_l):
+    log_l = plan.log_l
+    for basis, pos, out in zip(plan.bases, plan.pos, log_l):
         full = np.concatenate(([1.0], curve_values(basis, theta)))
         with np.errstate(divide="ignore"):
             np.log(np.negative(np.log(full, out=full), out=full), out=full)
         np.take(full, pos, out=out)
-    return plan.log_l
-
-
-def _b_matrix(log_l: np.ndarray, diffs_pinv: np.ndarray, contrasts: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
-    """Per-row PH coefficients from the strata's log cumulative hazards at the
-    kept durations (one row per stratum, reference first), written into out;
-    contrasts receives each other stratum's difference from the reference."""
     if not np.all(np.isfinite(log_l)):
         raise EstimationError(
             "a curve value of 0 or 1 inside the trimmed window makes the "
             "coefficient undefined"
         )
-    np.subtract(log_l[1:].T, log_l[0][:, None], out=contrasts)
-    return np.matmul(contrasts, diffs_pinv.T, out=out)
+    log_l[1:] -= log_l[0]
+    return log_l[1:]
 
 
-def _coef_variance(b: np.ndarray) -> float:
-    """Sample variance of the summed per-row coefficients."""
-    value = float(np.var(b.sum(axis=1), ddof=1))
+def _coef_variance(row_sums: np.ndarray) -> float:
+    """Sample variance of the rows' summed coefficients."""
+    value = float(np.var(row_sums, ddof=1))
     if not np.isfinite(value):
         raise EstimationError("criterion evaluated to a non-finite value")
     return value
@@ -577,26 +566,16 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
     the proportional-hazards scale.
     """
     grid = _validate_tau_grid(tau_grid)
-    strata = stratify(ds)
-    if ds.k < 1 or strata.n_strata < 2:
-        raise EstimationError(
-            "the semiparametric fit needs at least one covariate taking two or "
-            "more values in the sample; a single stratum is not identified"
-        )
-    plan = _variance_plan(ds, strata)
-
-    def b_at(tau: float) -> np.ndarray:
-        # plan.b, which the next call overwrites
-        log_l = _kept_log_hazards(plan, theta_from_tau(tau))
-        return _b_matrix(log_l, plan.diffs_pinv, plan.contrasts, plan.b)
-
+    plan = _variance_plan(ds)
     tau_hat, trace, n_failed, minima = _search_tau(
-        lambda tau: _coef_variance(b_at(tau)), grid
+        lambda tau: _coef_variance(plan.weights @ _kept_contrasts(plan, theta_from_tau(tau))),
+        grid,
     )
+    contrasts = _kept_contrasts(plan, theta_from_tau(tau_hat))
     return FitResult2SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
-        beta_hat=b_at(tau_hat).mean(axis=0),
+        beta_hat=(contrasts.T @ plan.diffs_pinv.T).mean(axis=0),
         objective_trace=trace,
         x_star=plan.trim.x_star,
         x_double_star=plan.trim.x_double_star,

@@ -99,6 +99,26 @@ def test_bad_tau_grid_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit", "--input", "{csv}", "--output", "{bad}"),
+    ("curve", "--input", "{csv}", "--tau-list", "0.5", "--output", "{bad}"),
+    ("gen", "--n", "50", "--output", "{bad}"),
+    ("bootstrap", "--input", "{csv}", "--reps", "2", "--tau-grid", "0:0.8:0.4",
+     "--replicates-out", "{bad}"),
+    ("simulate", "--n", "200", "--reps", "1", "--tau-grid", "0:0.8:0.4", "--output", "{bad}"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    # a missing directory is a usage error reported as JSON, not a traceback;
+    # simulate writes its summary table to stderr before the error line
+    path = gen_csv(tmp_path, capsys)
+    bad = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *(a.format(csv=path, bad=bad) for a in argv))
+    assert code == 2
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "usage"
+    assert str(bad) in error["message"]
+
+
 def test_simulate_emits_report_and_table(tmp_path, capsys):
     out_path = tmp_path / "mc.json"
     code, _, err = run(

@@ -47,6 +47,27 @@ def test_load_unparseable_row(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("label", ["1.5", "0.7", "nan", "inf"])
+def test_load_rejects_fractional_label(tmp_path, label):
+    path = write(tmp_path, f"x,delta\n1.0,1\n2.0,0\n3.0,{label}\n")
+    with pytest.raises(DataError, match="line 4: delta must be a whole number"):
+        load_csv(path)
+
+
+def test_load_accepts_integral_float_label(tmp_path):
+    path = write(tmp_path, "x,delta\n1.0,1.0\n2.0,0.0\n3.0,2.0\n")
+    assert list(load_csv(path).delta) == [1, 0, 2]
+
+
+def test_load_strips_header_whitespace(tmp_path):
+    path = write(tmp_path, "x, delta, z1\n1.0, 1, 0\n2.0, 0, 1\n0.5, 2, 0\n")
+    ds = load_csv(path)
+    assert list(ds.delta) == [1, 0, 2]
+    assert ds.z[:, 0].tolist() == [0.0, 1.0, 0.0]
+    ds = load_csv(path, z_cols=["z1"])
+    assert ds.k == 1
+
+
 def test_load_empty(tmp_path):
     path = write(tmp_path, "x,delta\n")
     with pytest.raises(DataError):
@@ -64,6 +85,15 @@ def test_dataset_validation():
     assert ds.k == 0
     with pytest.raises(ValueError):
         ds.x[0] = 5.0  # immutable
+
+
+def test_dataset_rejects_fractional_labels():
+    with pytest.raises(DataError, match="whole numbers"):
+        Dataset([1.0, 2.0, 3.0], [0.5, 1.7, 2.0])
+    with pytest.raises(DataError, match="whole numbers"):
+        Dataset([1.0, 2.0], [1.0, np.nan])
+    assert list(Dataset([1.0, 2.0], [1.0, 0.0]).delta) == [1, 0]
+    assert list(Dataset([1.0, 2.0], [True, False]).delta) == [1, 0]
 
 
 def test_dataset_subset_and_row():

@@ -1,5 +1,6 @@
 """Tests for the regression stage, the distance criteria, and both fitters."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -10,11 +11,10 @@ from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
     FglsFit,
-    _b_matrix,
     _coef_variance,
     _cvm_plan,
     _cvm_value,
-    _kept_log_hazards,
+    _kept_contrasts,
     _pair_structure,
     _regression,
     _row_values,
@@ -71,6 +71,9 @@ def test_fgls_two_point_exponential():
     ds = Dataset(x, [1, 1])
     fit = fgls_fit(ds, np.exp(-2.0 * x), "exponential")
     assert fit.model().alpha == pytest.approx(2.0, abs=1e-10)
+    # the AFT layout of every family: (log alpha, beta', 1/sigma), here fixed
+    assert fit.coef.shape == (2,) and fit.coef[-1] == 1.0
+    assert fit.model().sigma == 1.0
 
 
 def test_fgls_rank_deficiency():
@@ -441,7 +444,7 @@ def test_plan_values_equal_curve_lookups():
     strata3 = stratify(ds3)
     strata2 = stratify(ds2)
     ref, others, _ = _pair_structure(strata2)
-    plan2 = _variance_plan(ds2, strata2)
+    plan2 = _variance_plan(ds2)
     x_kept = ds2.x[plan2.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds3, theta)
@@ -457,11 +460,10 @@ def test_plan_values_equal_curve_lookups():
                 assert np.all(rows[idx] == smoothed.left_limit(ds3.x[idx]))
             assert np.all(rows[strata3.indices[2]] == 1.0)
         curves = stratum_curves(ds2, theta)
-        log_l = _kept_log_hazards(plan2, theta)
-        for j, values in zip((ref, *others), log_l):
-            with np.errstate(divide="ignore"):
-                expected = np.log(-np.log(curves[strata2.levels[j]](x_kept)))
-            assert np.all(values == expected)
+        log_l = [np.log(-np.log(curves[strata2.levels[j]](x_kept))) for j in (ref, *others)]
+        contrasts = _kept_contrasts(plan2, theta)
+        for values, expected in zip(contrasts, log_l[1:]):
+            assert np.all(values == expected - log_l[0])
 
 
 @pytest.mark.parametrize("p_z", [0.3, 0.7])  # reference stratum z = 0, then z = 1
@@ -473,12 +475,12 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
     strata = stratify(ds)
     ref, _, _ = _pair_structure(strata)
     assert strata.levels[ref] == ((0.0,) if p_z < 0.5 else (1.0,))
-    plan = _variance_plan(ds, strata)
+    plan = _variance_plan(ds)
     x_kept = ds.x[plan.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds, theta)
-        log_l = _kept_log_hazards(plan, theta)
-        b = _b_matrix(log_l, plan.diffs_pinv, plan.contrasts, plan.b)
+        # each kept row's coefficients, as fit_2se averages them into beta_hat
+        b = _kept_contrasts(plan, theta).T @ plan.diffs_pinv.T
         assert b.shape == (x_kept.size, 1)
         expected = [
             semiparam_b(x, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
@@ -487,30 +489,54 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
         np.testing.assert_allclose(b[:, 0], expected, rtol=0, atol=1e-12)
 
 
-def _variance_fixture(b_values):
+def six_strata_dataset(n=3000, seed=11):
+    """Two covariates (three by two levels) with PH-type dependence on z."""
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([rng.integers(0, 3, n), rng.integers(0, 2, n)]).astype(float)
+    scale = np.exp(-(z @ np.array([0.5, 1.0])) / 1.5)
+    t = rng.weibull(1.5, n) * scale
+    c = rng.weibull(1.5, n) * scale * 1.1
+    return Dataset(np.minimum(t, c), (t <= c).astype(int), z)
+
+
+def test_weights_score_the_summed_row_coefficients():
+    # the criterion's weights @ contrasts is each row's coefficient vector
+    # summed, on a design with five contrasts and two coefficients
+    plan = _variance_plan(six_strata_dataset())
+    assert plan.diffs_pinv.shape == (2, 5)
+    for theta in (-0.5, 0.5, 3.0):
+        contrasts = _kept_contrasts(plan, theta)
+        b = contrasts.T @ plan.diffs_pinv.T
+        np.testing.assert_allclose(plan.weights @ contrasts, b.sum(axis=1),
+                                   rtol=1e-12, atol=1e-12)
+        assert _coef_variance(plan.weights @ contrasts) == pytest.approx(
+            float(np.var(b.sum(axis=1), ddof=1)), rel=1e-12)
+
+
+def _row_sums(b_values):
     # two strata's log cumulative hazards at three kept rows whose
     # coefficients are exactly b_values; the single contrast z1 - z0 = 1
     log_l0 = np.log([0.2, 0.4, 0.6])
-    log_l = np.stack([log_l0, log_l0 + np.asarray(b_values)])
-    return log_l, np.linalg.pinv(np.array([[1.0]])), np.empty((3, 1)), np.empty((3, 1))
+    contrasts = (log_l0 + np.asarray(b_values) - log_l0)[None, :]
+    return np.linalg.pinv(np.array([[1.0]])).sum(axis=0) @ contrasts
 
 
 def test_variance_objective_hand_value():
-    b = _b_matrix(*_variance_fixture([1.0, 2.0, 3.0]))
-    assert _coef_variance(b) == pytest.approx(1.0, abs=1e-10)
+    assert _coef_variance(_row_sums([1.0, 2.0, 3.0])) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_b_matrix_rejects_curve_value_one():
-    # log(-log 1) = -inf: a kept row where a curve has not left 1
-    log_l, *rest = _variance_fixture([1.0, 2.0, 3.0])
-    log_l[1, 0] = -np.inf
+    # log(-log 1) = -inf: a kept row that reads a curve before its first event
+    ds = generate_dataset(DgpSpec(n=400, tau=0.5, model_t=AftModel("weibull", **BENCH),
+                                  model_c=AftModel("weibull", **BENCH)), 3)
+    plan = _variance_plan(ds)
+    pos = (np.zeros_like(plan.pos[0]), *plan.pos[1:])
     with pytest.raises(EstimationError, match="undefined"):
-        _b_matrix(log_l, *rest)
+        _kept_contrasts(dataclasses.replace(plan, pos=pos), 1.0)
 
 
 def test_variance_objective_zero_for_ph_curves():
-    b = _b_matrix(*_variance_fixture([0.7, 0.7, 0.7]))
-    assert _coef_variance(b) <= 1e-20
+    assert _coef_variance(_row_sums([0.7, 0.7, 0.7])) <= 1e-20
 
 
 def test_variance_objective_single_row_error():
