@@ -12,8 +12,9 @@ before same-time censorings.
 
 Only the generator depends on theta.  ``curve_basis`` builds a stratum's
 theta-free pieces once (``stratum_bases`` does so for every stratum of a
-dataset); ``curve_values`` is the per-theta kernel that the estimators'
-searches call; ``copula_graphic`` composes the two into a step function.
+dataset); ``curve_values`` is the kernel that the estimators' searches call,
+on one theta or on a chunk of them at once; ``copula_graphic`` composes the
+two into a step function.
 """
 
 from __future__ import annotations
@@ -84,15 +85,20 @@ def stratum_bases(ds: Dataset, strata: StrataIndex) -> list[CurveBasis]:
     ]
 
 
-def curve_values(basis: CurveBasis, theta: float) -> np.ndarray:
+def curve_values(basis: CurveBasis, theta) -> np.ndarray:
     """Curve values at the basis's event times for dependence theta.
 
-    The integrand -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1).  For
-    theta < 0 the curve clamps at zero once the accumulated sum leaves the
-    generator's support.
+    theta is one dependence, giving one curve, or a 1-d array of them,
+    giving a (thetas x knots) array with one curve per row.  The integrand
+    -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1).  For theta < 0 the
+    curve clamps at zero once the accumulated sum leaves the generator's
+    support.
     """
-    running = np.cumsum(np.exp(-(theta + 1.0) * basis.log_pi_left) * basis.jumps)
-    return generator(running, theta)
+    thetas = np.asarray(theta, dtype=float)
+    col = thetas.reshape(-1, 1)
+    running = np.cumsum(np.exp(-(col + 1.0) * basis.log_pi_left) * basis.jumps, axis=1)
+    values = generator(running, col)
+    return values[0] if thetas.ndim == 0 else values
 
 
 def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> StepFunction:

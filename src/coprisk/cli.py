@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -303,6 +305,14 @@ def cmd_curve(args) -> int:
     return 0
 
 
+def _check_output_dirs(args) -> None:
+    """Fail before any work if an output path's directory does not exist,
+    with the error that opening the path would give."""
+    for path in (getattr(args, "output", None), getattr(args, "replicates_out", None)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _config_echo(args) -> dict:
     skip = {"func"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -410,6 +420,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except ValueError as exc:
         _error("usage", str(exc))

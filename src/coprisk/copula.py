@@ -35,22 +35,27 @@ def _ret(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
 
 
-def generator(u, theta: float):
+def generator(u, theta):
     """Generator phi_theta(u) on u >= 0, with values in [0, 1].
 
-    For theta < 0 the generator is non-strict and clamps at zero once
-    ``1 + theta*u <= 0``.
+    theta is one dependence, or an array that broadcasts against u, such as
+    a column holding one theta per row of a 2-d u.  For theta < 0 the
+    generator is non-strict and clamps at zero once ``1 + theta*u <= 0``;
+    a theta within THETA_ZERO_TOL of 0 gives exp(-u).
     """
-    theta = _validate_theta(theta)
+    theta = np.asarray(theta, dtype=float)
+    if not (np.isfinite(theta) & (theta >= THETA_MIN)).all():
+        raise ValueError(f"theta must be a finite number >= -1, got {theta}")
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
-    if np.any(u < 0) or not np.all(np.isfinite(u)):
+    if not ((u >= 0).all() and np.isfinite(u).all()):
         raise ValueError("generator argument u must be finite and >= 0")
-    if abs(theta) < THETA_ZERO_TOL:
-        return _ret(np.exp(-u), scalar)
-    base = 1.0 + theta * u
-    safe = np.where(base > 0.0, base, 1.0)
-    out = np.where(base > 0.0, np.exp(-np.log(safe) / theta), 0.0)
+    zero = np.abs(theta) < THETA_ZERO_TOL
+    theta = np.where(zero, 1.0, theta)
+    with np.errstate(divide="ignore"):
+        # log(0) = -inf, so points with 1 + theta*u <= 0 map to exp(-inf) = 0
+        out = np.asarray(np.exp(-np.log(np.maximum(1.0 + theta * u, 0.0)) / theta))
+    np.exp(-u, out=out, where=zero)
     return _ret(out, scalar)
 
 

@@ -17,13 +17,24 @@ one are handled; the grid pass's local minima are reported in the fit's
 diagnostics.  Estimation is deterministic: no randomness is involved.
 
 Each fit builds one plan per dataset before its search: every stratum's
-theta-free curve basis and each row's knot index for its curve lookup.  The
-three-stage plan also holds the regression design over the cause-1 rows and
-the log durations; the two-stage plan holds the weights of that linear
-combination.  A criterion call then only runs the per-theta curve kernel
-(``cge.curve_values``), a gather, and one least-squares solve or one weighted
-sum of log cumulative hazard differences.  ``fgls_fit`` runs the same
+theta-free curve basis and each row's index for its curve lookup.  The
+three-stage plan also holds a thin QR of the regression's theta-free columns
+over the cause-1 rows; the two-stage plan holds the weights of that linear
+combination.  The criterion is one kernel that scores a chunk of thetas at
+once, on (thetas x knots) and (thetas x rows) arrays: the curve kernel
+(``cge.curve_values``), the presmoother, one gather, and then either the
+regression from the QR or one weighted sum of log cumulative hazard
+differences.  The grid pass hands it chunks of up to GRID_CHUNK_ELEMENTS /
+rows thetas; the golden-section refinement and the final evaluation hand it
+one.  No evaluation calls LAPACK on the rows.  ``fgls_fit`` runs the same
 regression on its own.
+
+The regression has at most one theta-dependent column, S_W^{-1}(s) in the
+AFT families with a shape parameter.  Its slope comes from the
+Frisch-Waugh-Lovell theorem: the column and log x are residualised against
+the fixed columns through the QR, and the slope is the ratio of two dot
+products.  In the exponential AFT family (unit slope) and in the PH form
+only the response varies, so the QR alone gives the coefficients.
 
 Numerical policy of the three-stage fit (all measured on simulated benchmark
 designs; see the package README for the summary):
@@ -81,6 +92,14 @@ DEFAULT_TAU_GRID = np.linspace(-0.9, 0.9, 37)
 SMOOTH_KNOT_FRACTION = 2.0 / 15.0
 SMOOTH_KNOT_CAP = 14.0
 
+# The grid pass evaluates max(1, GRID_CHUNK_ELEMENTS // rows) thetas per
+# kernel call, so its (thetas x rows) arrays stay cache-sized: 16 thetas at
+# n = 2000, single thetas from n = 32768 on.  On a 2-core Xeon (4 MiB L2),
+# this budget's chunks took 0.46 (3SE) and 0.33 (2SE) of the single-theta
+# grid pass's time at n = 2000 and 0.83-0.85 at n = 15000, while chunks of
+# two thetas at n = 100000 took 1.5 times as long.
+GRID_CHUNK_ELEMENTS = 2**15
+
 GOLDEN_TOL = 1e-4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -126,75 +145,130 @@ class FglsFit:
         return AftModel(self.family, math.exp(c[0]), c[1:-1], 1.0 / inv_sigma)
 
 
+RANK_DEFICIENT = (
+    "design matrix is rank deficient (e.g. constant transformed curve "
+    "values or collinear covariates)"
+)
+
+
 @dataclass(frozen=True)
 class _Regression:
     """The theta-free half of the duration regression over a set of rows.
 
-    design holds the columns that do not depend on the curve: [-1, -z] plus a
-    last slot for S_W^{-1}(s) in the AFT form (no slot for the exponential
-    family, whose unit-slope transform moves to the response), or
-    [1, log x, z] in the PH form.  log_x holds the rows' log durations.
-    Each solve overwrites the slot, so a regression serves one search at a
-    time.
+    The fixed columns are [-1, -z] in the AFT form, followed in the families
+    with a shape parameter by the varying column S_W^{-1}(s), or
+    [1, log x, z] in the PH form.  q and r_inv are the fixed columns' thin
+    QR factor and the inverse of its triangle; q_log_x is q' log x and
+    log_x_resid is log x minus its projection on the fixed columns.
+    rcond = eps * max(rows, columns) is lstsq's default cut-off for a
+    singular value relative to the largest; fixed_norm is the fixed
+    columns' largest singular value.  error is the message every
+    solve fails with when the fixed columns cannot be fitted (too few rows,
+    or rank deficient), and None otherwise.
     """
 
     family: str
     model_kind: str
-    design: np.ndarray
-    log_x: np.ndarray
+    q: np.ndarray | None
+    r_inv: np.ndarray | None
+    q_log_x: np.ndarray | None
+    log_x_resid: np.ndarray | None
+    rcond: float
+    fixed_norm: float
+    error: str | None
 
 
 def _regression(family: str, model_kind: str, log_x: np.ndarray,
                 z: np.ndarray) -> _Regression:
     ones = np.ones(log_x.size)
     if model_kind == "ph":
-        design = np.column_stack([ones, log_x, z])
-    elif family == "exponential":
-        design = np.column_stack([-ones, -z])
+        fixed = np.column_stack([ones, log_x, z])
     else:
-        design = np.column_stack([-ones, -z, ones])
-    return _Regression(family, model_kind, design, log_x)
+        fixed = np.column_stack([-ones, -z])
+    varying = model_kind == "aft" and family != "exponential"
+    m, p = fixed.shape[0], fixed.shape[1] + varying
+    rcond = np.finfo(float).eps * max(m, p)
+    if m <= p:
+        return _Regression(family, model_kind, None, None, None, None, rcond, 0.0,
+                           f"regression needs more than {p} rows, got {m}")
+    q, r = np.linalg.qr(fixed)
+    # r has the fixed columns' singular values; dropping the varying column
+    # can only raise the smallest and lower the largest, so lstsq would call
+    # the whole design rank deficient too
+    sv = np.linalg.svd(r, compute_uv=False)
+    if not sv[-1] > rcond * sv[0]:
+        return _Regression(family, model_kind, None, None, None, None, rcond, sv[0],
+                           RANK_DEFICIENT)
+    q_log_x = log_x @ q
+    return _Regression(family, model_kind, q, np.linalg.inv(r), q_log_x,
+                       log_x - q @ q_log_x, rcond, sv[0], None)
 
 
-def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, int]:
+def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped values and the number of clamped values along the last axis."""
     clamped = (s_hat < S_CLAMP) | (s_hat > 1.0 - S_CLAMP)
-    return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP), int(np.count_nonzero(clamped))
+    return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP), np.count_nonzero(clamped, axis=-1)
 
 
-def _solve(reg: _Regression, s: np.ndarray) -> np.ndarray:
-    """Regression coefficients from the rows' clamped curve values s; the
-    exponential family's end in its fixed unit slope."""
-    n, p = reg.design.shape
-    if n <= p:
-        raise EstimationError(f"regression needs more than {p} rows, got {n}")
+def _mark(errors: list, failed: np.ndarray, message: str) -> None:
+    """Record message for each failed theta that has no message yet."""
+    for i in np.flatnonzero(failed):
+        if errors[i] is None:
+            errors[i] = message
+
+
+def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
+    """Regression coefficients for each row of s, one theta's clamped curve
+    values at the regression rows, and each theta's failure message or None.
+
+    A failed theta's coefficients are NaN.  Every AFT family's coefficients
+    end in the slope 1/sigma, which is 1.0 for the exponential family.
+    """
+    if reg.error is not None:
+        raise EstimationError(reg.error)
+    errors: list = [None] * s.shape[0]
     if reg.model_kind == "ph":
-        y = np.log(-np.log(s))
-    elif reg.family == "exponential":
-        y = reg.log_x - sw_inverse(reg.family, s)
+        return (np.log(-np.log(s)) @ reg.q) @ reg.r_inv.T, errors
+    v = sw_inverse(reg.family, s)
+    qv = v @ reg.q
+    if reg.family == "exponential":
+        slope = np.ones(s.shape[0])
     else:
-        reg.design[:, -1] = sw_inverse(reg.family, s)
-        y = reg.log_x
-    coef, _, rank, _ = np.linalg.lstsq(reg.design, y, rcond=None)
-    if rank < p:
-        raise EstimationError(
-            "design matrix is rank deficient (e.g. constant transformed curve "
-            "values or collinear covariates)"
-        )
-    if reg.model_kind == "aft" and reg.family == "exponential":
-        return np.append(coef, 1.0)
-    return coef
+        # Frisch-Waugh-Lovell: the slope of log x on v is that of the
+        # residualised log x on the residualised v.  The design's smallest
+        # singular value is at most |resid|, its largest at least
+        # max(|v|, fixed_norm); so where |resid| <= rcond * max(|v|,
+        # fixed_norm), lstsq with its default rcond calls the design rank
+        # deficient too.  The rule is one-sided: just above its cut-off,
+        # lstsq can still fail a theta that it passes.
+        resid = v - qv @ reg.q.T
+        ss = np.einsum("ij,ij->i", resid, resid)
+        scale = np.maximum(np.einsum("ij,ij->i", v, v), reg.fixed_norm**2)
+        deficient = ~(ss > reg.rcond**2 * scale)
+        if deficient.any():
+            _mark(errors, deficient, RANK_DEFICIENT)
+            ss[deficient] = np.nan
+        slope = (resid @ reg.log_x_resid) / ss
+    coef = np.empty((s.shape[0], reg.q.shape[1] + 1))
+    coef[:, :-1] = (reg.q_log_x - slope[:, None] * qv) @ reg.r_inv.T
+    coef[:, -1] = slope
+    return coef, errors
 
 
 def _model_survival(reg: _Regression, coef: np.ndarray, log_x: np.ndarray,
-                    z: np.ndarray) -> np.ndarray:
-    """Survival the fitted regression implies at rows (log x, z); robust to a
-    negative fitted slope (the criterion then simply scores poorly)."""
+                    z: np.ndarray, errors: list) -> np.ndarray:
+    """Survival each row of coef implies at rows (log x, z); robust to a
+    negative fitted slope (the criterion then simply scores poorly).  A zero
+    slope fails its theta."""
     if reg.model_kind == "ph":
-        return sw_survival(reg.family, coef[0] + coef[1] * log_x + z @ coef[2:])
-    inv_sigma = coef[-1]
-    if inv_sigma == 0.0:
-        raise EstimationError("zero inverse shape in the fitted regression")
-    return sw_survival(reg.family, (log_x + coef[0] + z @ coef[1:-1]) / inv_sigma)
+        return sw_survival(reg.family,
+                           coef[:, :1] + coef[:, 1:2] * log_x + coef[:, 2:] @ z.T)
+    inv_sigma = coef[:, -1:]
+    zero = inv_sigma[:, 0] == 0.0
+    if zero.any():
+        _mark(errors, zero, "zero inverse shape in the fitted regression")
+        inv_sigma = np.where(inv_sigma == 0.0, np.nan, inv_sigma)
+    return sw_survival(reg.family, (log_x + coef[:, :1] + coef[:, 1:-1] @ z.T) / inv_sigma)
 
 
 def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
@@ -211,8 +285,10 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
     if s_hat.shape != (ds.n,):
         raise ValueError("s_hat must supply one survival value per dataset row")
     s_cl, n_clamped = _clamp_curve_values(s_hat)
-    coef = _solve(_regression(family, "aft", np.log(ds.x), ds.z), s_cl)
-    return FglsFit(family, "aft", coef, n_clamped)
+    coef, errors = _solve(_regression(family, "aft", np.log(ds.x), ds.z), s_cl[None, :])
+    if errors[0] is not None:
+        raise EstimationError(errors[0])
+    return FglsFit(family, "aft", coef[0], int(n_clamped))
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +299,25 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
 def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
     """Moving average over the jump knots, then a monotone projection.
 
-    The curve is padded with window // 2 copies of its first value and
-    window - 1 - window // 2 of its last; each window mean is a difference of
-    running sums, so a call costs O(knots) at any window.
+    values is one curve or a (curves x knots) array.  Each curve is padded
+    with window // 2 copies of its first value and window - 1 - window // 2
+    of its last; each window mean is a difference of running sums, so a call
+    costs O(knots) per curve at any window.
     """
-    if window <= 1 or values.size < 3:
+    size = values.shape[-1]
+    if window <= 1 or size < 3:
         return values
-    window = min(int(window), values.size)
-    pad_l = np.full(window // 2, values[0])
-    pad_r = np.full(window - 1 - window // 2, values[-1])
-    c = np.cumsum(np.concatenate([[0.0], pad_l, values, pad_r]))
-    smoothed = (c[window:] - c[:-window]) / window
-    return np.minimum.accumulate(np.clip(smoothed, 0.0, 1.0))
+    window = min(int(window), size)
+    left = 1 + window // 2
+    c = np.empty(values.shape[:-1] + (size + window,))
+    c[..., 0] = 0.0
+    c[..., 1:left] = values[..., :1]
+    c[..., left:left + size] = values
+    c[..., left + size:] = values[..., -1:]
+    np.cumsum(c, axis=-1, out=c)
+    smoothed = (c[..., window:] - c[..., :-window]) / window
+    return np.minimum.accumulate(np.clip(smoothed, 0.0, 1.0, out=smoothed), axis=-1,
+                                 out=smoothed)
 
 
 def _smooth_window(n_knots: int, smooth_knots) -> int:
@@ -244,61 +327,80 @@ def _smooth_window(n_knots: int, smooth_knots) -> int:
     return max(1, int(smooth_knots))
 
 
+def _grid_chunk(rows: int) -> int:
+    return max(1, GRID_CHUNK_ELEMENTS // max(rows, 1))
+
+
 @dataclass(frozen=True)
 class _CvmPlan:
     """What the three-stage criterion needs that does not depend on theta.
 
-    strata holds, per stratum, its curve basis, its row indices, each row's
-    knot index for the left-limit lookup (0 = before the first event) and
-    the presmoothing window (1 for none).  regression holds the design over
-    the cause-1 rows (events); log_x and z cover all rows, for the model's
-    survival.
+    strata holds, per stratum, its curve basis, the presmoothing window (1
+    for none) and the column where its curve starts in a (thetas x width)
+    array of all curves, each preceded by a column of ones (the value before
+    the first event).  gather holds each row's column there, for the
+    left-limit lookup.  regression holds the QR over the cause-1 rows
+    (events); log_x and z cover all rows, for the model's survival.  chunk
+    is the number of thetas per grid-pass call.
     """
 
-    strata: tuple[tuple[CurveBasis, np.ndarray, np.ndarray, int], ...]
+    strata: tuple[tuple[CurveBasis, int, int], ...]
+    width: int
+    gather: np.ndarray
     events: np.ndarray
     regression: _Regression
     log_x: np.ndarray
     z: np.ndarray
+    chunk: int
 
 
 def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
     strata = stratify(ds)
     parts = []
+    gather = np.empty(ds.n, dtype=np.intp)
+    start = 0
     for basis, idx in zip(stratum_bases(ds, strata), strata.indices):
         times = basis.event_times
-        pos = np.searchsorted(times, ds.x[idx], side="left")
-        parts.append((basis, idx, pos, _smooth_window(times.size, smooth_knots)))
+        gather[idx] = start + np.searchsorted(times, ds.x[idx], side="left")
+        parts.append((basis, _smooth_window(times.size, smooth_knots), start))
+        start += times.size + 1
     events = np.flatnonzero(ds.delta == 1)
     log_x = np.log(ds.x)
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
-    return _CvmPlan(strata=tuple(parts), events=events, regression=regression,
-                    log_x=log_x, z=ds.z)
+    return _CvmPlan(strata=tuple(parts), width=start, gather=gather, events=events,
+                    regression=regression, log_x=log_x, z=ds.z, chunk=_grid_chunk(ds.n))
 
 
-def _row_values(plan: _CvmPlan, theta: float) -> np.ndarray:
-    """Per-row curve values at the left limit of each observed duration."""
-    s = np.empty(plan.log_x.size)
-    for basis, idx, pos, window in plan.strata:
-        values = smooth_curve_values(curve_values(basis, theta), window)
-        s[idx] = np.concatenate(([1.0], values))[pos]
-    return s
+def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> np.ndarray:
+    """Per-row curve values at the left limit of each observed duration,
+    one row per theta."""
+    curves = np.empty((thetas.size, plan.width))
+    for basis, window, start in plan.strata:
+        curves[:, start] = 1.0
+        curves[:, start + 1:start + 1 + basis.event_times.size] = smooth_curve_values(
+            curve_values(basis, thetas), window)
+    return np.take(curves, plan.gather, axis=1)
 
 
 def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool):
-    """Criterion from per-row curve values.
+    """Criterion from per-row curve values, one row of s_hat per theta.
 
-    Returns (value, regression coefficients, mean gap, number of clamped rows).
+    Returns (values, failure messages, regression coefficients, mean gaps,
+    numbers of clamped rows), one entry per theta; a failed theta's value is
+    NaN and its message is in the list, which holds None for the others.
     """
     s_cl, n_clamped = _clamp_curve_values(s_hat)
-    coef = _solve(plan.regression, s_cl[plan.events])
-    gap = _model_survival(plan.regression, coef, plan.log_x, plan.z) - s_cl
+    coef, errors = _solve(plan.regression, np.take(s_cl, plan.events, axis=1))
+    gap = _model_survival(plan.regression, coef, plan.log_x, plan.z, errors) - s_cl
     if events_only:
-        gap = gap[plan.events]
-    value = float(np.mean(gap**2))
-    if not np.isfinite(value):
-        raise EstimationError("criterion evaluated to a non-finite value")
-    return value, coef, float(np.mean(gap)), n_clamped
+        gap = np.take(gap, plan.events, axis=1)
+    values = np.mean(gap**2, axis=1)
+    # a theta that failed above has NaN coefficients, hence a NaN value
+    failed = ~np.isfinite(values)
+    if failed.any():
+        _mark(errors, failed, "criterion evaluated to a non-finite value")
+        values[failed] = np.nan
+    return values, errors, coef, np.mean(gap, axis=1), n_clamped
 
 
 def _pair_structure(strata: StrataIndex):
@@ -329,8 +431,9 @@ class _VariancePlan:
     A row's coefficients are diffs_pinv applied to its other strata's log
     cumulative hazard differences from the reference; the criterion reads
     only their sum, weights = diffs_pinv.sum(axis=0) applied to the same
-    differences.  log_l (strata x kept rows) is the one scratch array, which
-    every evaluation overwrites, so a plan serves one search at a time.
+    differences.  log_l (strata x chunk x kept rows) is the one scratch
+    array, which every evaluation overwrites, so a plan serves one search at
+    a time; chunk is the number of thetas per grid-pass call.
     """
 
     trim: TrimBounds
@@ -339,6 +442,7 @@ class _VariancePlan:
     diffs_pinv: np.ndarray
     weights: np.ndarray
     log_l: np.ndarray
+    chunk: int
 
 
 def _variance_plan(ds: Dataset) -> _VariancePlan:
@@ -357,40 +461,59 @@ def _variance_plan(ds: Dataset) -> _VariancePlan:
         raise EstimationError("fewer than 2 rows survive trimming")
     bases = tuple(bases[j] for j in (ref, *others))
     pos = tuple(np.searchsorted(b.event_times, x_kept, side="right") for b in bases)
+    chunk = _grid_chunk(x_kept.size)
     return _VariancePlan(
         trim=trim, bases=bases, pos=pos, diffs_pinv=diffs_pinv,
-        weights=diffs_pinv.sum(axis=0), log_l=np.empty((len(bases), x_kept.size)),
+        weights=diffs_pinv.sum(axis=0),
+        log_l=np.empty((len(bases), chunk, x_kept.size)), chunk=chunk,
     )
 
 
-def _kept_contrasts(plan: _VariancePlan, theta: float) -> np.ndarray:
+def _kept_contrasts(plan: _VariancePlan, thetas: np.ndarray) -> np.ndarray:
     """Each other stratum's log(-log S) minus the reference's at the kept
-    durations: a view of plan.log_l (other strata x kept rows).
+    durations, per theta: a view of plan.log_l (thetas x other strata x kept
+    rows).
 
     The transform runs over each stratum's knots, which are fewer than the
-    kept rows, and the rows then gather from it.
+    kept rows, and the rows then gather from it.  A curve value of 0 or 1
+    gives a non-finite contrast.
     """
-    log_l = plan.log_l
+    log_l = plan.log_l[:, :thetas.size]
     for basis, pos, out in zip(plan.bases, plan.pos, log_l):
-        full = np.concatenate(([1.0], curve_values(basis, theta)))
+        full = np.ones((thetas.size, basis.event_times.size + 1))
+        full[:, 1:] = curve_values(basis, thetas)
         with np.errstate(divide="ignore"):
             np.log(np.negative(np.log(full, out=full), out=full), out=full)
-        np.take(full, pos, out=out)
-    if not np.all(np.isfinite(log_l)):
-        raise EstimationError(
-            "a curve value of 0 or 1 inside the trimmed window makes the "
-            "coefficient undefined"
-        )
-    log_l[1:] -= log_l[0]
-    return log_l[1:]
+        np.take(full, pos, axis=1, out=out)
+    with np.errstate(invalid="ignore"):
+        log_l[1:] -= log_l[0]
+    return log_l[1:].swapaxes(0, 1)
 
 
-def _coef_variance(row_sums: np.ndarray) -> float:
-    """Sample variance of the rows' summed coefficients."""
-    value = float(np.var(row_sums, ddof=1))
-    if not np.isfinite(value):
-        raise EstimationError("criterion evaluated to a non-finite value")
-    return value
+def _coef_variance(row_sums: np.ndarray) -> np.ndarray:
+    """Sample variance of the rows' summed coefficients, along the last axis."""
+    return np.var(row_sums, ddof=1, axis=-1)
+
+
+def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
+    """The two-stage criterion at each theta of a chunk.
+
+    Returns (values, failure messages, contrasts) as _cvm_value does, with
+    the contrasts of _kept_contrasts.  Any non-finite contrast makes its
+    theta's value non-finite, so the contrasts are checked only then.
+    """
+    contrasts = _kept_contrasts(plan, thetas)
+    with np.errstate(invalid="ignore"):
+        values = _coef_variance(plan.weights @ contrasts)
+    errors: list = [None] * thetas.size
+    failed = ~np.isfinite(values)
+    if failed.any():
+        _mark(errors, ~np.all(np.isfinite(contrasts), axis=(1, 2)),
+              "a curve value of 0 or 1 inside the trimmed window makes the "
+              "coefficient undefined")
+        _mark(errors, failed, "criterion evaluated to a non-finite value")
+        values[failed] = np.nan
+    return values, errors, contrasts
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +557,35 @@ def _validate_tau_grid(tau_grid) -> np.ndarray:
     return grid
 
 
-def _search_tau(criterion: Callable[[float], float], grid: np.ndarray):
-    """Grid pass, then golden-section inside the best bracket.
+def _thetas(taus: np.ndarray) -> np.ndarray:
+    return np.array([theta_from_tau(t) for t in taus])
 
-    Criterion failures (EstimationError) are recorded as NaN and skipped; the
-    search fails only if every grid point fails, with the points' own
-    messages.  Returns (tau_hat, trace, number of failed grid points, grid
-    local minima): the last are the grid taus whose finite value lies below
-    both finite neighbours, so a criterion with several modes shows them all.
+
+def _search_tau(criterion: Callable, grid: np.ndarray, chunk: int):
+    """Grid pass in chunks of up to chunk taus, then golden-section inside
+    the best bracket, one tau at a time.
+
+    criterion maps an array of taus to (values, failure messages) as the
+    kernels do.  A failed tau is recorded as NaN and skipped, and so is
+    every tau of a call that raises EstimationError; the search fails only
+    if every grid point fails, with the points' distinct messages.  Returns
+    (tau_hat, trace, failed grid points as (tau, message) pairs, grid local
+    minima): the last are the grid taus whose finite value lies below both
+    finite neighbours, so a criterion with several modes shows them all.
     """
-    trace: list[tuple[float, float]] = []
     values = np.full(grid.size, np.nan)
-    failures: dict[str, None] = {}  # distinct messages, in order of appearance
-    for i, tau in enumerate(grid):
+    errors: list = [None] * grid.size
+    for start in range(0, grid.size, chunk):
+        stop = min(start + chunk, grid.size)
         try:
-            values[i] = criterion(float(tau))
+            values[start:stop], errors[start:stop] = criterion(grid[start:stop])
         except EstimationError as exc:
-            failures[str(exc)] = None
-        trace.append((float(tau), float(values[i])))
+            errors[start:stop] = [str(exc)] * (stop - start)
+    trace = [(float(tau), float(v)) for tau, v in zip(grid, values)]
+    failed = tuple((float(tau), e) for tau, e in zip(grid, errors) if e is not None)
     if not np.any(np.isfinite(values)):
-        raise EstimationError(
-            "criterion failed at every grid point: " + "; ".join(failures)
-        )
-    n_failed = int(np.count_nonzero(~np.isfinite(values)))
+        messages = dict.fromkeys(e for _, e in failed)  # distinct, in grid order
+        raise EstimationError("criterion failed at every grid point: " + "; ".join(messages))
     best = int(np.nanargmin(values))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, grid.size - 1)])
@@ -467,16 +596,25 @@ def _search_tau(criterion: Callable[[float], float], grid: np.ndarray):
 
     def safe(tau: float) -> float:
         try:
-            return criterion(tau)
+            (value,), (error,) = criterion(np.array([tau]))
         except EstimationError:
             return math.inf
+        return math.inf if error is not None else float(value)
 
     if hi > lo:
         trace.extend(_golden_section(safe, lo, hi, GOLDEN_TOL))
     finite = [(t, v) for t, v in trace if np.isfinite(v)]
     tau_hat, _ = min(finite, key=lambda tv: (tv[1], tv[0]))
     trace.sort(key=lambda tv: tv[0])
-    return tau_hat, tuple(trace), n_failed, minima
+    return tau_hat, tuple(trace), failed, minima
+
+
+def _at(kernel: Callable, tau: float):
+    """The kernel's outputs at the one tau the search chose."""
+    values, errors, *rest = kernel(_thetas(np.array([tau])))
+    if errors[0] is not None:
+        raise EstimationError(errors[0])
+    return [out[0] for out in rest]
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +657,22 @@ def fit_3se(
     grid = _validate_tau_grid(tau_grid)
     plan = _cvm_plan(ds, family, model_kind, smooth_knots)
 
-    def evaluate(tau: float):
-        return _cvm_value(plan, _row_values(plan, theta_from_tau(tau)), events_only)
+    def kernel(thetas: np.ndarray):
+        return _cvm_value(plan, _row_values(plan, thetas), events_only)
 
-    tau_hat, trace, n_failed, minima = _search_tau(lambda tau: evaluate(tau)[0], grid)
-    _, coef, mean_gap, n_clamped = evaluate(tau_hat)
+    tau_hat, trace, failed, minima = _search_tau(
+        lambda taus: kernel(_thetas(taus))[:2], grid, plan.chunk)
+    coef, mean_gap, n_clamped = _at(kernel, tau_hat)
     return FitResult3SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
-        model=FglsFit(family, model_kind, coef, n_clamped).model(),
+        model=FglsFit(family, model_kind, coef, int(n_clamped)).model(),
         objective_trace=trace,
         kept_n=ds.n,
         diagnostics={
-            "n_clamped": n_clamped,
-            "mean_gap": mean_gap,
-            "n_grid_failed": n_failed,
+            "n_clamped": int(n_clamped),
+            "mean_gap": float(mean_gap),
+            "n_grid_failed": len(failed),
             "grid_local_minima": minima,
         },
     )
@@ -567,11 +706,9 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
     """
     grid = _validate_tau_grid(tau_grid)
     plan = _variance_plan(ds)
-    tau_hat, trace, n_failed, minima = _search_tau(
-        lambda tau: _coef_variance(plan.weights @ _kept_contrasts(plan, theta_from_tau(tau))),
-        grid,
-    )
-    contrasts = _kept_contrasts(plan, theta_from_tau(tau_hat))
+    tau_hat, trace, failed, minima = _search_tau(
+        lambda taus: _variance_value(plan, _thetas(taus))[:2], grid, plan.chunk)
+    (contrasts,) = _at(lambda thetas: _variance_value(plan, thetas), tau_hat)
     return FitResult2SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
@@ -580,7 +717,7 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
         x_star=plan.trim.x_star,
         x_double_star=plan.trim.x_double_star,
         kept_n=int(plan.trim.kept.size),
-        diagnostics={"n_grid_failed": n_failed, "grid_local_minima": minima},
+        diagnostics={"n_grid_failed": len(failed), "grid_local_minima": minima},
     )
 
 

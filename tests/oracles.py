@@ -6,6 +6,7 @@ implementations.
 """
 
 import numpy as np
+from scipy.special import ndtri
 
 from coprisk.errors import EstimationError
 
@@ -107,3 +108,41 @@ def padded_window_mean(values, window):
     )
     means = np.array([padded[i:i + window].mean() for i in range(values.size)])
     return np.minimum.accumulate(np.clip(means, 0.0, 1.0))
+
+
+def lstsq_regression(family, model_kind, log_x, z, s):
+    """Stage-2 regression coefficients by one least-squares solve of the
+    whole design, with lstsq's default rcond.
+
+    Reference for the three-stage plan's QR solve: the AFT design is
+    [-1, -z, S_W^{-1}(s)] with response log x, except for the exponential
+    family, whose unit slope moves the transform to the response and whose
+    coefficients end in that fixed 1.0; the PH design is [1, log x, z] with
+    response log(-log s).  Fails with the package's messages.
+    """
+    s = np.asarray(s, dtype=float)
+    ones = np.ones(log_x.size)
+    if family in ("exponential", "weibull"):
+        w = np.log(-np.log(s))
+    elif family == "loglogistic":
+        w = np.log((1.0 - s) / s)
+    else:
+        w = -ndtri(s)
+    if model_kind == "ph":
+        design, y = np.column_stack([ones, log_x, z]), w
+    elif family == "exponential":
+        design, y = np.column_stack([-ones, -z]), log_x - w
+    else:
+        design, y = np.column_stack([-ones, -z, w]), log_x
+    n, p = design.shape
+    if n <= p:
+        raise EstimationError(f"regression needs more than {p} rows, got {n}")
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < p:
+        raise EstimationError(
+            "design matrix is rank deficient (e.g. constant transformed curve "
+            "values or collinear covariates)"
+        )
+    if model_kind == "aft" and family == "exponential":
+        return np.append(coef, 1.0)
+    return coef

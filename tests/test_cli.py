@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coprisk import cli
 from coprisk.cli import main
 from coprisk.data import load_csv
 from coprisk.estimators import three_stage_point
@@ -117,6 +118,37 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     error = json.loads(err.splitlines()[-1])["error"]
     assert error["kind"] == "usage"
     assert str(bad) in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--input", "{csv}", "--output", "{bad}"),
+    ("fit", "--input", "{csv}", "--method", "2se", "--output", "{bad}"),
+    ("curve", "--input", "{csv}", "--tau-list", "0.5", "--output", "{bad}"),
+    ("gen", "--n", "50", "--output", "{bad}"),
+    ("bootstrap", "--input", "{csv}", "--reps", "120", "--replicates-out", "{bad}"),
+    ("bootstrap", "--input", "{csv}", "--reps", "120", "--output", "{bad}"),
+    ("simulate", "--n", "2000", "--reps", "50", "--output", "{bad}"),
+], ids=lambda argv: "-".join(a.strip("-") for a in argv if "{" not in a)[:40])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    path = gen_csv(tmp_path, capsys)
+    called = []
+
+    def stub(name):
+        def refuse(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} ran before the output path was checked")
+        return refuse
+
+    for name in ("load_csv", "generate_dataset", "stratum_bases", "fit_3se", "fit_2se",
+                 "three_stage_point", "two_stage_point", "bootstrap", "monte_carlo"):
+        monkeypatch.setattr(cli, name, stub(name))
+    bad = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *(a.format(csv=path, bad=bad) for a in argv))
+    assert called == []
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error == {"kind": "usage",
+                     "message": f"[Errno 2] No such file or directory: {str(bad)!r}"}
 
 
 def test_simulate_emits_report_and_table(tmp_path, capsys):

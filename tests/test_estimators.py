@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from coprisk.cge import copula_graphic
+from coprisk.cge import copula_graphic, curve_values
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
@@ -21,7 +21,9 @@ from coprisk.estimators import (
     _search_tau,
     _smooth_window,
     _solve,
+    _thetas,
     _variance_plan,
+    _variance_value,
     fgls_fit,
     fit_2se,
     fit_3se,
@@ -34,7 +36,7 @@ from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel, PhModel, inverse_survival, survival
 from coprisk.simulate import DgpSpec, generate_dataset
 
-from oracles import padded_window_mean, semiparam_b
+from oracles import lstsq_regression, padded_window_mean, semiparam_b
 
 BENCH = dict(alpha=1.0, beta=[1.0], sigma=1.5)
 
@@ -107,12 +109,110 @@ def test_ph_weibull_noiseless_recovery():
     x = rng.uniform(0.05, 3.0, 200)
     z = rng.integers(0, 2, (200, 1)).astype(float)
     s = survival(model, x, z)
-    coef = _solve(_regression("weibull", "ph", np.log(x), z), s)
-    fitted = FglsFit("weibull", "ph", coef, 0).model()
+    coef, errors = _solve(_regression("weibull", "ph", np.log(x), z), s[None, :])
+    assert errors == [None]
+    fitted = FglsFit("weibull", "ph", coef[0], 0).model()
     assert isinstance(fitted, PhModel)
     assert fitted.alpha == pytest.approx(1.0, abs=1e-8)
     assert fitted.beta[0] == pytest.approx(0.8, abs=1e-8)
     assert fitted.sigma == pytest.approx(1.5, abs=1e-8)
+
+
+REGRESSION_FORMS = [("exponential", "aft"), ("weibull", "aft"), ("loglogistic", "aft"),
+                    ("lognormal", "aft"), ("weibull", "ph")]
+SHAPE_FAMILIES = ["weibull", "loglogistic", "lognormal"]
+RANK_DEFICIENT = ("design matrix is rank deficient (e.g. constant transformed "
+                  "curve values or collinear covariates)")
+
+
+def regression_sample(family, model_kind, m=300, seed=4):
+    """log durations, two covariates and three rows of noisy survival values
+    (a chunk of three thetas), so that the regression leaves residuals."""
+    rng = np.random.default_rng(seed)
+    z = np.column_stack([rng.integers(0, 2, m), rng.normal(0.0, 1.0, m)])
+    sigma = 1.0 if family == "exponential" else 1.4
+    model = (PhModel if model_kind == "ph" else AftModel)(family, 1.7, [0.6, -1.1], sigma)
+    x = rng.uniform(0.05, 3.0, m)
+    s = np.array([survival(model, x, z) * np.exp(rng.normal(0.0, scale, m))
+                  for scale in (0.02, 0.05, 0.1)])
+    return np.log(x), z, np.clip(s, 1e-6, 1.0 - 1e-6)
+
+
+@pytest.mark.parametrize("family, model_kind", REGRESSION_FORMS)
+def test_qr_solve_matches_lstsq_oracle(family, model_kind):
+    log_x, z, s = regression_sample(family, model_kind)
+    coef, errors = _solve(_regression(family, model_kind, log_x, z), s)
+    assert errors == [None] * 3
+    for row, c in zip(s, coef):
+        np.testing.assert_allclose(c, lstsq_regression(family, model_kind, log_x, z, row),
+                                   rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("family", SHAPE_FAMILIES)
+def test_qr_solve_fails_a_constant_curve_row_alone(family):
+    # a constant transformed curve duplicates the intercept column; lstsq and
+    # the residual-norm rule both call it rank deficient, and only its row fails
+    log_x, z, s = regression_sample(family, "aft")
+    s[1] = 0.5
+    coef, errors = _solve(_regression(family, "aft", log_x, z), s)
+    assert errors == [None, RANK_DEFICIENT, None]
+    assert np.all(np.isnan(coef[1]))
+    with pytest.raises(EstimationError, match="^design matrix is rank deficient"):
+        lstsq_regression(family, "aft", log_x, z, s[1])
+    for i in (0, 2):
+        np.testing.assert_allclose(coef[i], lstsq_regression(family, "aft", log_x, z, s[i]),
+                                   rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("family", SHAPE_FAMILIES)
+def test_qr_solve_fails_near_collinear_rows_as_lstsq_does(family):
+    # curve rows ever closer to a constant (the intercept column) beside a
+    # covariate of scale 1e6, so that the fixed columns' norm, not |v|, sets
+    # lstsq's cut-off; a row's relative spread is 10^-2 ... 10^-15
+    rng = np.random.default_rng(5)
+    m = 200
+    log_x = rng.normal(0.0, 1.0, m)
+    z = np.column_stack([rng.integers(0, 2, m), 1e6 * rng.normal(0.0, 1.0, m)])
+    spreads = 10.0 ** -np.arange(2, 16)
+    s = 0.5 * (1.0 + spreads[:, None] * rng.normal(0.0, 1.0, (spreads.size, m)))
+    coef, errors = _solve(_regression(family, "aft", log_x, z), s)
+    oracle_errors = []
+    for row, c in zip(s, coef):
+        try:
+            oracle = lstsq_regression(family, "aft", log_x, z, row)
+        except EstimationError as exc:
+            oracle_errors.append(str(exc))
+            continue
+        oracle_errors.append(None)
+        # the rows near the cut-off are ill-conditioned
+        np.testing.assert_allclose(c, oracle, rtol=1e-6, atol=0)
+    assert errors == oracle_errors
+    assert errors[:3] == [None] * 3 and errors[-3:] == [RANK_DEFICIENT] * 3
+
+
+@pytest.mark.parametrize("family, model_kind", REGRESSION_FORMS)
+def test_qr_solve_rejects_collinear_covariates(family, model_kind):
+    log_x, z, s = regression_sample(family, model_kind)
+    z = np.column_stack([z[:, 0], 2.0 * z[:, 0]])
+    with pytest.raises(EstimationError) as ours:
+        _solve(_regression(family, model_kind, log_x, z), s)
+    with pytest.raises(EstimationError) as oracle:
+        lstsq_regression(family, model_kind, log_x, z, s[0])
+    assert str(ours.value) == str(oracle.value) == RANK_DEFICIENT
+
+
+@pytest.mark.parametrize("family, model_kind", REGRESSION_FORMS)
+def test_qr_solve_needs_more_rows_than_columns(family, model_kind):
+    # two covariates: 4 columns in the PH and shape-family forms, 3 for the
+    # exponential family
+    p = 3 if family == "exponential" else 4
+    log_x, z, s = regression_sample(family, model_kind, m=p)
+    with pytest.raises(EstimationError) as ours:
+        _solve(_regression(family, model_kind, log_x, z), s)
+    with pytest.raises(EstimationError) as oracle:
+        lstsq_regression(family, model_kind, log_x, z, s[0])
+    assert str(ours.value) == str(oracle.value) == (
+        f"regression needs more than {p} rows, got {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +225,9 @@ def test_cvm_perfect_fit_is_zero():
     ds, _, model = noiseless_dataset("weibull", n=120)
     plan = _cvm_plan(ds, "weibull", "aft", smooth_knots=0)
     s_exact = survival(model, ds.x, ds.z)
-    value, _, _, _ = _cvm_value(plan, s_exact, False)
-    assert value <= 1e-18
+    values, errors, _, _, _ = _cvm_value(plan, s_exact[None, :], False)
+    assert errors == [None]
+    assert values[0] <= 1e-18
 
 
 def test_cvm_trace_is_finite_on_simulated_data():
@@ -187,6 +288,10 @@ def test_smoother_matches_padded_window_mean(size, window):
     np.testing.assert_allclose(smoothed, padded_window_mean(values, window), rtol=0, atol=1e-12)
     if window <= 1 or size < 3:
         assert smoothed is values
+    # a (curves x knots) array is smoothed row by row
+    rows = smooth_curve_values(np.stack([values, 0.5 * values]), window)
+    np.testing.assert_array_equal(rows[0], smoothed)
+    np.testing.assert_array_equal(rows[1], smooth_curve_values(0.5 * values, window))
 
 
 @pytest.mark.parametrize("window", [459, 4684])
@@ -223,26 +328,146 @@ def test_smooth_window(n_knots, smooth_knots, window):
 
 
 def two_minimum_criterion(fail_at=()):
-    """Minima at tau = -0.2 (value 0.05) and tau = 0.6 (value 0)."""
+    """Minima at tau = -0.2 (value 0.05) and tau = 0.6 (value 0), scored
+    for an array of taus as the kernels do."""
 
-    def criterion(tau):
-        if any(abs(tau - t) < 1e-9 for t in fail_at):
-            raise EstimationError("fails here")
-        return min((tau + 0.2) ** 2 + 0.05, (tau - 0.6) ** 2)
+    def criterion(taus):
+        errors = ["fails here" if any(abs(tau - t) < 1e-9 for t in fail_at) else None
+                  for tau in taus]
+        values = np.minimum((taus + 0.2) ** 2 + 0.05, (taus - 0.6) ** 2)
+        values[[e is not None for e in errors]] = np.nan
+        return values, errors
 
     return criterion
 
 
 def test_search_tau_reports_grid_local_minima():
     grid = np.linspace(-0.9, 0.9, 19)
-    criterion = two_minimum_criterion(fail_at=(0.2,))
-    tau_hat, _, n_failed, minima = _search_tau(criterion, grid)
-    assert tau_hat == pytest.approx(0.6, abs=1e-4)
-    assert n_failed == 1
-    assert minima == pytest.approx((-0.2, 0.6), abs=1e-12)
-    # a failed neighbour hides a minimum: it is not below both finite neighbours
-    _, _, _, minima = _search_tau(two_minimum_criterion(fail_at=(0.5,)), grid)
-    assert minima == pytest.approx((-0.2,), abs=1e-12)
+    for chunk in (1, 4, 19):
+        criterion = two_minimum_criterion(fail_at=(0.2,))
+        tau_hat, _, failed, minima = _search_tau(criterion, grid, chunk)
+        assert tau_hat == pytest.approx(0.6, abs=1e-4)
+        assert [(pytest.approx(0.2, abs=1e-12), "fails here")] == list(failed)
+        assert minima == pytest.approx((-0.2, 0.6), abs=1e-12)
+        # a failed neighbour hides a minimum: it is not below both finite neighbours
+        _, _, _, minima = _search_tau(two_minimum_criterion(fail_at=(0.5,)), grid, chunk)
+        assert minima == pytest.approx((-0.2,), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: each row of a chunk is its own evaluation
+# ---------------------------------------------------------------------------
+
+# tau = 0 takes the generator's theta = 0 branch; with amplified() bases the
+# curves at tau = -0.5 and -0.2 clamp at zero
+BATCH_TAUS = np.array([-0.9, -0.5, -0.2, 0.0, 0.4, 0.8])
+UNDEFINED = ("a curve value of 0 or 1 inside the trimmed window makes the "
+             "coefficient undefined")
+
+
+def amplified(basis, power=4.0):
+    """The basis with pi_hat(u-) raised to a power.  Its curves at negative
+    theta leave the generator's support and clamp at zero, which curves of a
+    sample's own first stage never do."""
+    return dataclasses.replace(basis, log_pi_left=power * basis.log_pi_left)
+
+
+def batch_dataset():
+    model = AftModel("weibull", **BENCH)
+    return generate_dataset(DgpSpec(n=400, tau=0.8, model_t=model, model_c=model), 3)
+
+
+def amplified_cvm_plan(family="weibull", model_kind="aft"):
+    plan = _cvm_plan(batch_dataset(), family, model_kind)
+    strata = tuple((amplified(b), window, start) for b, window, start in plan.strata)
+    return dataclasses.replace(plan, strata=strata)
+
+
+def amplified_variance_plan():
+    plan = _variance_plan(batch_dataset())
+    return dataclasses.replace(plan, bases=tuple(amplified(b) for b in plan.bases))
+
+
+def assert_rows_equal(batched, single):
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
+
+
+def test_curve_kernel_rows_equal_one_theta_calls():
+    thetas = _thetas(BATCH_TAUS)
+    assert thetas[3] == 0.0
+    for basis in amplified_variance_plan().bases:
+        batch = curve_values(basis, thetas)
+        assert batch.shape == (thetas.size, basis.event_times.size)
+        assert np.any(batch[1] == 0.0) and np.any(batch[2] == 0.0)
+        for row, theta in zip(batch, thetas):
+            assert_rows_equal(row, curve_values(basis, theta))
+            assert_rows_equal(row, curve_values(basis, np.array([theta]))[0])
+
+
+@pytest.mark.parametrize("family, model_kind, events_only", [
+    ("weibull", "aft", False), ("weibull", "aft", True), ("lognormal", "aft", False),
+    ("exponential", "aft", False), ("weibull", "ph", False),
+])
+def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
+    plan = amplified_cvm_plan(family, model_kind)
+    assert plan.chunk >= BATCH_TAUS.size
+    thetas = _thetas(BATCH_TAUS)
+    rows = _row_values(plan, thetas)
+    batch = _cvm_value(plan, rows, events_only)
+    assert batch[4][1] > 2 and batch[4][2] > 2  # rows read a curve clamped at zero
+    for i in range(thetas.size):
+        one_rows = _row_values(plan, thetas[i:i + 1])
+        assert_rows_equal(rows[i], one_rows[0])
+        values, errors, coef, mean_gap, n_clamped = _cvm_value(plan, one_rows, events_only)
+        assert errors == [None] and batch[1][i] is None
+        assert_rows_equal(batch[0][i], values[0])
+        assert_rows_equal(batch[2][i], coef[0])
+        assert_rows_equal(batch[3][i], mean_gap[0])
+        assert batch[4][i] == n_clamped[0]
+
+
+def test_variance_kernel_rows_equal_one_theta_calls():
+    plan = amplified_variance_plan()
+    assert plan.chunk >= BATCH_TAUS.size
+    thetas = _thetas(BATCH_TAUS)
+    values, errors, contrasts = _variance_value(plan, thetas)
+    # the curves that clamp at zero, and the theta = 0 curve whose
+    # generator underflows, read 0 inside the window
+    assert errors == [None, UNDEFINED, UNDEFINED, UNDEFINED, None, None]
+    assert np.all(np.isnan(values[1:4]))
+    for i in (0, 4, 5):
+        one_values, one_errors, one_contrasts = _variance_value(plan, thetas[i:i + 1])
+        assert one_errors == [None]
+        assert_rows_equal(values[i], one_values[0])
+        assert_rows_equal(contrasts[i], one_contrasts[0])
+
+
+def test_failed_theta_keeps_its_chunk_mates():
+    # 2SE: three thetas of one chunk fail in the curve transform
+    plan = amplified_variance_plan()
+    single = {tau: _variance_value(plan, _thetas([tau]))[0][0] for tau in BATCH_TAUS}
+    _, trace, failed, _ = _search_tau(
+        lambda taus: _variance_value(plan, _thetas(taus))[:2], BATCH_TAUS, BATCH_TAUS.size)
+    assert failed == tuple((tau, UNDEFINED) for tau in BATCH_TAUS[1:4])
+    on_grid = dict(t for t in trace if t[0] in single)
+    for tau, value in single.items():
+        np.testing.assert_allclose(on_grid[tau], value, rtol=1e-12, atol=0)
+
+    # 3SE: one theta's transformed curve is constant, a rank deficient design
+    plan = _cvm_plan(batch_dataset(), "weibull", "aft")
+
+    def criterion(taus):
+        rows = _row_values(plan, _thetas(taus))
+        rows[taus == 0.4] = 0.5
+        return _cvm_value(plan, rows, False)[:2]
+
+    single = {tau: criterion(np.array([tau]))[0][0] for tau in BATCH_TAUS}
+    _, trace, failed, _ = _search_tau(criterion, BATCH_TAUS, BATCH_TAUS.size)
+    assert failed == ((0.4, RANK_DEFICIENT),)
+    assert np.isnan(single[0.4])
+    on_grid = dict(t for t in trace if t[0] in single)
+    for tau, value in single.items():
+        np.testing.assert_allclose(on_grid[tau], value, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +674,8 @@ def test_plan_values_equal_curve_lookups():
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds3, theta)
         for smooth_knots in (None, 25, 0):
-            rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots), theta)
+            rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots),
+                               np.array([theta]))[0]
             for level, idx in strata3.items():
                 step = curves[level]
                 values = step.values
@@ -461,7 +687,7 @@ def test_plan_values_equal_curve_lookups():
             assert np.all(rows[strata3.indices[2]] == 1.0)
         curves = stratum_curves(ds2, theta)
         log_l = [np.log(-np.log(curves[strata2.levels[j]](x_kept))) for j in (ref, *others)]
-        contrasts = _kept_contrasts(plan2, theta)
+        contrasts = _kept_contrasts(plan2, np.array([theta]))[0]
         for values, expected in zip(contrasts, log_l[1:]):
             assert np.all(values == expected - log_l[0])
 
@@ -480,7 +706,7 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds, theta)
         # each kept row's coefficients, as fit_2se averages them into beta_hat
-        b = _kept_contrasts(plan, theta).T @ plan.diffs_pinv.T
+        b = _kept_contrasts(plan, np.array([theta]))[0].T @ plan.diffs_pinv.T
         assert b.shape == (x_kept.size, 1)
         expected = [
             semiparam_b(x, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
@@ -505,7 +731,7 @@ def test_weights_score_the_summed_row_coefficients():
     plan = _variance_plan(six_strata_dataset())
     assert plan.diffs_pinv.shape == (2, 5)
     for theta in (-0.5, 0.5, 3.0):
-        contrasts = _kept_contrasts(plan, theta)
+        contrasts = _kept_contrasts(plan, np.array([theta]))[0]
         b = contrasts.T @ plan.diffs_pinv.T
         np.testing.assert_allclose(plan.weights @ contrasts, b.sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
@@ -531,8 +757,8 @@ def test_b_matrix_rejects_curve_value_one():
                                   model_c=AftModel("weibull", **BENCH)), 3)
     plan = _variance_plan(ds)
     pos = (np.zeros_like(plan.pos[0]), *plan.pos[1:])
-    with pytest.raises(EstimationError, match="undefined"):
-        _kept_contrasts(dataclasses.replace(plan, pos=pos), 1.0)
+    values, errors, _ = _variance_value(dataclasses.replace(plan, pos=pos), np.array([1.0]))
+    assert np.isnan(values[0]) and "undefined" in errors[0]
 
 
 def test_variance_objective_zero_for_ph_curves():
