@@ -233,13 +233,12 @@ def _truth_for(spec: DgpSpec, method: str) -> dict[str, float]:
 def cmd_gen(args) -> int:
     spec = _dgp_from_args(args)
     ds = generate_dataset(spec, args.seed)
-    header = ["x", "delta"] + [f"z{j+1}" for j in range(ds.k)]
-    rows = np.column_stack([ds.x, ds.delta.astype(float), ds.z])
+    header = ",".join(["x", "delta"] + [f"z{j+1}" for j in range(ds.k)])
+    # the bytes csv.writer gives: no field needs quoting, rows end in \r\n
+    row = "{:.12g},{:d}" + ",{:.12g}" * ds.k
+    rows = map(row.format, ds.x.tolist(), ds.delta.tolist(), *ds.z.T.tolist())
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{row[0]:.12g}", int(row[1])] + [f"{v:.12g}" for v in row[2:]])
+        fh.write("\r\n".join([header, *rows, ""]))
     return 0
 
 

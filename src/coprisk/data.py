@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,6 +14,9 @@ from .errors import DataError
 # A nonparametric first stage needs every stratum to carry enough observations;
 # more distinct covariate vectors than this signals a continuous covariate.
 MAX_STRATA = 64
+
+# risk labels are stored as int64
+LABEL_LIMIT = 2.0**63
 
 
 class Dataset:
@@ -105,21 +109,25 @@ def load_csv(
     """Read a dataset from a UTF-8 CSV file with a header row.
 
     z_cols=None auto-detects covariate columns named z1, z2, ... in order.
-    Header names are stripped of surrounding whitespace.  Rows with a
-    non-positive or missing x, or a missing, negative or non-integral delta
-    (1.0 is accepted, 1.5 is not), are rejected with the offending file line
-    number.
+    Header names are stripped of surrounding whitespace, and a column used
+    for x, delta or z must be named only once.  Fields may be quoted, so an
+    unused column may hold commas, and may have spaces around the number;
+    blank lines are skipped.  Rows with a non-positive or missing x, or a
+    missing, negative or non-integral delta (1.0 is accepted, 1.5 is not),
+    are rejected with a line number that counts the header as line 1 and
+    then each non-blank row, which is the file line when the file has no
+    blank lines.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise DataError(f"{path}: empty file (header row required)")
-        # rows are read by the stripped names, so "x, delta" matches "delta"
-        header = reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        # columns are found by the stripped names, so "x, delta" matches "delta"
+        header = [name.strip() for name in header]
         if x_col not in header or delta_col not in header:
             raise DataError(
                 f"{path}: required columns '{x_col}' and '{delta_col}' not both present"
@@ -135,36 +143,68 @@ def load_csv(
             missing = [c for c in z_cols if c not in header]
             if missing:
                 raise DataError(f"{path}: covariate columns not found: {missing}")
-
-        xs: list[float] = []
-        deltas: list[int] = []
-        zs: list[list[float]] = []
-        for lineno, rec in enumerate(reader, start=2):
-            try:
-                xval = float(rec[x_col])
-                dfloat = float(rec[delta_col])
-                zrow = [float(rec[c]) for c in z_cols]
-            except (TypeError, ValueError, KeyError) as exc:
-                raise DataError(f"{path}: line {lineno}: unparseable row ({exc})") from exc
-            if not np.isfinite(xval) or xval <= 0.0:
-                raise DataError(f"{path}: line {lineno}: duration x must be > 0, got {xval}")
-            if not dfloat.is_integer():
-                raise DataError(
-                    f"{path}: line {lineno}: delta must be a whole number, got {dfloat}"
-                )
-            dval = int(dfloat)
-            if dval < 0:
-                raise DataError(f"{path}: line {lineno}: delta must be >= 0, got {dval}")
-            xs.append(xval)
-            deltas.append(dval)
-            zs.append(zrow)
-    if not xs:
+        names = [x_col, delta_col, *z_cols]
+        repeated = [c for c in dict.fromkeys(names) if header.count(c) > 1]
+        if repeated:
+            raise DataError(f"{path}: columns named more than once in the header: {repeated}")
+        usecols = [header.index(c) for c in names]
+        try:
+            with warnings.catch_warnings():
+                # a header-only file; the empty result is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                cols = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                  usecols=usecols, ndmin=2, dtype=float)
+        except ValueError as exc:
+            fh.seek(0)
+            raise _unparseable(path, fh, usecols, exc) from exc
+    if cols.shape[0] == 0:
         raise DataError(f"{path}: no data rows")
-    z = np.asarray(zs, dtype=float) if z_cols else None
+    _check_rows(path, cols)
     try:
-        return Dataset(xs, deltas, z)
+        return Dataset(np.ascontiguousarray(cols[:, 0]), cols[:, 1].astype(int),
+                       np.ascontiguousarray(cols[:, 2:]))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _check_rows(path, cols: np.ndarray) -> None:
+    """Reject the first row (x, delta, ...) of cols whose x is not finite
+    and > 0, or whose delta is not a whole number in [0, 2**63)."""
+    x, delta = cols[:, 0], cols[:, 1]
+    bad_x = ~(np.isfinite(x) & (x > 0.0))
+    fractional = ~(np.isfinite(delta) & (delta == np.floor(delta)))
+    bad = bad_x | fractional | (delta < 0.0) | (delta >= LABEL_LIMIT)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    where = f"{path}: line {i + 2}"
+    if bad_x[i]:
+        raise DataError(f"{where}: duration x must be > 0, got {float(x[i])}")
+    if fractional[i]:
+        raise DataError(f"{where}: delta must be a whole number, got {float(delta[i])}")
+    if delta[i] < 0.0:
+        raise DataError(f"{where}: delta must be >= 0, got {int(delta[i])}")
+    raise DataError(f"{where}: delta must be below 2**63, got {float(delta[i])}")
+
+
+def _unparseable(path, fh, usecols: list[int], exc: ValueError) -> DataError:
+    """The error for a file that np.loadtxt rejects, read again from the top.
+
+    Names the first row whose used fields are missing or not numbers, unless
+    a row before it fails _check_rows; a file in which every used field
+    passes float() (such as "1_0") gets numpy's message.
+    """
+    rows = csv.reader(fh)
+    next(rows)  # the header
+    parsed: list[list[float]] = []
+    for row in filter(None, rows):  # a blank line is an empty row
+        try:
+            parsed.append([float(row[j]) for j in usecols])
+        except (IndexError, ValueError) as err:
+            reason = "missing field" if isinstance(err, IndexError) else err
+            _check_rows(path, np.array(parsed).reshape(-1, len(usecols)))
+            return DataError(f"{path}: line {len(parsed) + 2}: unparseable row ({reason})")
+    return DataError(f"{path}: {exc}")
 
 
 def pool_risks(ds: Dataset, target: int) -> Dataset:

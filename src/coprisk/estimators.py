@@ -68,7 +68,14 @@ from typing import Callable
 
 import numpy as np
 
-from .cge import CurveBasis, TrimBounds, curve_values, stratum_bases, trim_support
+from .cge import (
+    CURVE_OVERFLOW,
+    CurveBasis,
+    TrimBounds,
+    curve_values,
+    stratum_bases,
+    trim_support,
+)
 from .copula import theta_from_tau
 from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
@@ -204,10 +211,11 @@ def _regression(family: str, model_kind: str, log_x: np.ndarray,
                        log_x - q @ q_log_x, rcond, sv[0], None)
 
 
-def _clamp_curve_values(s_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped values and the number of clamped values along the last axis."""
+def _clamp_curve_values(s_hat: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped values (into out if given) and the number of clamped values
+    along the last axis."""
     clamped = (s_hat < S_CLAMP) | (s_hat > 1.0 - S_CLAMP)
-    return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP), np.count_nonzero(clamped, axis=-1)
+    return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP, out=out), np.count_nonzero(clamped, axis=-1)
 
 
 def _mark(errors: list, failed: np.ndarray, message: str) -> None:
@@ -268,7 +276,10 @@ def _model_survival(reg: _Regression, coef: np.ndarray, log_x: np.ndarray,
     if zero.any():
         _mark(errors, zero, "zero inverse shape in the fitted regression")
         inv_sigma = np.where(inv_sigma == 0.0, np.nan, inv_sigma)
-    return sw_survival(reg.family, (log_x + coef[:, :1] + coef[:, 1:-1] @ z.T) / inv_sigma)
+    eta = log_x + coef[:, :1]
+    eta += coef[:, 1:-1] @ z.T
+    eta /= inv_sigma
+    return sw_survival(reg.family, eta)
 
 
 def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
@@ -388,19 +399,29 @@ def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool):
     Returns (values, failure messages, regression coefficients, mean gaps,
     numbers of clamped rows), one entry per theta; a failed theta's value is
     NaN and its message is in the list, which holds None for the others.
+    s_hat is clamped in place, and the (thetas x rows) temporaries are
+    updated in place too: at n = 100000 each one is 800 kB per theta, and
+    fewer of them keep the evaluation's memory inside what the allocator
+    already holds.
     """
-    s_cl, n_clamped = _clamp_curve_values(s_hat)
+    s_cl, n_clamped = _clamp_curve_values(s_hat, out=s_hat)
     coef, errors = _solve(plan.regression, np.take(s_cl, plan.events, axis=1))
-    gap = _model_survival(plan.regression, coef, plan.log_x, plan.z, errors) - s_cl
+    gap = _model_survival(plan.regression, coef, plan.log_x, plan.z, errors)
+    gap -= s_cl
     if events_only:
         gap = np.take(gap, plan.events, axis=1)
-    values = np.mean(gap**2, axis=1)
+    mean_gap = np.mean(gap, axis=1)
+    values = np.mean(np.square(gap, out=gap), axis=1)
     # a theta that failed above has NaN coefficients, hence a NaN value
     failed = ~np.isfinite(values)
     if failed.any():
+        # only an overflowed curve (see curve_values) puts NaN in s_hat; the
+        # regression then fails under another name, which this one replaces
+        overflow = np.isnan(s_cl).any(axis=1)
+        errors = [CURVE_OVERFLOW if o else e for o, e in zip(overflow, errors)]
         _mark(errors, failed, "criterion evaluated to a non-finite value")
         values[failed] = np.nan
-    return values, errors, coef, np.mean(gap, axis=1), n_clamped
+    return values, errors, coef, mean_gap, n_clamped
 
 
 def _pair_structure(strata: StrataIndex):
@@ -475,8 +496,8 @@ def _kept_contrasts(plan: _VariancePlan, thetas: np.ndarray) -> np.ndarray:
     rows).
 
     The transform runs over each stratum's knots, which are fewer than the
-    kept rows, and the rows then gather from it.  A curve value of 0 or 1
-    gives a non-finite contrast.
+    kept rows, and the rows then gather from it.  A curve value of 0 or 1,
+    or an overflowed curve, gives a non-finite contrast.
     """
     log_l = plan.log_l[:, :thetas.size]
     for basis, pos, out in zip(plan.bases, plan.pos, log_l):
@@ -508,6 +529,10 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
     errors: list = [None] * thetas.size
     failed = ~np.isfinite(values)
     if failed.any():
+        # an overflowed curve (NaN, see curve_values) and a curve value of 0
+        # or 1 both give NaN contrasts; the curves tell them apart
+        for basis in plan.bases:
+            _mark(errors, np.isnan(curve_values(basis, thetas)[:, -1]), CURVE_OVERFLOW)
         _mark(errors, ~np.all(np.isfinite(contrasts), axis=(1, 2)),
               "a curve value of 0 or 1 inside the trimmed window makes the "
               "coefficient undefined")

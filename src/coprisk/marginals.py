@@ -87,8 +87,11 @@ def sw_survival(family: str, w):
     w = np.asarray(w, dtype=float)
     scalar = w.ndim == 0
     if family in ("exponential", "weibull"):
+        # exp(-exp(w)), in one array
+        out = np.empty_like(w)
         with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(w))
+            np.exp(w, out=out)
+        np.exp(np.negative(out, out=out), out=out)
     elif family == "loglogistic":
         out = expit(-w)
     else:

@@ -5,10 +5,13 @@ it cannot share a code path (or a bug) with the package's vectorised
 implementations.
 """
 
+import csv
+
 import numpy as np
 from scipy.special import ndtri
 
-from coprisk.errors import EstimationError
+from coprisk.data import Dataset
+from coprisk.errors import DataError, EstimationError
 
 
 def nelson_aalen_survival(x, delta, t):
@@ -146,3 +149,61 @@ def lstsq_regression(family, model_kind, log_x, z, s):
     if model_kind == "aft" and family == "exponential":
         return np.append(coef, 1.0)
     return coef
+
+
+def dict_reader_load(path, x_col="x", delta_col="delta", z_cols=None):
+    """A CSV dataset read one row at a time through csv.DictReader, with a
+    float() call and the row checks per row.
+
+    Reference for the column loader; a row's line number counts the header
+    as line 1 and then each non-blank row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file (header row required)")
+        header = reader.fieldnames = [name.strip() for name in reader.fieldnames]
+        if x_col not in header or delta_col not in header:
+            raise DataError(
+                f"{path}: required columns '{x_col}' and '{delta_col}' not both present"
+            )
+        if z_cols is None:
+            z_cols = []
+            j = 1
+            while f"z{j}" in header:
+                z_cols.append(f"z{j}")
+                j += 1
+        xs, deltas, zs = [], [], []
+        for lineno, rec in enumerate(reader, start=2):
+            try:
+                xval = float(rec[x_col])
+                dfloat = float(rec[delta_col])
+                zrow = [float(rec[c]) for c in z_cols]
+            except (TypeError, ValueError, KeyError) as exc:
+                raise DataError(f"{path}: line {lineno}: unparseable row ({exc})") from exc
+            if not np.isfinite(xval) or xval <= 0.0:
+                raise DataError(f"{path}: line {lineno}: duration x must be > 0, got {xval}")
+            if not dfloat.is_integer():
+                raise DataError(
+                    f"{path}: line {lineno}: delta must be a whole number, got {dfloat}"
+                )
+            dval = int(dfloat)
+            if dval < 0:
+                raise DataError(f"{path}: line {lineno}: delta must be >= 0, got {dval}")
+            xs.append(xval)
+            deltas.append(dval)
+            zs.append(zrow)
+    if not xs:
+        raise DataError(f"{path}: no data rows")
+    z = np.asarray(zs, dtype=float) if z_cols else None
+    return Dataset(xs, deltas, z)
+
+
+def csv_writer_rows(path, x, delta, z):
+    """A dataset written one row at a time through csv.writer, x and z at
+    12 significant digits; reference for the column writer of coprisk gen."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "delta"] + [f"z{j + 1}" for j in range(z.shape[1])])
+        for xi, di, zi in zip(x, delta, z):
+            writer.writerow([f"{xi:.12g}", int(di)] + [f"{v:.12g}" for v in zi])

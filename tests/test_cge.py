@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from coprisk.cge import copula_graphic, curve_basis, trim_support
+from coprisk.cge import (
+    CURVE_OVERFLOW,
+    CurveBasis,
+    copula_graphic,
+    curve_basis,
+    curve_values,
+    trim_support,
+)
 from coprisk.data import Dataset
 from coprisk.errors import EstimationError
 from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
@@ -100,6 +107,28 @@ def test_diverging_integrand_reported():
     ft_hat = StepFunction(np.array([1.0, 2.0]), np.array([0.25, 0.5]), initial_value=0.0)
     with pytest.raises(EstimationError, match="2.0"):
         copula_graphic(pi_hat, ft_hat, 1.0)
+
+
+def test_overflowing_theta_fails_alone():
+    # pi_hat(u-) = e^-10 at the second knot: at theta = 100 its term is
+    # e^1010, past the float range, while theta = 1 and 2 stay finite
+    basis = CurveBasis(event_times=np.array([1.0, 2.0]), jumps=np.array([0.1, 0.1]),
+                       log_pi_left=np.array([-1.0, -10.0]))
+    values = curve_values(basis, np.array([1.0, 100.0, 2.0]))
+    assert np.all(np.isnan(values[1]))
+    np.testing.assert_array_equal(values[0], curve_values(basis, 1.0))
+    np.testing.assert_array_equal(values[2], curve_values(basis, 2.0))
+    assert np.all((values[[0, 2]] > 0.0) & (values[[0, 2]] < 1.0))
+    with pytest.raises(EstimationError, match="overflows") as info:
+        curve_values(basis, 100.0)
+    assert str(info.value).startswith(CURVE_OVERFLOW)
+    # at e^-7 the largest term, e^707 / 10, is past the bound that skips the
+    # check but inside the float range: a curve like any other
+    near = CurveBasis(event_times=basis.event_times, jumps=basis.jumps,
+                      log_pi_left=np.array([-1.0, -7.0]))
+    terms = np.exp(101.0 * np.array([1.0, 7.0])) * 0.1
+    np.testing.assert_allclose(curve_values(near, 100.0),
+                               (1.0 + 100.0 * np.cumsum(terms)) ** -0.01, rtol=1e-12)
 
 
 def _two_strata_dataset():

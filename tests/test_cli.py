@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from coprisk import cli
@@ -11,6 +12,8 @@ from coprisk.estimators import three_stage_point
 from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel
 from coprisk.simulate import DgpSpec, generate_dataset
+
+from oracles import csv_writer_rows
 
 
 def run(capsys, *argv):
@@ -281,3 +284,47 @@ def test_multi_risk_pooling_via_target_risk(tmp_path, capsys):
                        "--target-risk", "9", "--tau-list", "0")
     assert code == 3
     assert "9" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-covariate",)])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_gen_bytes_equal_csv_writer_oracle(tmp_path, capsys, seed, extra):
+    path = gen_csv(tmp_path, capsys, n=500, tau=0.8, seed=seed, extra=extra)
+    ds = generate_dataset(cli._dgp_from_args(cli.build_parser().parse_args(
+        ["gen", "--n", "500", "--tau", "0.8", "--seed", str(seed), "--output", "-",
+         *extra])), seed)
+    oracle = tmp_path / "oracle.csv"
+    csv_writer_rows(oracle, ds.x, ds.delta, ds.z)
+    assert path.read_bytes() == oracle.read_bytes()
+    # the round trip loses only what 12 significant digits drop
+    loaded = load_csv(path)
+    rounded = np.vectorize(lambda v: float(f"{v:.12g}"))
+    np.testing.assert_array_equal(loaded.x, rounded(ds.x))
+    np.testing.assert_array_equal(loaded.delta, ds.delta)
+    np.testing.assert_array_equal(loaded.z, rounded(ds.z) if ds.k else ds.z)
+
+
+@pytest.mark.parametrize("method", ["3se-aft", "2se"])
+def test_overflowing_grid_point_is_skipped(tmp_path, capsys, method):
+    # at tau = 0.98 the larger stratum's curve integrand overflows
+    path = gen_csv(tmp_path, capsys, n=2000, tau=0.8, seed=1)
+    code, out, err = run(capsys, "fit", "--input", str(path), "--method", method,
+                         "--tau-grid", "0.5:0.98:0.04")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["diagnostics"]["n_grid_failed"] == 1
+    assert [0.98, None] in result["objective_trace"]
+    assert result["tau_hat"] < 0.98
+    code, _, err = run(capsys, "fit", "--input", str(path), "--method", method,
+                       "--tau-grid", "0.98:0.99:0.01")
+    assert code == 4
+    error = json.loads(err)["error"]
+    assert error["kind"] == "estimation"
+    assert "overflows" in error["message"]
+
+
+def test_curve_overflow_is_an_estimation_error(tmp_path, capsys):
+    path = gen_csv(tmp_path, capsys, n=2000, tau=0.8, seed=1)
+    code, _, err = run(capsys, "curve", "--input", str(path), "--tau-list", "0.98")
+    assert code == 4
+    assert "overflows" in json.loads(err)["error"]["message"]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from coprisk.cli import main
 from coprisk.data import Dataset, load_csv, pool_risks, stratify
 from coprisk.errors import DataError
+
+from oracles import csv_writer_rows, dict_reader_load
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -69,9 +72,12 @@ def test_load_strips_header_whitespace(tmp_path):
 
 
 def test_load_empty(tmp_path):
-    path = write(tmp_path, "x,delta\n")
-    with pytest.raises(DataError):
-        load_csv(path)
+    # np.loadtxt's "input contained no data" warning is handled inside
+    for text in ("x,delta\n", "x,delta\n\n\n"):
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(write(tmp_path, text))
+    with pytest.raises(DataError, match="empty file"):
+        load_csv(write(tmp_path, ""))
 
 
 def test_dataset_validation():
@@ -149,3 +155,105 @@ def test_stratify_too_many_levels():
     ds = Dataset(np.arange(1.0, n + 1), np.ones(n, int), np.arange(n, dtype=float))
     with pytest.raises(DataError, match="distinct covariate vectors"):
         stratify(ds)
+
+
+# ---------------------------------------------------------------------------
+# the column loader against the row-by-row csv.DictReader oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_same_dataset(ds, oracle):
+    for name in ("x", "delta", "z"):
+        got, want = getattr(ds, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [400, 2000, 20000])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_load_matches_oracle(tmp_path, n, k):
+    path = tmp_path / "data.csv"
+    if k < 2:
+        extra = ["--no-covariate"] if k == 0 else []
+        assert main(["gen", "--n", str(n), "--seed", "5", "--output", str(path), *extra]) == 0
+    else:
+        rng = np.random.default_rng(n)
+        csv_writer_rows(path, rng.exponential(2.0, n), rng.integers(0, 3, n),
+                        rng.integers(0, 2, (n, 2)).astype(float))
+    ds = load_csv(path)
+    assert ds.n == n and ds.k == k
+    assert_same_dataset(ds, dict_reader_load(path))
+
+
+EDGE_FILES = {
+    "quoted fields": 'x,delta,z1\n"1.5","1","0"\n2.5,"0",1\n',
+    "unused quoted comma": 'id,x,delta\n"a, b",1.5,1\n"c",2.5,0\n',
+    "blank lines": "x,delta\n1.5,1\n\n2.5,0\n\n\n3.5,2\n",
+    "crlf": "x,delta,z1\r\n1.5,1,0\r\n2.5,0,1\r\n",
+    "spaces": " x , delta , z1 \n 1.5 , 1 , 0 \n2.5,0 ,1\n",
+    "exponent": "x,delta\n1.5e-3,1\n2E2,0\n",
+    "float labels": "x,delta\n1.5,1.0\n2.5,0.0\n3.5,2.0\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+def test_load_edge_files_match_oracle(tmp_path, text):
+    path = write(tmp_path, text)
+    assert_same_dataset(load_csv(path), dict_reader_load(path))
+
+
+BAD_ROWS = {
+    "short row": ("x,delta,z1\n1.0,1,0\n2.0,0\n", "line 3: unparseable row"),
+    "empty field": ("x,delta\n1.0,1\n2.0,\n", "line 3: unparseable row"),
+    "text z": ("x,delta,z1\n1.0,1,0\n2.0,0,one\n", "line 3: unparseable row"),
+    "x = 0": ("x,delta\n1.0,1\n0,0\n", "line 3: duration x must be > 0, got 0.0"),
+    "x = nan": ("x,delta\n1.0,1\nnan,0\n", "line 3: duration x must be > 0, got nan"),
+    "delta = -1": ("x,delta\n1.0,1\n2.0,-1\n", "line 3: delta must be >= 0, got -1"),
+    "delta = 1.5": ("x,delta\n1.0,1\n2.0,1.5\n",
+                    "line 3: delta must be a whole number, got 1.5"),
+    "line after blank": ("x,delta\n1.0,1\n\n2.0,0\n3.0,-1\n",
+                         "line 4: delta must be >= 0, got -1"),
+    "bad value before bad text": ("x,delta\n1.0,1\n-2.0,0\nthree,0\n",
+                                  "line 3: duration x must be > 0, got -2.0"),
+    "bad text before bad value": ("x,delta\n1.0,1\nthree,0\n-2.0,0\n",
+                                  "line 3: unparseable row"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_load_rejects_bad_rows_as_oracle_does(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(DataError) as new:
+        load_csv(path)
+    with pytest.raises(DataError) as old:
+        dict_reader_load(path)
+    assert message in str(new.value) and message in str(old.value)
+    if "unparseable" not in message:
+        assert str(new.value) == str(old.value)
+
+
+# float() reads digit separators and non-ASCII digits; np.loadtxt does not
+@pytest.mark.parametrize("field", ["1_0", "\uff11"])
+def test_load_rejects_what_only_float_reads(tmp_path, field):
+    path = write(tmp_path, f"x,delta\n1.0,1\n{field},0\n")
+    assert dict_reader_load(path).n == 2
+    with pytest.raises(DataError, match="could not convert string"):
+        load_csv(path)
+
+
+def test_load_rejects_labels_past_int64(tmp_path):
+    path = write(tmp_path, "x,delta\n1.0,1\n2.0,1e20\n")
+    with pytest.raises(OverflowError):
+        dict_reader_load(path)
+    with pytest.raises(DataError, match="line 3: delta must be below 2\\*\\*63, got 1e\\+20"):
+        load_csv(path)
+
+
+def test_load_rejects_repeated_used_columns(tmp_path):
+    path = write(tmp_path, "x,delta,x,note,note\n1.0,1,2.0,a,b\n2.0,0,3.0,c,d\n")
+    with pytest.raises(DataError, match=r"more than once in the header: \['x'\]"):
+        load_csv(path)
+    # a repeated column that is not used is no error
+    path = write(tmp_path, "x,delta,note,note\n1.0,1,a,b\n2.0,0,c,d\n")
+    assert load_csv(path).n == 2
+

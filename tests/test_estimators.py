@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from coprisk.cge import copula_graphic, curve_values
+from coprisk.cge import CURVE_OVERFLOW, copula_graphic, curve_values
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
@@ -377,6 +377,13 @@ def batch_dataset():
     return generate_dataset(DgpSpec(n=400, tau=0.8, model_t=model, model_c=model), 3)
 
 
+def overflow_dataset():
+    """The n = 2000 sample of `coprisk gen --seed 1`, whose larger stratum's
+    curve overflows at tau = 0.98 and no lower grid tau."""
+    model = AftModel("weibull", **BENCH)
+    return generate_dataset(DgpSpec(n=2000, tau=0.8, model_t=model, model_c=model), 1)
+
+
 def amplified_cvm_plan(family="weibull", model_kind="aft"):
     plan = _cvm_plan(batch_dataset(), family, model_kind)
     strata = tuple((amplified(b), window, start) for b, window, start in plan.strata)
@@ -413,7 +420,7 @@ def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     rows = _row_values(plan, thetas)
-    batch = _cvm_value(plan, rows, events_only)
+    batch = _cvm_value(plan, rows.copy(), events_only)  # it clamps its input
     assert batch[4][1] > 2 and batch[4][2] > 2  # rows read a curve clamped at zero
     for i in range(thetas.size):
         one_rows = _row_values(plan, thetas[i:i + 1])
@@ -816,3 +823,41 @@ def test_two_stage_point_keys():
     )
     out = two_stage_point(ds, tau_grid=np.linspace(-0.5, 0.8, 6))
     assert set(out) == {"tau", "beta1"}
+
+
+OVERFLOW_TAUS = np.array([0.9, 0.98, 0.94])
+
+
+@pytest.mark.parametrize("kind", ["3se", "2se"])
+def test_overflowing_theta_fails_alone_in_its_chunk(kind):
+    ds = overflow_dataset()
+    if kind == "3se":
+        plan = _cvm_plan(ds, "weibull", "aft")
+
+        def kernel(thetas):
+            return _cvm_value(plan, _row_values(plan, thetas), False)[:2]
+    else:
+        plan = _variance_plan(ds)
+
+        def kernel(thetas):
+            return _variance_value(plan, thetas)[:2]
+
+    values, errors = kernel(_thetas(OVERFLOW_TAUS))
+    assert errors == [None, CURVE_OVERFLOW, None]
+    assert np.isnan(values[1])
+    for i in (0, 2):
+        (one,), _ = kernel(_thetas(OVERFLOW_TAUS[i:i + 1]))
+        np.testing.assert_allclose(values[i], one, rtol=1e-12, atol=0)
+
+
+def test_fits_skip_an_overflowing_grid_point():
+    ds = overflow_dataset()
+    grid = np.arange(0.5, 0.99, 0.04)
+    assert grid[-1] == pytest.approx(0.98)
+    for fit in (functools.partial(fit_3se, family="weibull"), fit_2se):
+        result = fit(ds, tau_grid=grid)
+        assert result.diagnostics["n_grid_failed"] == 1
+        assert np.isnan(dict(result.objective_trace)[grid[-1]])
+        assert result.tau_hat < 0.98
+        with pytest.raises(EstimationError, match="every grid point.*overflows"):
+            fit(ds, tau_grid=[0.98])
