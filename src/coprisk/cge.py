@@ -30,10 +30,6 @@ from .data import Dataset, StrataIndex
 from .errors import EstimationError
 from .first_stage import StepFunction, overall_survival, sub_distribution
 
-# exp() overflows just above 709.78; a curve whose terms stay below
-# exp(SAFE_EXPONENT) needs no overflow check
-SAFE_EXPONENT = 700.0
-
 CURVE_OVERFLOW = (
     "the copula-graphic integrand pi_hat(u-)**-(theta+1) overflows; the "
     "dependence is too strong for this sample's at-risk fractions"
@@ -107,45 +103,20 @@ def curve_values(basis: CurveBasis, theta) -> np.ndarray:
     """
     thetas = np.asarray(theta, dtype=float)
     col = thetas.reshape(-1, 1)
-    if _may_overflow(basis, col):
-        values = _checked_values(basis, col, thetas.ndim == 0)
-    else:
-        values = generator(_running_sums(basis, col), col)
-    return values[0] if thetas.ndim == 0 else values
-
-
-def _running_sums(basis: CurveBasis, col: np.ndarray) -> np.ndarray:
-    return np.cumsum(np.exp(-(col + 1.0) * basis.log_pi_left) * basis.jumps, axis=1)
-
-
-def _may_overflow(basis: CurveBasis, col: np.ndarray) -> bool:
-    """Whether some theta of col can take a term of the curve out of range.
-
-    pi_hat(u-) falls along the knots and the jumps sum to at most 1, so each
-    term and running sum is at most exp((theta+1) * L), with L the
-    -log pi_hat(u-) of the last knot, and the generator's theta * sum at
-    most theta + 1 times that.
-    """
-    if basis.log_pi_left.size == 0:
-        return False
-    top = max(col.ravel().tolist(), default=-1.0) + 1.0
-    return top * -float(basis.log_pi_left[-1]) + math.log(max(top, 1.0)) >= SAFE_EXPONENT
-
-
-def _checked_values(basis: CurveBasis, col: np.ndarray, scalar: bool) -> np.ndarray:
-    """The curves of col's thetas when some may overflow: an overflowed
-    theta raises if it is the only one (scalar) and gets a row of NaN
-    otherwise."""
     with np.errstate(over="ignore"):
-        running = _running_sums(basis, col)
-        # the terms are positive, so a sum that overflows ends at inf
-        overflow = ~np.isfinite(running[:, -1])
-        if scalar and overflow[0]:
-            raise EstimationError(f"{CURVE_OVERFLOW} (theta = {col[0, 0]:g})")
-        running[overflow] = 0.0
+        running = np.cumsum(np.exp(-(col + 1.0) * basis.log_pi_left) * basis.jumps, axis=1)
+        # the terms are positive, so an overflowed sum ends at inf, and one
+        # sum over the last column tests every theta
+        overflow = math.isinf(running[:, -1:].sum())
+        if overflow:
+            if thetas.ndim == 0:
+                raise EstimationError(f"{CURVE_OVERFLOW} (theta = {float(thetas):g})")
+            rows = np.isinf(running[:, -1])
+            running[rows] = 0.0
         values = generator(running, col)
-    values[overflow] = np.nan
-    return values
+    if overflow:
+        values[rows] = np.nan
+    return values[0] if thetas.ndim == 0 else values
 
 
 def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> StepFunction:

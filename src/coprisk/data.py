@@ -192,7 +192,8 @@ def _unparseable(path, fh, usecols: list[int], exc: ValueError) -> DataError:
 
     Names the first row whose used fields are missing or not numbers, unless
     a row before it fails _check_rows; a file in which every used field
-    passes float() (such as "1_0") gets numpy's message.
+    passes float() (such as "1_0") gets numpy's message, unless one of its
+    rows fails _check_rows.
     """
     rows = csv.reader(fh)
     next(rows)  # the header
@@ -204,6 +205,7 @@ def _unparseable(path, fh, usecols: list[int], exc: ValueError) -> DataError:
             reason = "missing field" if isinstance(err, IndexError) else err
             _check_rows(path, np.array(parsed).reshape(-1, len(usecols)))
             return DataError(f"{path}: line {len(parsed) + 2}: unparseable row ({reason})")
+    _check_rows(path, np.array(parsed).reshape(-1, len(usecols)))
     return DataError(f"{path}: {exc}")
 
 

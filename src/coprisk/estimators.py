@@ -393,18 +393,19 @@ def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> np.ndarray:
     return np.take(curves, plan.gather, axis=1)
 
 
-def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool):
+def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool, out=None):
     """Criterion from per-row curve values, one row of s_hat per theta.
 
     Returns (values, failure messages, regression coefficients, mean gaps,
     numbers of clamped rows), one entry per theta; a failed theta's value is
     NaN and its message is in the list, which holds None for the others.
-    s_hat is clamped in place, and the (thetas x rows) temporaries are
-    updated in place too: at n = 100000 each one is 800 kB per theta, and
-    fewer of them keep the evaluation's memory inside what the allocator
-    already holds.
+    The clamped values go into out, a new array if it is None; a caller that
+    has no further use for s_hat passes it as out.  The other (thetas x
+    rows) temporaries are updated in place too: at n = 100000 each one is
+    800 kB per theta, and fewer of them keep the evaluation's memory inside
+    what the allocator already holds.
     """
-    s_cl, n_clamped = _clamp_curve_values(s_hat, out=s_hat)
+    s_cl, n_clamped = _clamp_curve_values(s_hat, out=out)
     coef, errors = _solve(plan.regression, np.take(s_cl, plan.events, axis=1))
     gap = _model_survival(plan.regression, coef, plan.log_x, plan.z, errors)
     gap -= s_cl
@@ -683,7 +684,8 @@ def fit_3se(
     plan = _cvm_plan(ds, family, model_kind, smooth_knots)
 
     def kernel(thetas: np.ndarray):
-        return _cvm_value(plan, _row_values(plan, thetas), events_only)
+        s_hat = _row_values(plan, thetas)
+        return _cvm_value(plan, s_hat, events_only, out=s_hat)
 
     tau_hat, trace, failed, minima = _search_tau(
         lambda taus: kernel(_thetas(taus))[:2], grid, plan.chunk)

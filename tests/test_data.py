@@ -217,6 +217,9 @@ BAD_ROWS = {
                                   "line 3: duration x must be > 0, got -2.0"),
     "bad text before bad value": ("x,delta\n1.0,1\nthree,0\n-2.0,0\n",
                                   "line 3: unparseable row"),
+    # np.loadtxt rejects 1_0 and float() reads it; the earlier row still fails
+    "bad value before 1_0": ("x,delta\n-1,0\n1_0,0\n",
+                             "line 2: duration x must be > 0, got -1.0"),
 }
 
 

@@ -420,7 +420,7 @@ def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     rows = _row_values(plan, thetas)
-    batch = _cvm_value(plan, rows.copy(), events_only)  # it clamps its input
+    batch = _cvm_value(plan, rows, events_only)
     assert batch[4][1] > 2 and batch[4][2] > 2  # rows read a curve clamped at zero
     for i in range(thetas.size):
         one_rows = _row_values(plan, thetas[i:i + 1])
