@@ -15,7 +15,7 @@ from .errors import DataError
 # more distinct covariate vectors than this signals a continuous covariate.
 MAX_STRATA = 64
 
-# risk labels are stored as int64
+# risk labels are stored as int64, so they must be below 2**63
 LABEL_LIMIT = 2.0**63
 
 
@@ -36,6 +36,13 @@ class Dataset:
             labels = delta.astype(float)
             if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
                 raise DataError("risk labels delta must be whole numbers")
+            # past int64 the cast below would warn and wrap
+            if np.any(labels < 0.0):
+                raise DataError("risk labels delta must be >= 0")
+            if np.any(labels >= LABEL_LIMIT):
+                raise DataError(
+                    f"risk labels delta must be below 2**63, got {float(labels.max())}"
+                )
         delta = delta.astype(int)
         if z is None:
             z = np.empty((x.shape[0], 0))
@@ -191,22 +198,49 @@ def _unparseable(path, fh, usecols: list[int], exc: ValueError) -> DataError:
     """The error for a file that np.loadtxt rejects, read again from the top.
 
     Names the first row whose used fields are missing or not numbers, unless
-    a row before it fails _check_rows; a file in which every used field
-    passes float() (such as "1_0") gets numpy's message, unless one of its
-    rows fails _check_rows.
+    a row before it fails _check_rows.  A field that float() reads but
+    np.loadtxt does not (such as "1_0") is not a number here either; a file
+    in which np.loadtxt reads every used field gets numpy's message.
     """
     rows = csv.reader(fh)
     next(rows)  # the header
     parsed: list[list[float]] = []
+    fields: list[str] = []
     for row in filter(None, rows):  # a blank line is an empty row
         try:
-            parsed.append([float(row[j]) for j in usecols])
+            used = [row[j].strip() for j in usecols]
+            parsed.append([float(f) for f in used])
         except (IndexError, ValueError) as err:
             reason = "missing field" if isinstance(err, IndexError) else err
             _check_rows(path, np.array(parsed).reshape(-1, len(usecols)))
             return DataError(f"{path}: line {len(parsed) + 2}: unparseable row ({reason})")
+        fields += used
     _check_rows(path, np.array(parsed).reshape(-1, len(usecols)))
-    return DataError(f"{path}: {exc}")
+    i = _first_rejected(fields)
+    if i is None:
+        return DataError(f"{path}: {exc}")
+    return DataError(f"{path}: line {i // len(usecols) + 2}: unparseable row "
+                     f"(could not convert string to float: {fields[i]!r})")
+
+
+def _first_rejected(fields: list[str]) -> int | None:
+    """Index of the first field np.loadtxt cannot read as a number, found
+    by bisection over prefixes; None if it reads them all."""
+
+    def reads(m: int) -> bool:
+        try:
+            np.loadtxt(fields[:m], delimiter=",", comments=None, dtype=float)
+        except ValueError:
+            return False
+        return True
+
+    if not fields or reads(len(fields)):
+        return None
+    lo, hi = 0, len(fields)  # fields[:lo] are read, fields[:hi] are not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if reads(mid) else (lo, mid)
+    return lo
 
 
 def pool_risks(ds: Dataset, target: int) -> Dataset:
@@ -219,18 +253,48 @@ def pool_risks(ds: Dataset, target: int) -> Dataset:
 
 
 def stratify(ds: Dataset) -> StrataIndex:
-    """Partition rows by distinct covariate vector, ordered lexicographically."""
+    """Partition rows by distinct covariate vector, ordered lexicographically.
+
+    Each column is coded by its own sorted values, and the codes are folded
+    left to right into one integer per row, renumbered densely in the same
+    order after each column, so the key stays below n**2.  A level is the
+    covariate vector of its stratum's first row: where a column holds both
+    -0.0 and 0.0, which fall in one stratum, the level keeps that row's sign.
+    """
     if ds.k == 0:
         return StrataIndex(levels=((),), indices=(np.arange(ds.n),))
-    levels, inverse = np.unique(ds.z, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    if levels.shape[0] > MAX_STRATA:
+    codes = np.zeros(ds.n, dtype=np.intp)
+    n_codes = 1
+    for column in ds.z.T:
+        values, column_codes = np.unique(column, return_inverse=True)
+        codes = codes * values.size + column_codes
+        n_codes, codes = _renumber(codes, n_codes * values.size)
+    if n_codes > MAX_STRATA:
         raise DataError(
-            f"{levels.shape[0]} distinct covariate vectors exceed the supported "
+            f"{n_codes} distinct covariate vectors exceed the supported "
             f"maximum of {MAX_STRATA}; discrete covariates are required"
         )
-    indices = tuple(np.flatnonzero(inverse == s) for s in range(levels.shape[0]))
+    # MAX_STRATA codes fit a byte, and numpy sorts bytes stably by radix
+    order = np.argsort(codes.astype(np.uint8), kind="stable")
+    bounds = np.cumsum(np.bincount(codes, minlength=n_codes)[:-1])
+    first_rows = order[np.concatenate(([0], bounds))]
     return StrataIndex(
-        levels=tuple(tuple(row) for row in levels),
-        indices=indices,
+        levels=tuple(map(tuple, ds.z[first_rows])),
+        indices=tuple(np.split(order, bounds)),
     )
+
+
+def _renumber(codes: np.ndarray, bound: int) -> tuple[int, np.ndarray]:
+    """The number of distinct codes in [0, bound) and the codes renumbered
+    0, 1, ... in their order.
+
+    Up to 4 bins a row, counting the codes costs less than sorting them.
+    """
+    if bound > 4 * codes.size:
+        uniq, dense = np.unique(codes, return_inverse=True)
+        return uniq.size, dense
+    present = np.bincount(codes, minlength=bound) > 0
+    count = int(np.count_nonzero(present))
+    if count == bound:
+        return count, codes
+    return count, (np.cumsum(present) - 1)[codes]

@@ -10,7 +10,7 @@ import csv
 import numpy as np
 from scipy.special import ndtri
 
-from coprisk.data import Dataset
+from coprisk.data import MAX_STRATA, Dataset, StrataIndex
 from coprisk.errors import DataError, EstimationError
 
 
@@ -207,3 +207,23 @@ def csv_writer_rows(path, x, delta, z):
         writer.writerow(["x", "delta"] + [f"z{j + 1}" for j in range(z.shape[1])])
         for xi, di, zi in zip(x, delta, z):
             writer.writerow([f"{xi:.12g}", int(di)] + [f"{v:.12g}" for v in zi])
+
+
+def unique_rows_stratify(ds):
+    """Strata from one np.unique over whole covariate rows, with one
+    flatnonzero scan per stratum.
+
+    Reference for stratify's column codes: the same levels (compared as
+    numbers), the same ascending row indices and the same error.
+    """
+    if ds.k == 0:
+        return StrataIndex(levels=((),), indices=(np.arange(ds.n),))
+    levels, inverse = np.unique(ds.z, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    if levels.shape[0] > MAX_STRATA:
+        raise DataError(
+            f"{levels.shape[0]} distinct covariate vectors exceed the supported "
+            f"maximum of {MAX_STRATA}; discrete covariates are required"
+        )
+    indices = tuple(np.flatnonzero(inverse == s) for s in range(levels.shape[0]))
+    return StrataIndex(levels=tuple(tuple(row) for row in levels), indices=indices)

@@ -1,13 +1,16 @@
 """Tests for dataset construction, CSV loading, pooling and stratification."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coprisk.cli import main
-from coprisk.data import Dataset, load_csv, pool_risks, stratify
+from coprisk.data import MAX_STRATA, Dataset, load_csv, pool_risks, stratify
 from coprisk.errors import DataError
 
-from oracles import csv_writer_rows, dict_reader_load
+from oracles import csv_writer_rows, dict_reader_load, unique_rows_stratify
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -93,6 +96,18 @@ def test_dataset_validation():
         ds.x[0] = 5.0  # immutable
 
 
+def test_dataset_rejects_float_labels_past_int64():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's cast warning would fail here
+        for labels in ([1e20, 0.0], [0.0, 2.0**63]):
+            with pytest.raises(DataError, match=r"below 2\*\*63, got"):
+                Dataset([1.0, 2.0], labels)
+        with pytest.raises(DataError, match=">= 0"):
+            Dataset([1.0, 2.0], [-1e20, 0.0])
+        top = 2.0**63 - 1024  # the largest float below the limit
+        assert Dataset([1.0, 2.0], [top, 0.0]).delta[0] == int(top)
+
+
 def test_dataset_rejects_fractional_labels():
     with pytest.raises(DataError, match="whole numbers"):
         Dataset([1.0, 2.0, 3.0], [0.5, 1.7, 2.0])
@@ -148,6 +163,9 @@ def test_stratify_constant_and_empty_z():
     assert stratify(ds).n_strata == 1
     no_z = Dataset([1.0, 2.0], [1, 0])
     assert stratify(no_z).n_strata == 1
+    got, want = stratify_both(np.empty((5, 0)))
+    assert_same_strata(got, want)
+    assert got.levels == ((),)
 
 
 def test_stratify_too_many_levels():
@@ -155,6 +173,105 @@ def test_stratify_too_many_levels():
     ds = Dataset(np.arange(1.0, n + 1), np.ones(n, int), np.arange(n, dtype=float))
     with pytest.raises(DataError, match="distinct covariate vectors"):
         stratify(ds)
+
+
+# ---------------------------------------------------------------------------
+# stratify against the whole-row np.unique oracle
+# ---------------------------------------------------------------------------
+
+
+def stratify_both(z):
+    """stratify and the oracle on one dataset, or their two DataErrors."""
+    z = np.asarray(z, dtype=float)
+    n = z.shape[0]
+    ds = Dataset(np.arange(1.0, n + 1), np.ones(n, int), z if z.size else None)
+    try:
+        want = unique_rows_stratify(ds)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            stratify(ds)
+        assert str(got.value) == str(exc)
+        return None, None
+    return stratify(ds), want
+
+
+def assert_same_strata(got, want):
+    assert got.levels == want.levels
+    assert len(got.indices) == len(want.indices)
+    for ix, expected in zip(got.indices, want.indices):
+        assert ix.dtype == expected.dtype
+        np.testing.assert_array_equal(ix, expected)
+
+
+def test_stratify_several_columns_matches_oracle():
+    rng = np.random.default_rng(3)
+    z = np.column_stack([rng.integers(0, 3, 500), rng.normal(size=500).round(0),
+                         rng.choice([-2.5, 0.5, 7.0], 500)])
+    got, want = stratify_both(z)
+    assert 3 < got.n_strata <= MAX_STRATA
+    assert_same_strata(got, want)
+
+
+def test_stratify_at_and_past_max_strata():
+    a, b = np.divmod(np.arange(MAX_STRATA), 8)
+    z = np.column_stack([a, b])
+    got, want = stratify_both(np.concatenate([z, z[::-1]]))
+    assert got.n_strata == MAX_STRATA
+    assert_same_strata(got, want)
+    one_more = np.concatenate([z, [[8.0, 0.0]]])
+    assert stratify_both(one_more) == (None, None)  # the same message
+    with pytest.raises(DataError, match=f"^{MAX_STRATA + 1} distinct covariate vectors"):
+        stratify(Dataset(np.arange(1.0, MAX_STRATA + 2), np.ones(MAX_STRATA + 1, int),
+                         one_more))
+
+
+def test_stratify_one_column_with_too_many_values():
+    rng = np.random.default_rng(4)
+    many = rng.permutation(300) % 150
+    assert stratify_both(many) == (None, None)
+    with pytest.raises(DataError, match="^150 distinct covariate vectors"):
+        stratify(Dataset(np.arange(1.0, 301), np.ones(300, int), many))
+    # beside a binary column, and after it
+    binary = rng.integers(0, 2, 300)
+    assert stratify_both(np.column_stack([many, binary])) == (None, None)
+    assert stratify_both(np.column_stack([binary, many])) == (None, None)
+    # two such columns: more code pairs than 4 a row, renumbered by sorting
+    assert stratify_both(np.column_stack([many, many[::-1]])) == (None, None)
+    got, want = stratify_both(np.column_stack([many % 40, 39 - many % 40]))
+    assert got.n_strata == 40
+    assert_same_strata(got, want)
+
+
+def test_stratify_many_columns_does_not_overflow():
+    # 3**45 > 2**63: the key must be renumbered between columns
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 3, (400, 3))
+    z = base[:, rng.integers(0, 3, 45)]
+    got, want = stratify_both(z)
+    assert got.n_strata == np.unique(base, axis=0).shape[0]
+    assert_same_strata(got, want)
+    # too many vectors, counted exactly
+    assert stratify_both(rng.integers(0, 3, (400, 45))) == (None, None)
+
+
+def test_stratify_signed_zeros_are_one_level():
+    for first in (-0.0, 0.0):
+        z = np.array([[first, 1.0], [1.0, 1.0], [-first, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        got, want = stratify_both(z)
+        assert_same_strata(got, want)
+        assert got.levels == ((0.0, 1.0), (1.0, 1.0))
+        # the level is the first row's vector, so it keeps that row's sign
+        assert np.signbit(got.levels[0][0]) == np.signbit(first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=2, max_size=40)))
+def test_stratify_matches_oracle_on_small_integer_covariates(rows):
+    got, want = stratify_both(rows)
+    assert_same_strata(got, want)
+    for ix in got.indices:
+        assert np.all(np.diff(ix) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +337,25 @@ BAD_ROWS = {
     # np.loadtxt rejects 1_0 and float() reads it; the earlier row still fails
     "bad value before 1_0": ("x,delta\n-1,0\n1_0,0\n",
                              "line 2: duration x must be > 0, got -1.0"),
+    "1_0 after a blank line": ("x,delta\n1.0,1\n\n2.0,0\n1_0,0\n",
+                               "line 4: unparseable row (could not convert string "
+                               "to float: '1_0')"),
 }
 
+# files the oracle reads, because float() reads a field that np.loadtxt does not
+ORACLE_READS = {"1_0 after a blank line"}
 
-@pytest.mark.parametrize("text, message", BAD_ROWS.values(), ids=BAD_ROWS.keys())
-def test_load_rejects_bad_rows_as_oracle_does(tmp_path, text, message):
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_load_rejects_bad_rows_as_oracle_does(tmp_path, case):
+    text, message = BAD_ROWS[case]
     path = write(tmp_path, text)
     with pytest.raises(DataError) as new:
         load_csv(path)
+    if case in ORACLE_READS:
+        assert message in str(new.value)
+        assert dict_reader_load(path).n == 3
+        return
     with pytest.raises(DataError) as old:
         dict_reader_load(path)
     assert message in str(new.value) and message in str(old.value)
@@ -240,13 +368,24 @@ def test_load_rejects_bad_rows_as_oracle_does(tmp_path, text, message):
 def test_load_rejects_what_only_float_reads(tmp_path, field):
     path = write(tmp_path, f"x,delta\n1.0,1\n{field},0\n")
     assert dict_reader_load(path).n == 2
-    with pytest.raises(DataError, match="could not convert string"):
+    with pytest.raises(DataError, match="line 3: unparseable row \\(could not convert string"):
+        load_csv(path)
+
+
+def test_load_names_the_line_of_a_field_only_float_reads(tmp_path):
+    rows = [f"{i + 1}.5,{i % 2},{i % 3}" for i in range(1000)]
+    rows[776] = "777.5,0,1_0"
+    rows[200:200] = ["", ""]  # blank lines are not counted
+    path = write(tmp_path, "x,delta,z1\n" + "\n".join(rows) + "\n")
+    assert dict_reader_load(path).n == 1000
+    with pytest.raises(DataError, match=r"line 778: unparseable row \(.*'1_0'\)$"):
         load_csv(path)
 
 
 def test_load_rejects_labels_past_int64(tmp_path):
     path = write(tmp_path, "x,delta\n1.0,1\n2.0,1e20\n")
-    with pytest.raises(OverflowError):
+    # the row-by-row reader passes the label on, and Dataset rejects it
+    with pytest.raises(DataError, match="below 2\\*\\*63"):
         dict_reader_load(path)
     with pytest.raises(DataError, match="line 3: delta must be below 2\\*\\*63, got 1e\\+20"):
         load_csv(path)

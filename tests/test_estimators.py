@@ -15,6 +15,7 @@ from coprisk.estimators import (
     _cvm_plan,
     _cvm_value,
     _kept_contrasts,
+    _knot_positions,
     _pair_structure,
     _regression,
     _row_values,
@@ -515,6 +516,43 @@ def test_fit_3se_deterministic():
     assert first.tau_hat == second.tau_hat
     assert first.objective_trace == second.objective_trace
     assert first.model.alpha == second.model.alpha
+
+
+def test_fits_keep_their_recorded_values():
+    # values of an earlier plan, exact: a faster plan (strata codes, sorted
+    # knot lookups) must not move a fit by one bit
+    model = AftModel("weibull", **BENCH)
+    ds = generate_dataset(DgpSpec(n=20000, tau=0.8, model_t=model, model_c=model), 3)
+    res = fit_3se(ds, family="weibull")
+    assert (res.tau_hat, res.theta_hat) == (0.8358480362690326, 10.183832313318213)
+    assert (res.model.alpha, res.model.beta[0], res.model.sigma) == (
+        1.0133427973693867, 1.001680559934156, 1.4529978817241345)
+    assert min(v for _, v in res.objective_trace) == 1.1521902255755543e-05
+    assert res.diagnostics["n_clamped"] == 2
+    assert res.diagnostics["mean_gap"] == 0.0013973293315440065
+    res = fit_2se(ds)
+    assert (res.tau_hat, res.theta_hat) == (0.7919966588867665, 7.61523016551563)
+    assert res.beta_hat.tolist() == [1.4813852870306188]
+    assert min(v for _, v in res.objective_trace) == 0.0014629196906567488
+    assert (res.x_star, res.x_double_star, res.kept_n) == (
+        1.653704311476632, 0.0005584877074101576, 18422)
+
+
+def test_knot_positions_equal_plain_searchsorted():
+    rng = np.random.default_rng(8)
+    knots = np.unique(rng.integers(1, 60, 25)).astype(float)
+    # durations on the knots, tied with each other, between and outside them
+    x = np.concatenate([knots, knots[::3], rng.integers(0, 62, 200) / 1.0,
+                        rng.uniform(0.0, 65.0, 200), [0.5, 0.5, 70.0, 70.0]])
+    x = rng.permutation(x)
+    for side in ("left", "right"):
+        for times in (knots, knots[:1], knots[:0]):
+            (pos,) = _knot_positions((times,), x, side)
+            assert pos.dtype == np.intp
+            np.testing.assert_array_equal(pos, np.searchsorted(times, x, side=side))
+        both = _knot_positions((knots, knots[5:9]), x, side)
+        for times, pos in zip((knots, knots[5:9]), both):
+            np.testing.assert_array_equal(pos, np.searchsorted(times, x, side=side))
 
 
 def test_fit_3se_all_censored_fails():
