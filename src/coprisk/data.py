@@ -263,12 +263,12 @@ def stratify(ds: Dataset) -> StrataIndex:
     """
     if ds.k == 0:
         return StrataIndex(levels=((),), indices=(np.arange(ds.n),))
-    codes = np.zeros(ds.n, dtype=np.intp)
-    n_codes = 1
-    for column in ds.z.T:
+    values, codes = np.unique(ds.z[:, 0], return_inverse=True)
+    n_codes = values.size
+    for column in ds.z.T[1:]:
         values, column_codes = np.unique(column, return_inverse=True)
-        codes = codes * values.size + column_codes
-        n_codes, codes = _renumber(codes, n_codes * values.size)
+        folded, codes = np.unique(codes * values.size + column_codes, return_inverse=True)
+        n_codes = folded.size
     if n_codes > MAX_STRATA:
         raise DataError(
             f"{n_codes} distinct covariate vectors exceed the supported "
@@ -282,19 +282,3 @@ def stratify(ds: Dataset) -> StrataIndex:
         levels=tuple(map(tuple, ds.z[first_rows])),
         indices=tuple(np.split(order, bounds)),
     )
-
-
-def _renumber(codes: np.ndarray, bound: int) -> tuple[int, np.ndarray]:
-    """The number of distinct codes in [0, bound) and the codes renumbered
-    0, 1, ... in their order.
-
-    Up to 4 bins a row, counting the codes costs less than sorting them.
-    """
-    if bound > 4 * codes.size:
-        uniq, dense = np.unique(codes, return_inverse=True)
-        return uniq.size, dense
-    present = np.bincount(codes, minlength=bound) > 0
-    count = int(np.count_nonzero(present))
-    if count == bound:
-        return count, codes
-    return count, (np.cumsum(present) - 1)[codes]

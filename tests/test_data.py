@@ -235,7 +235,7 @@ def test_stratify_one_column_with_too_many_values():
     binary = rng.integers(0, 2, 300)
     assert stratify_both(np.column_stack([many, binary])) == (None, None)
     assert stratify_both(np.column_stack([binary, many])) == (None, None)
-    # two such columns: more code pairs than 4 a row, renumbered by sorting
+    # two such columns: 150 * 150 code pairs for 300 rows
     assert stratify_both(np.column_stack([many, many[::-1]])) == (None, None)
     got, want = stratify_both(np.column_stack([many % 40, 39 - many % 40]))
     assert got.n_strata == 40
