@@ -48,6 +48,8 @@ def _parse_tau_grid(text: str) -> np.ndarray:
         lo, hi, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise ValueError(f"--tau-grid expects lo:hi:step, got {text!r}") from None
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise ValueError(f"--tau-grid needs finite lo, hi and step, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError("--tau-grid needs step > 0 and hi >= lo")
     count = int(round((hi - lo) / step)) + 1

@@ -32,7 +32,13 @@ class Dataset:
     def __init__(self, x, delta, z=None):
         x = np.asarray(x, dtype=float)
         delta = np.asarray(delta)
-        if delta.dtype.kind not in "biu":
+        if delta.dtype.kind == "u":
+            # past int64 the cast below would wrap
+            if np.any(delta > np.iinfo(np.int64).max):
+                raise DataError(
+                    f"risk labels delta must be below 2**63, got {int(delta.max())}"
+                )
+        elif delta.dtype.kind not in "bi":
             labels = delta.astype(float)
             if not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
                 raise DataError("risk labels delta must be whole numbers")

@@ -16,6 +16,16 @@ refinement inside the winning bracket, so local minima away from the global
 one are handled; the grid pass's local minima are reported in the fit's
 diagnostics.  Estimation is deterministic: no randomness is involved.
 
+Both fits have one failure policy.  A failure that does not depend on theta
+raises its own EstimationError while the plan is built, before any curve is
+computed: a single stratum, level contrasts that do not span the
+coefficients or fewer than 2 rows left by the trimming (2SE), and a
+regression with too few cause-1 rows or rank-deficient fixed columns (3SE).
+A failure at one theta makes that theta's value NaN with that theta's
+message and counts in the diagnostics' n_grid_failed.  No kernel raises, so
+the search catches nothing; it fails only if every grid point fails or the
+minimiser's own evaluation does.
+
 Each fit builds one plan per dataset before its search: every stratum's
 theta-free curve basis and each row's index for its curve lookup.  The
 strata come from ``stratify``, which codes each covariate column with a 1-d
@@ -66,6 +76,7 @@ designs; see the package README for the summary):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -173,20 +184,19 @@ class _Regression:
     log_x_resid is log x minus its projection on the fixed columns.
     rcond = eps * max(rows, columns) is lstsq's default cut-off for a
     singular value relative to the largest; fixed_norm is the fixed
-    columns' largest singular value.  error is the message every
-    solve fails with when the fixed columns cannot be fitted (too few rows,
-    or rank deficient), and None otherwise.
+    columns' largest singular value.  Fixed columns that cannot be fitted
+    (too few rows, or rank deficient) fail every theta alike, so
+    ``_regression`` raises their EstimationError while the plan is built.
     """
 
     family: str
     model_kind: str
-    q: np.ndarray | None
-    r_inv: np.ndarray | None
-    q_log_x: np.ndarray | None
-    log_x_resid: np.ndarray | None
+    q: np.ndarray
+    r_inv: np.ndarray
+    q_log_x: np.ndarray
+    log_x_resid: np.ndarray
     rcond: float
     fixed_norm: float
-    error: str | None
 
 
 def _regression(family: str, model_kind: str, log_x: np.ndarray,
@@ -200,19 +210,17 @@ def _regression(family: str, model_kind: str, log_x: np.ndarray,
     m, p = fixed.shape[0], fixed.shape[1] + varying
     rcond = np.finfo(float).eps * max(m, p)
     if m <= p:
-        return _Regression(family, model_kind, None, None, None, None, rcond, 0.0,
-                           f"regression needs more than {p} rows, got {m}")
+        raise EstimationError(f"regression needs more than {p} rows, got {m}")
     q, r = np.linalg.qr(fixed)
     # r has the fixed columns' singular values; dropping the varying column
     # can only raise the smallest and lower the largest, so lstsq would call
     # the whole design rank deficient too
     sv = np.linalg.svd(r, compute_uv=False)
     if not sv[-1] > rcond * sv[0]:
-        return _Regression(family, model_kind, None, None, None, None, rcond, sv[0],
-                           RANK_DEFICIENT)
+        raise EstimationError(RANK_DEFICIENT)
     q_log_x = log_x @ q
     return _Regression(family, model_kind, q, np.linalg.inv(r), q_log_x,
-                       log_x - q @ q_log_x, rcond, sv[0], None)
+                       log_x - q @ q_log_x, rcond, sv[0])
 
 
 def _clamp_curve_values(s_hat: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +244,6 @@ def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
     A failed theta's coefficients are NaN.  Every AFT family's coefficients
     end in the slope 1/sigma, which is 1.0 for the exponential family.
     """
-    if reg.error is not None:
-        raise EstimationError(reg.error)
     errors: list = [None] * s.shape[0]
     if reg.model_kind == "ph":
         return (np.log(-np.log(s)) @ reg.q) @ reg.r_inv.T, errors
@@ -599,10 +605,11 @@ def _golden_section(
 
 def _validate_tau_grid(tau_grid) -> np.ndarray:
     grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    grid = np.sort(np.unique(grid))
+    grid = np.unique(grid)
     if grid.size == 0:
         raise ValueError("tau_grid must be nonempty")
-    if grid[0] <= -1.0 or grid[-1] >= 1.0:
+    # NaN sorts last and fails the comparison
+    if not (-1.0 < grid[0] and grid[-1] < 1.0):
         raise ValueError("tau_grid values must lie strictly inside (-1, 1)")
     return grid
 
@@ -611,30 +618,29 @@ def _thetas(taus: np.ndarray) -> np.ndarray:
     return np.array([theta_from_tau(t) for t in taus])
 
 
-def _search_tau(criterion: Callable, grid: np.ndarray, chunk: int):
-    """Grid pass in chunks of up to chunk taus, then golden-section inside
-    the best bracket, one tau at a time.
+def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
+    """Grid pass in chunks of up to chunk taus, golden-section inside the
+    best bracket one tau at a time, then one evaluation at the minimiser.
 
-    criterion maps an array of taus to (values, failure messages) as the
-    kernels do.  A failed tau is recorded as NaN and skipped, and so is
-    every tau of a call that raises EstimationError; the search fails only
-    if every grid point fails, with the points' distinct messages.  Returns
-    (tau_hat, trace, failed grid points as (tau, message) pairs, grid local
-    minima): the last are the grid taus whose finite value lies below both
+    kernel maps an array of thetas to (values, failure messages, *outputs)
+    as the kernels do; it never raises.  A failed theta is NaN with its own
+    message and is skipped; the search fails only if every grid point
+    fails, with the points' distinct messages, or if the minimiser's final
+    evaluation fails.  Returns (tau_hat, trace, the kernel's outputs at
+    tau_hat, diagnostics): n_grid_failed counts the failed grid points and
+    grid_local_minima holds the grid taus whose finite value lies below both
     finite neighbours, so a criterion with several modes shows them all.
     """
-    values = np.full(grid.size, np.nan)
-    errors: list = [None] * grid.size
+    values = np.empty(grid.size)
+    errors: list = []
     for start in range(0, grid.size, chunk):
-        stop = min(start + chunk, grid.size)
-        try:
-            values[start:stop], errors[start:stop] = criterion(grid[start:stop])
-        except EstimationError as exc:
-            errors[start:stop] = [str(exc)] * (stop - start)
+        chunk_values, chunk_errors, *_ = kernel(_thetas(grid[start:start + chunk]))
+        values[start:start + chunk] = chunk_values
+        errors.extend(chunk_errors)
     trace = [(float(tau), float(v)) for tau, v in zip(grid, values)]
-    failed = tuple((float(tau), e) for tau, e in zip(grid, errors) if e is not None)
+    failed = [e for e in errors if e is not None]
     if not np.any(np.isfinite(values)):
-        messages = dict.fromkeys(e for _, e in failed)  # distinct, in grid order
+        messages = dict.fromkeys(failed)  # distinct, in grid order
         raise EstimationError("criterion failed at every grid point: " + "; ".join(messages))
     best = int(np.nanargmin(values))
     lo = float(grid[max(best - 1, 0)])
@@ -644,27 +650,20 @@ def _search_tau(criterion: Callable, grid: np.ndarray, chunk: int):
     is_min = (mid < values[:-2]) & (mid < values[2:])
     minima = tuple(float(t) for t in grid[1:-1][is_min])
 
-    def safe(tau: float) -> float:
-        try:
-            (value,), (error,) = criterion(np.array([tau]))
-        except EstimationError:
-            return math.inf
-        return math.inf if error is not None else float(value)
+    def value(tau: float) -> float:
+        (v,), (error,), *_ = kernel(_thetas(np.array([tau])))
+        return math.inf if error is not None else float(v)
 
     if hi > lo:
-        trace.extend(_golden_section(safe, lo, hi, GOLDEN_TOL))
+        trace.extend(_golden_section(value, lo, hi, GOLDEN_TOL))
     finite = [(t, v) for t, v in trace if np.isfinite(v)]
     tau_hat, _ = min(finite, key=lambda tv: (tv[1], tv[0]))
     trace.sort(key=lambda tv: tv[0])
-    return tau_hat, tuple(trace), failed, minima
-
-
-def _at(kernel: Callable, tau: float):
-    """The kernel's outputs at the one tau the search chose."""
-    values, errors, *rest = kernel(_thetas(np.array([tau])))
-    if errors[0] is not None:
-        raise EstimationError(errors[0])
-    return [out[0] for out in rest]
+    _, (error,), *outputs = kernel(_thetas(np.array([tau_hat])))
+    if error is not None:
+        raise EstimationError(error)
+    diagnostics = {"n_grid_failed": len(failed), "grid_local_minima": minima}
+    return tau_hat, tuple(trace), [out[0] for out in outputs], diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -711,21 +710,15 @@ def fit_3se(
         s_hat = _row_values(plan, thetas)
         return _cvm_value(plan, s_hat, events_only, out=s_hat)
 
-    tau_hat, trace, failed, minima = _search_tau(
-        lambda taus: kernel(_thetas(taus))[:2], grid, plan.chunk)
-    coef, mean_gap, n_clamped = _at(kernel, tau_hat)
+    tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
+        kernel, grid, plan.chunk)
     return FitResult3SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
         model=FglsFit(family, model_kind, coef, int(n_clamped)).model(),
         objective_trace=trace,
         kept_n=ds.n,
-        diagnostics={
-            "n_clamped": int(n_clamped),
-            "mean_gap": float(mean_gap),
-            "n_grid_failed": len(failed),
-            "grid_local_minima": minima,
-        },
+        diagnostics={"n_clamped": int(n_clamped), "mean_gap": float(mean_gap), **search},
     )
 
 
@@ -757,9 +750,8 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
     """
     grid = _validate_tau_grid(tau_grid)
     plan = _variance_plan(ds)
-    tau_hat, trace, failed, minima = _search_tau(
-        lambda taus: _variance_value(plan, _thetas(taus))[:2], grid, plan.chunk)
-    (contrasts,) = _at(lambda thetas: _variance_value(plan, thetas), tau_hat)
+    tau_hat, trace, (contrasts,), diagnostics = _search_tau(
+        functools.partial(_variance_value, plan), grid, plan.chunk)
     return FitResult2SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
@@ -768,7 +760,7 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
         x_star=plan.trim.x_star,
         x_double_star=plan.trim.x_double_star,
         kept_n=int(plan.trim.kept.size),
-        diagnostics={"n_grid_failed": len(failed), "grid_local_minima": minima},
+        diagnostics=diagnostics,
     )
 
 

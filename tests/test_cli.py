@@ -78,8 +78,7 @@ def test_fit_single_cause1_row_exits_4(tmp_path, capsys):
     assert code == 4
     error = json.loads(err)["error"]
     assert error["kind"] == "estimation"
-    assert error["message"] == ("criterion failed at every grid point: "
-                                "regression needs more than 3 rows, got 1")
+    assert error["message"] == "regression needs more than 3 rows, got 1"
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -101,6 +100,17 @@ def test_bad_tau_grid_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", "oops")
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.1:0.5:inf"])
+def test_non_finite_tau_grid_exits_2(tmp_path, capsys, grid):
+    path = gen_csv(tmp_path, capsys, n=200)
+    code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", grid)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    assert error["message"] == f"--tau-grid needs finite lo, hi and step, got {grid!r}"
 
 
 @pytest.mark.parametrize("argv", [

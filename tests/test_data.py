@@ -108,6 +108,15 @@ def test_dataset_rejects_float_labels_past_int64():
         assert Dataset([1.0, 2.0], [top, 0.0]).delta[0] == int(top)
 
 
+def test_dataset_rejects_unsigned_labels_past_int64():
+    for labels in ([2**63, 1], [0, 2**64 - 1]):
+        with pytest.raises(DataError, match=r"^risk labels delta must be below 2\*\*63, got "
+                           f"{max(labels)}$"):
+            Dataset([1.0, 2.0], np.array(labels, dtype=np.uint64))
+    top = np.array([2**63 - 1, 0], dtype=np.uint64)
+    assert Dataset([1.0, 2.0], top).delta[0] == 2**63 - 1
+
+
 def test_dataset_rejects_fractional_labels():
     with pytest.raises(DataError, match="whole numbers"):
         Dataset([1.0, 2.0, 3.0], [0.5, 1.7, 2.0])

@@ -252,13 +252,27 @@ def one_event_dataset():
     return Dataset(rng.uniform(0.1, 3.0, 30), delta, (np.arange(30) % 2).astype(float))
 
 
+def counted_curve_calls(monkeypatch) -> list:
+    """Each theta argument of the fits' curve_values calls, in call order."""
+    calls = []
+
+    def counted(basis, theta):
+        calls.append(theta)
+        return curve_values(basis, theta)
+
+    monkeypatch.setattr("coprisk.estimators.curve_values", counted)
+    return calls
+
+
 @pytest.mark.parametrize("model_kind", ["aft", "ph"])
-def test_single_cause1_row_is_an_estimation_error(model_kind):
+def test_single_cause1_row_is_an_estimation_error(monkeypatch, model_kind):
     # a one-row regression is an estimation failure that the bootstrap and the
-    # Monte Carlo harness skip, not a malformed dataset
-    with pytest.raises(EstimationError, match="criterion failed at every grid point: "
-                       "regression needs more than 3 rows, got 1"):
+    # Monte Carlo harness skip, not a malformed dataset; it does not depend on
+    # theta, so the fit stops while its plan is built, before any curve
+    calls = counted_curve_calls(monkeypatch)
+    with pytest.raises(EstimationError, match="^regression needs more than 3 rows, got 1$"):
         fit_3se(one_event_dataset(), "weibull", model_kind=model_kind)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -328,31 +342,38 @@ def test_smooth_window(n_knots, smooth_knots, window):
 # ---------------------------------------------------------------------------
 
 
-def two_minimum_criterion(fail_at=()):
+def two_minimum_kernel(fail_at=(), failures=None):
     """Minima at tau = -0.2 (value 0.05) and tau = 0.6 (value 0), scored
-    for an array of taus as the kernels do."""
+    for an array of thetas as the kernels do; each failed tau is appended to
+    failures."""
 
-    def criterion(taus):
+    def kernel(thetas):
+        taus = thetas / (thetas + 2.0)
         errors = ["fails here" if any(abs(tau - t) < 1e-9 for t in fail_at) else None
                   for tau in taus]
         values = np.minimum((taus + 0.2) ** 2 + 0.05, (taus - 0.6) ** 2)
         values[[e is not None for e in errors]] = np.nan
-        return values, errors
+        if failures is not None:
+            failures.extend(tau for tau, e in zip(taus, errors) if e is not None)
+        return values, errors, -values
 
-    return criterion
+    return kernel
 
 
 def test_search_tau_reports_grid_local_minima():
     grid = np.linspace(-0.9, 0.9, 19)
     for chunk in (1, 4, 19):
-        criterion = two_minimum_criterion(fail_at=(0.2,))
-        tau_hat, _, failed, minima = _search_tau(criterion, grid, chunk)
+        failures = []
+        tau_hat, _, (output,), diagnostics = _search_tau(
+            two_minimum_kernel(fail_at=(0.2,), failures=failures), grid, chunk)
         assert tau_hat == pytest.approx(0.6, abs=1e-4)
-        assert [(pytest.approx(0.2, abs=1e-12), "fails here")] == list(failed)
-        assert minima == pytest.approx((-0.2, 0.6), abs=1e-12)
+        assert output == pytest.approx(-((tau_hat - 0.6) ** 2), abs=1e-15)
+        assert failures == [pytest.approx(0.2, abs=1e-12)]
+        assert diagnostics["n_grid_failed"] == 1
+        assert diagnostics["grid_local_minima"] == pytest.approx((-0.2, 0.6), abs=1e-12)
         # a failed neighbour hides a minimum: it is not below both finite neighbours
-        _, _, _, minima = _search_tau(two_minimum_criterion(fail_at=(0.5,)), grid, chunk)
-        assert minima == pytest.approx((-0.2,), abs=1e-12)
+        _, _, _, diagnostics = _search_tau(two_minimum_kernel(fail_at=(0.5,)), grid, chunk)
+        assert diagnostics["grid_local_minima"] == pytest.approx((-0.2,), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +475,11 @@ def test_failed_theta_keeps_its_chunk_mates():
     # 2SE: three thetas of one chunk fail in the curve transform
     plan = amplified_variance_plan()
     single = {tau: _variance_value(plan, _thetas([tau]))[0][0] for tau in BATCH_TAUS}
-    _, trace, failed, _ = _search_tau(
-        lambda taus: _variance_value(plan, _thetas(taus))[:2], BATCH_TAUS, BATCH_TAUS.size)
-    assert failed == tuple((tau, UNDEFINED) for tau in BATCH_TAUS[1:4])
+    grid_errors = _variance_value(plan, _thetas(BATCH_TAUS))[1]
+    assert grid_errors == [None, UNDEFINED, UNDEFINED, UNDEFINED, None, None]
+    _, trace, _, diagnostics = _search_tau(
+        functools.partial(_variance_value, plan), BATCH_TAUS, BATCH_TAUS.size)
+    assert diagnostics["n_grid_failed"] == 3
     on_grid = dict(t for t in trace if t[0] in single)
     for tau, value in single.items():
         np.testing.assert_allclose(on_grid[tau], value, rtol=1e-12, atol=0)
@@ -464,14 +487,18 @@ def test_failed_theta_keeps_its_chunk_mates():
     # 3SE: one theta's transformed curve is constant, a rank deficient design
     plan = _cvm_plan(batch_dataset(), "weibull", "aft")
 
-    def criterion(taus):
-        rows = _row_values(plan, _thetas(taus))
-        rows[taus == 0.4] = 0.5
-        return _cvm_value(plan, rows, False)[:2]
+    theta_04 = _thetas([0.4])[0]
 
-    single = {tau: criterion(np.array([tau]))[0][0] for tau in BATCH_TAUS}
-    _, trace, failed, _ = _search_tau(criterion, BATCH_TAUS, BATCH_TAUS.size)
-    assert failed == ((0.4, RANK_DEFICIENT),)
+    def kernel(thetas):
+        rows = _row_values(plan, thetas)
+        rows[thetas == theta_04] = 0.5
+        return _cvm_value(plan, rows, False)
+
+    single = {tau: kernel(_thetas([tau]))[0][0] for tau in BATCH_TAUS}
+    grid_errors = kernel(_thetas(BATCH_TAUS))[1]
+    assert grid_errors == [None, None, None, None, RANK_DEFICIENT, None]
+    _, trace, _, diagnostics = _search_tau(kernel, BATCH_TAUS, BATCH_TAUS.size)
+    assert diagnostics["n_grid_failed"] == 1
     assert np.isnan(single[0.4])
     on_grid = dict(t for t in trace if t[0] in single)
     for tau, value in single.items():
@@ -555,11 +582,12 @@ def test_knot_positions_equal_plain_searchsorted():
             np.testing.assert_array_equal(pos, np.searchsorted(times, x, side=side))
 
 
-def test_fit_3se_all_censored_fails():
-    x = np.linspace(0.5, 5.0, 40)
-    ds = Dataset(x, np.zeros(40, dtype=int))
-    with pytest.raises(EstimationError, match="every grid point"):
+def test_fit_3se_all_censored_fails(monkeypatch):
+    ds = Dataset(np.linspace(0.5, 5.0, 40), np.zeros(40, dtype=int))
+    calls = counted_curve_calls(monkeypatch)
+    with pytest.raises(EstimationError, match="^regression needs more than 2 rows, got 0$"):
         fit_3se(ds, "weibull")
+    assert calls == []
 
 
 def test_fit_3se_grid_validation():
@@ -568,6 +596,9 @@ def test_fit_3se_grid_validation():
         fit_3se(ds, "weibull", tau_grid=[])
     with pytest.raises(ValueError):
         fit_3se(ds, "weibull", tau_grid=[0.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^tau_grid values must lie strictly inside"):
+            fit_3se(ds, "weibull", tau_grid=[0.1, bad])
     with pytest.raises(ValueError):
         fit_3se(ds, "loglogistic", model_kind="ph", tau_grid=[0.0])  # family mismatch
     with pytest.raises(ValueError):
@@ -837,6 +868,15 @@ def test_fit_2se_runs_and_is_deterministic():
     assert first.beta_hat.shape == (1,)
     assert -0.9 <= first.tau_hat <= 0.9
     assert set(first.diagnostics) == {"n_grid_failed", "grid_local_minima"}
+
+
+def test_fit_2se_grid_validation():
+    ds = batch_dataset()
+    with pytest.raises(ValueError, match="^tau_grid must be nonempty$"):
+        fit_2se(ds, tau_grid=[])
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^tau_grid values must lie strictly inside"):
+            fit_2se(ds, tau_grid=[0.1, bad])
 
 
 def test_fit_2se_requires_covariate_variation():
