@@ -288,18 +288,24 @@ def cmd_curve(args) -> int:
     taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
     if not taus:
         raise ValueError("--tau-list must contain at least one value")
+    thetas = [theta_from_tau(tau) for tau in taus]
     strata = stratify(ds)
+    # every curve is computed before the output is opened, so a bad tau or an
+    # overflowing curve leaves no partial file or stdout
+    curves = [
+        (";".join(f"{v:g}" for v in level) or "all", tau, basis.event_times,
+         curve_values(basis, theta))
+        for level, basis in zip(strata.levels, stratum_bases(ds, strata))
+        for tau, theta in zip(taus, thetas)
+    ]
     out = sys.stdout if not args.output else open(args.output, "w", newline="", encoding="utf-8")
     try:
         writer = csv.writer(out)
         writer.writerow(["stratum", "tau", "t", "survival"])
-        for level, basis in zip(strata.levels, stratum_bases(ds, strata)):
-            label = ";".join(f"{v:g}" for v in level) or "all"
-            for tau in taus:
-                surv = curve_values(basis, theta_from_tau(tau))
-                writer.writerow([label, f"{tau:g}", "0", "1"])
-                for t, s in zip(basis.event_times, surv):
-                    writer.writerow([label, f"{tau:g}", f"{t:.12g}", f"{s:.12g}"])
+        for label, tau, times, surv in curves:
+            writer.writerow([label, f"{tau:g}", "0", "1"])
+            for t, s in zip(times, surv):
+                writer.writerow([label, f"{tau:g}", f"{t:.12g}", f"{s:.12g}"])
     finally:
         if args.output:
             out.close()

@@ -4,14 +4,14 @@ Replicate r draws its resample from an RNG substream keyed by (seed, r), so
 results are bit-identical for a given seed regardless of execution order or
 the degree of parallelism.  Replicates on which the fit procedure raises an
 EstimationError are skipped and counted.  ``map_replicates`` is the one
-serial-or-process-pool loop, shared with the Monte Carlo harness.
+serial-or-process-pool loop, shared with the Monte Carlo harness; it imports
+the process pool only when jobs > 1.
 """
 
 from __future__ import annotations
 
 import functools
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,6 +59,7 @@ def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs
     """
     if jobs <= 1:
         return [worker(fn, *args, r) for r in range(count)]
+    from concurrent.futures import ProcessPoolExecutor
     try:
         pickle.dumps(fn)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:

@@ -13,6 +13,10 @@ An ``AftModel`` accelerates time: Lambda(t|z) = -log S_W(sigma * log(alpha t e^{
 A ``PhModel`` scales the baseline Lambda(t|0) by exp(z'beta) instead.
 ``cumulative_hazard``, ``survival`` and ``inverse_survival`` read the form from
 the model's type.
+
+The loglogistic and lognormal branches import ``expit``, ``ndtr`` and ``ndtri``
+from ``scipy.special`` on first use; exponential and weibull need only numpy,
+so a fit in those families never loads scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtr, ndtri
 
 FAMILIES = ("exponential", "weibull", "loglogistic", "lognormal")
 
@@ -93,8 +96,10 @@ def sw_survival(family: str, w):
             np.exp(w, out=out)
         np.exp(np.negative(out, out=out), out=out)
     elif family == "loglogistic":
+        from scipy.special import expit
         out = expit(-w)
     else:
+        from scipy.special import ndtr
         out = ndtr(-w)
     return float(out) if scalar else out
 
@@ -111,6 +116,7 @@ def sw_inverse(family: str, s):
     elif family == "loglogistic":
         out = np.log((1.0 - s) / s)
     else:
+        from scipy.special import ndtri
         out = -ndtri(s)
     return float(out) if scalar else out
 
@@ -139,6 +145,7 @@ def cumulative_hazard(model: AftModel, t, z):
         with np.errstate(over="ignore"):
             out = np.logaddexp(0.0, w)  # log(1 + exp(w))
     else:
+        from scipy.special import ndtr
         with np.errstate(divide="ignore"):
             out = -np.log(ndtr(-w))
     out = np.where(t == 0.0, 0.0, out)

@@ -333,8 +333,21 @@ def test_overflowing_grid_point_is_skipped(tmp_path, capsys, method):
     assert "overflows" in error["message"]
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_curve_bad_tau_writes_nothing(tmp_path, capsys, to_file):
+    path = gen_csv(tmp_path, capsys, n=400)
+    target = tmp_path / "curve.csv"
+    output = ("--output", str(target)) if to_file else ()
+    code, out, err = run(capsys, "curve", "--input", str(path), "--tau-list", "0.3,inf", *output)
+    assert code == 2
+    assert json.loads(err)["error"]["message"] == "tau must lie in [-1, 1), got inf"
+    assert out == ""
+    assert not target.exists()
+
+
 def test_curve_overflow_is_an_estimation_error(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys, n=2000, tau=0.8, seed=1)
-    code, _, err = run(capsys, "curve", "--input", str(path), "--tau-list", "0.98")
+    code, out, err = run(capsys, "curve", "--input", str(path), "--tau-list", "0.98")
     assert code == 4
+    assert out == ""
     assert "overflows" in json.loads(err)["error"]["message"]
