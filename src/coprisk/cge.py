@@ -143,18 +143,10 @@ def trim_support(bases: Iterable[CurveBasis], ds: Dataset) -> TrimBounds:
     bases = list(bases)
     if not bases:
         raise EstimationError("trim_support needs at least one curve")
-    firsts = []
-    lasts = []
-    for basis in bases:
-        times = basis.event_times
-        if times.size == 0:
-            raise EstimationError(
-                "a stratum has no cause-1 events; its curve never leaves 1"
-            )
-        firsts.append(times[0])
-        lasts.append(times[-1])
-    x_star = float(min(lasts))
-    x_double_star = float(max(firsts))
+    if any(basis.event_times.size == 0 for basis in bases):
+        raise EstimationError("a stratum has no cause-1 events; its curve never leaves 1")
+    x_star = float(min(basis.event_times[-1] for basis in bases))
+    x_double_star = float(max(basis.event_times[0] for basis in bases))
     kept = np.flatnonzero((ds.x >= x_double_star) & (ds.x <= x_star))
     if kept.size == 0:
         raise EstimationError(

@@ -41,6 +41,7 @@ EXIT_DATA = 3
 EXIT_ESTIMATION = 4
 
 METHODS = ("3se-aft", "3se-ph", "2se")
+MAX_TAU_GRID_POINTS = 10**6  # checked before the grid is allocated
 
 
 def _parse_tau_grid(text: str) -> np.ndarray:
@@ -52,8 +53,11 @@ def _parse_tau_grid(text: str) -> np.ndarray:
         raise ValueError(f"--tau-grid needs finite lo, hi and step, got {text!r}")
     if step <= 0 or hi < lo:
         raise ValueError("--tau-grid needs step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step)) + 1
-    grid = lo + step * np.arange(count)
+    count = np.rint((hi - lo) / step) + 1  # a float, inf where the quotient overflows
+    if count > MAX_TAU_GRID_POINTS:
+        raise ValueError(f"--tau-grid {text!r} has {count:.7g} points, more than "
+                         f"{MAX_TAU_GRID_POINTS}")
+    grid = lo + step * np.arange(int(count))
     return grid[grid <= hi + 1e-12]
 
 
@@ -106,7 +110,7 @@ def _load_dataset(args) -> Dataset:
     return pool_risks(ds, args.target_risk)
 
 
-def _fit_payload(result) -> dict:
+def _fit_payload(result: FitResult3SE | FitResult2SE) -> dict:
     if isinstance(result, FitResult3SE):
         params = {
             "alpha": result.model.alpha,
@@ -114,11 +118,9 @@ def _fit_payload(result) -> dict:
             "sigma": result.model.sigma,
         }
         extra = {}
-    elif isinstance(result, FitResult2SE):
+    else:
         params = {"beta": list(result.beta_hat)}
         extra = {"x_star": result.x_star, "x_double_star": result.x_double_star}
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unexpected result type {type(result)!r}")
     return {
         "tau_hat": result.tau_hat,
         "theta_hat": result.theta_hat,

@@ -26,18 +26,18 @@ message and counts in the diagnostics' n_grid_failed.  No kernel raises, so
 the search catches nothing; it fails only if every grid point fails or the
 minimiser's own evaluation does.
 
-Each fit builds one plan per dataset before its search: every stratum's
-theta-free curve basis and each row's index for its curve lookup.  The
-strata come from ``stratify``, which codes each covariate column with a 1-d
-sort.  The indices come from searching the knots with the durations in
-ascending order, one sort of the stratum's durations (3SE) or of the kept
-durations shared by every curve (2SE), scattered back to row order.  The
+Each fit builds one plan per dataset before its search.  Both plans hold
+one curve table, every stratum's theta-free curve basis (strata from
+``stratify``) laid out as the columns of one (thetas x width) array, and
+the columns that the rows read: each row's own stratum at its left limit
+(3SE), or each kept row in every stratum, right-continuously (2SE).  The
+columns come from searching the knots with the durations sorted once.  The
 three-stage plan also holds a thin QR of the regression's theta-free columns
 over the cause-1 rows; the two-stage plan holds the weights of that linear
 combination.  The criterion is one kernel that scores a chunk of thetas at
-once, on (thetas x knots) and (thetas x rows) arrays: the curve kernel
-(``cge.curve_values``), the presmoother, one gather, and then either the
-regression from the QR or one weighted sum of log cumulative hazard
+once: it fills the table (``cge.curve_values``), presmooths (3SE) or
+transforms (2SE) it, gathers the rows with one take, and then runs either
+the regression from the QR or one weighted sum of log cumulative hazard
 differences.  The grid pass hands it chunks of up to GRID_CHUNK_ELEMENTS /
 rows thetas; the golden-section refinement and the final evaluation hand it
 one.  No evaluation calls LAPACK on the rows.  ``fgls_fit`` runs the same
@@ -77,6 +77,7 @@ designs; see the package README for the summary):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -352,40 +353,65 @@ def _grid_chunk(rows: int) -> int:
     return max(1, GRID_CHUNK_ELEMENTS // max(rows, 1))
 
 
-def _knot_positions(knots: tuple[np.ndarray, ...], x: np.ndarray,
-                    side: str) -> tuple[np.ndarray, ...]:
-    """np.searchsorted(times, x, side=side) for each times of knots.
+@dataclass(frozen=True)
+class _CurveTable:
+    """Every stratum's curve in the columns of one (thetas x width) array.
 
-    The durations are sorted once, looked up in that order and the positions
+    bases are in stratum order.  Curve j's column starts[j] holds 1, its
+    value before the first event, and the next columns its knots' values.
+    """
+
+    bases: tuple[CurveBasis, ...]
+    starts: tuple[int, ...]
+    width: int
+
+
+def _curve_table(ds: Dataset, strata: StrataIndex) -> _CurveTable:
+    bases = tuple(stratum_bases(ds, strata))
+    sizes = [b.event_times.size + 1 for b in bases]
+    return _CurveTable(bases, tuple(itertools.accumulate(sizes[:-1], initial=0)), sum(sizes))
+
+
+def _columns(table: _CurveTable, strata: tuple, x: np.ndarray, side: str) -> np.ndarray:
+    """Each duration's column in the curve of each of the given strata, one
+    row per stratum: the curve's start plus np.searchsorted(knots, x, side).
+
+    The durations are sorted once, looked up in that order and the columns
     scattered back: numpy starts each search of an ascending query where the
     one before ended.  On an n = 100000 benchmark sample the 2SE plan's two
     lookups took 12 ms this way, the sort included, and 30 ms in row order.
     """
     order = np.argsort(x)
     x_sorted = x[order]
-    positions = []
-    for times in knots:
-        pos = np.empty(x.size, dtype=np.intp)
-        pos[order] = np.searchsorted(times, x_sorted, side=side)
-        positions.append(pos)
-    return tuple(positions)
+    columns = np.empty((len(strata), x.size), dtype=np.intp)
+    for row, j in zip(columns, strata):
+        pos = np.searchsorted(table.bases[j].event_times, x_sorted, side=side)
+        row[order] = table.starts[j] + pos
+    return columns
+
+
+def _curves(table: _CurveTable, thetas: np.ndarray) -> np.ndarray:
+    """The table's curves at each theta, one row per theta."""
+    curves = np.empty((thetas.size, table.width))
+    for basis, start in zip(table.bases, table.starts):
+        curves[:, start] = 1.0
+        curves[:, start + 1:start + 1 + basis.event_times.size] = curve_values(basis, thetas)
+    return curves
 
 
 @dataclass(frozen=True)
 class _CvmPlan:
     """What the three-stage criterion needs that does not depend on theta.
 
-    strata holds, per stratum, its curve basis, the presmoothing window (1
-    for none) and the column where its curve starts in a (thetas x width)
-    array of all curves, each preceded by a column of ones (the value before
-    the first event).  gather holds each row's column there, for the
-    left-limit lookup.  regression holds the QR over the cause-1 rows
+    table holds every stratum's curve and windows each curve's presmoothing
+    window (1 for none); gather holds each row's column in the table, for
+    the left-limit lookup.  regression holds the QR over the cause-1 rows
     (events); log_x and z cover all rows, for the model's survival.  chunk
     is the number of thetas per grid-pass call.
     """
 
-    strata: tuple[tuple[CurveBasis, int, int], ...]
-    width: int
+    table: _CurveTable
+    windows: tuple[int, ...]
     gather: np.ndarray
     events: np.ndarray
     regression: _Regression
@@ -396,30 +422,25 @@ class _CvmPlan:
 
 def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
     strata = stratify(ds)
-    parts = []
+    table = _curve_table(ds, strata)
     gather = np.empty(ds.n, dtype=np.intp)
-    start = 0
-    for basis, idx in zip(stratum_bases(ds, strata), strata.indices):
-        times = basis.event_times
-        (pos,) = _knot_positions((times,), ds.x[idx], "left")
-        gather[idx] = start + pos
-        parts.append((basis, _smooth_window(times.size, smooth_knots), start))
-        start += times.size + 1
+    for j, idx in enumerate(strata.indices):
+        gather[idx] = _columns(table, (j,), ds.x[idx], "left")[0]
+    windows = tuple(_smooth_window(b.event_times.size, smooth_knots) for b in table.bases)
     events = np.flatnonzero(ds.delta == 1)
     log_x = np.log(ds.x)
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
-    return _CvmPlan(strata=tuple(parts), width=start, gather=gather, events=events,
+    return _CvmPlan(table=table, windows=windows, gather=gather, events=events,
                     regression=regression, log_x=log_x, z=ds.z, chunk=_grid_chunk(ds.n))
 
 
 def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> np.ndarray:
     """Per-row curve values at the left limit of each observed duration,
     one row per theta."""
-    curves = np.empty((thetas.size, plan.width))
-    for basis, window, start in plan.strata:
-        curves[:, start] = 1.0
-        curves[:, start + 1:start + 1 + basis.event_times.size] = smooth_curve_values(
-            curve_values(basis, thetas), window)
+    curves = _curves(plan.table, thetas)
+    for basis, start, window in zip(plan.table.bases, plan.table.starts, plan.windows):
+        knots = curves[:, start + 1:start + 1 + basis.event_times.size]
+        knots[...] = smooth_curve_values(knots, window)
     return np.take(curves, plan.gather, axis=1)
 
 
@@ -458,15 +479,11 @@ def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool, out=None):
 def _pair_structure(strata: StrataIndex):
     # reference stratum = the largest (ties resolved lexicographically); the
     # remaining strata each contribute one contrast row z_j - z_ref
-    sizes = strata.sizes
-    ref = int(np.argmax(sizes))
-    ref_level = np.asarray(strata.levels[ref], dtype=float)
+    ref = int(np.argmax(strata.sizes))
     others = [j for j in range(strata.n_strata) if j != ref]
-    diffs = np.array(
-        [np.asarray(strata.levels[j], dtype=float) - ref_level for j in others]
-    )
-    k = ref_level.shape[0]
-    if np.linalg.matrix_rank(diffs) < k:
+    levels = np.array(strata.levels, dtype=float)
+    diffs = levels[others] - levels[ref]
+    if np.linalg.matrix_rank(diffs) < levels.shape[1]:
         raise EstimationError(
             "covariate level contrasts do not span the coefficient space; "
             "more distinct covariate vectors are needed"
@@ -478,19 +495,20 @@ def _pair_structure(strata: StrataIndex):
 class _VariancePlan:
     """What the two-stage criterion needs that does not depend on theta.
 
-    bases and pos run over the reference stratum first, then the others;
-    pos holds each kept row's knot index for the right-continuous lookup.
-    A row's coefficients are diffs_pinv applied to its other strata's log
-    cumulative hazard differences from the reference; the criterion reads
-    only their sum, weights = diffs_pinv.sum(axis=0) applied to the same
-    differences.  log_l (strata x chunk x kept rows) is the one scratch
-    array, which every evaluation overwrites, so a plan serves one search at
-    a time; chunk is the number of thetas per grid-pass call.
+    table holds every stratum's curve; columns (strata x kept rows) holds
+    each kept row's column in every curve for the right-continuous lookup,
+    the reference stratum's row first and then the others.  A row's
+    coefficients are diffs_pinv applied to its other strata's log cumulative
+    hazard differences from the reference; the criterion reads only their
+    sum, weights = diffs_pinv.sum(axis=0) applied to the same differences.
+    log_l (chunk x strata x kept rows) is the one scratch array, which every
+    evaluation overwrites, so a plan serves one search at a time; chunk is
+    the number of thetas per grid-pass call.
     """
 
     trim: TrimBounds
-    bases: tuple[CurveBasis, ...]
-    pos: tuple[np.ndarray, ...]
+    table: _CurveTable
+    columns: np.ndarray
     diffs_pinv: np.ndarray
     weights: np.ndarray
     log_l: np.ndarray
@@ -505,41 +523,18 @@ def _variance_plan(ds: Dataset) -> _VariancePlan:
             "more values in the sample; a single stratum is not identified"
         )
     ref, others, diffs_pinv = _pair_structure(strata)
-    bases = stratum_bases(ds, strata)
+    table = _curve_table(ds, strata)
     # the trimmed window depends only on each stratum's event times
-    trim = trim_support(bases, ds)
+    trim = trim_support(table.bases, ds)
     x_kept = ds.x[trim.kept]
     if x_kept.size < 2:
         raise EstimationError("fewer than 2 rows survive trimming")
-    bases = tuple(bases[j] for j in (ref, *others))
-    pos = _knot_positions(tuple(b.event_times for b in bases), x_kept, "right")
+    columns = _columns(table, (ref, *others), x_kept, "right")
     chunk = _grid_chunk(x_kept.size)
     return _VariancePlan(
-        trim=trim, bases=bases, pos=pos, diffs_pinv=diffs_pinv,
-        weights=diffs_pinv.sum(axis=0),
-        log_l=np.empty((len(bases), chunk, x_kept.size)), chunk=chunk,
+        trim=trim, table=table, columns=columns, diffs_pinv=diffs_pinv,
+        weights=diffs_pinv.sum(axis=0), log_l=np.empty((chunk, *columns.shape)), chunk=chunk,
     )
-
-
-def _kept_contrasts(plan: _VariancePlan, thetas: np.ndarray) -> np.ndarray:
-    """Each other stratum's log(-log S) minus the reference's at the kept
-    durations, per theta: a view of plan.log_l (thetas x other strata x kept
-    rows).
-
-    The transform runs over each stratum's knots, which are fewer than the
-    kept rows, and the rows then gather from it.  A curve value of 0 or 1,
-    or an overflowed curve, gives a non-finite contrast.
-    """
-    log_l = plan.log_l[:, :thetas.size]
-    for basis, pos, out in zip(plan.bases, plan.pos, log_l):
-        full = np.ones((thetas.size, basis.event_times.size + 1))
-        full[:, 1:] = curve_values(basis, thetas)
-        with np.errstate(divide="ignore"):
-            np.log(np.negative(np.log(full, out=full), out=full), out=full)
-        np.take(full, pos, axis=1, out=out)
-    with np.errstate(invalid="ignore"):
-        log_l[1:] -= log_l[0]
-    return log_l[1:].swapaxes(0, 1)
 
 
 def _coef_variance(row_sums: np.ndarray) -> np.ndarray:
@@ -550,20 +545,26 @@ def _coef_variance(row_sums: np.ndarray) -> np.ndarray:
 def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
     """The two-stage criterion at each theta of a chunk.
 
-    Returns (values, failure messages, contrasts) as _cvm_value does, with
-    the contrasts of _kept_contrasts.  Any non-finite contrast makes its
-    theta's value non-finite, so the contrasts are checked only then.
+    Returns (values, failure messages, contrasts) as _cvm_value does; the
+    contrasts, a view of plan.log_l (thetas x other strata x kept rows), are
+    each other stratum's log(-log S) minus the reference's.  The transform
+    runs over the table, which has fewer columns than there are kept rows.
+    A curve value of 0 or 1 makes it infinite and only an overflowed curve
+    makes it NaN.  A non-finite contrast makes its theta's value
+    non-finite, so the contrasts are checked only then.
     """
-    contrasts = _kept_contrasts(plan, thetas)
+    table = _curves(plan.table, thetas)
+    with np.errstate(divide="ignore"):
+        np.log(np.negative(np.log(table, out=table), out=table), out=table)
+    log_l = np.take(table, plan.columns, axis=1, out=plan.log_l[:thetas.size])
+    contrasts = log_l[:, 1:]
     with np.errstate(invalid="ignore"):
+        contrasts -= log_l[:, :1]
         values = _coef_variance(plan.weights @ contrasts)
     errors: list = [None] * thetas.size
     failed = ~np.isfinite(values)
     if failed.any():
-        # an overflowed curve (NaN, see curve_values) and a curve value of 0
-        # or 1 both give NaN contrasts; the curves tell them apart
-        for basis in plan.bases:
-            _mark(errors, np.isnan(curve_values(basis, thetas)[:, -1]), CURVE_OVERFLOW)
+        _mark(errors, np.isnan(table).any(axis=1), CURVE_OVERFLOW)
         _mark(errors, ~np.all(np.isfinite(contrasts), axis=(1, 2)),
               "a curve value of 0 or 1 inside the trimmed window makes the "
               "coefficient undefined")

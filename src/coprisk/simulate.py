@@ -113,10 +113,11 @@ def monte_carlo(
 ) -> McReport:
     """Replicate the design, fit each sample, and summarise the estimates.
 
-    Only parameters named in ``truth`` are summarised.  Replicates on which
-    the estimator raises an EstimationError are skipped and counted; more
-    than reps/2 failures aborts.  jobs > 1 runs the replicates in worker
-    processes, so the estimator must then be picklable.
+    Only parameters named in ``truth`` are summarised, and the estimator
+    must return each of them.  Replicates on which the estimator raises an
+    EstimationError are skipped and counted; more than reps/2 failures
+    aborts.  jobs > 1 runs the replicates in worker processes, so the
+    estimator must then be picklable.
     """
     reps = int(reps)
     if reps < 1:
@@ -131,6 +132,9 @@ def monte_carlo(
             "estimator configuration is degenerate"
         )
     names = list(truth.keys())
+    missing = [name for name in names if any(name not in res for res in results)]
+    if missing:
+        raise ValueError(f"the estimator did not return the truth parameters {missing}")
     mean: dict[str, float] = {}
     bias2: dict[str, float] = {}
     mse: dict[str, float] = {}

@@ -113,6 +113,22 @@ def test_non_finite_tau_grid_exits_2(tmp_path, capsys, grid):
     assert error["message"] == f"--tau-grid needs finite lo, hi and step, got {grid!r}"
 
 
+@pytest.mark.parametrize("grid, points", [
+    ("-0.9:0.9:9e-14", "2e+13"),  # an allocation of 146 TiB
+    ("-0.9:0.9:1e-300", "1.8e+300"),  # more points than numpy can index
+    ("0:1:0.000001", "1000001"),
+    ("-1e308:1e308:1", "inf"),  # hi - lo overflows
+])
+def test_too_fine_tau_grid_exits_2(tmp_path, capsys, grid, points):
+    path = gen_csv(tmp_path, capsys, n=200)
+    code, out, err = run(capsys, "fit", "--input", str(path), f"--tau-grid={grid}")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "usage",
+        "message": f"--tau-grid {grid!r} has {points} points, more than 1000000"}
+    assert cli._parse_tau_grid("0:0.999999:0.000001").size == cli.MAX_TAU_GRID_POINTS
+
+
 @pytest.mark.parametrize("argv", [
     ("fit", "--input", "{csv}", "--output", "{bad}"),
     ("curve", "--input", "{csv}", "--tau-list", "0.5", "--output", "{bad}"),

@@ -6,16 +6,17 @@ import functools
 import numpy as np
 import pytest
 
-from coprisk.cge import CURVE_OVERFLOW, copula_graphic, curve_values
+from coprisk.cge import CURVE_OVERFLOW, CurveBasis, copula_graphic, curve_values
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
     FglsFit,
+    _CurveTable,
     _coef_variance,
+    _columns,
+    _curves,
     _cvm_plan,
     _cvm_value,
-    _kept_contrasts,
-    _knot_positions,
     _pair_structure,
     _regression,
     _row_values,
@@ -406,15 +407,10 @@ def overflow_dataset():
     return generate_dataset(DgpSpec(n=2000, tau=0.8, model_t=model, model_c=model), 1)
 
 
-def amplified_cvm_plan(family="weibull", model_kind="aft"):
-    plan = _cvm_plan(batch_dataset(), family, model_kind)
-    strata = tuple((amplified(b), window, start) for b, window, start in plan.strata)
-    return dataclasses.replace(plan, strata=strata)
-
-
-def amplified_variance_plan():
-    plan = _variance_plan(batch_dataset())
-    return dataclasses.replace(plan, bases=tuple(amplified(b) for b in plan.bases))
+def amplified_plan(plan):
+    """The plan with every basis of its curve table amplified."""
+    table = dataclasses.replace(plan.table, bases=tuple(map(amplified, plan.table.bases)))
+    return dataclasses.replace(plan, table=table)
 
 
 def assert_rows_equal(batched, single):
@@ -424,13 +420,18 @@ def assert_rows_equal(batched, single):
 def test_curve_kernel_rows_equal_one_theta_calls():
     thetas = _thetas(BATCH_TAUS)
     assert thetas[3] == 0.0
-    for basis in amplified_variance_plan().bases:
+    table = amplified_plan(_variance_plan(batch_dataset())).table
+    for basis in table.bases:
         batch = curve_values(basis, thetas)
         assert batch.shape == (thetas.size, basis.event_times.size)
         assert np.any(batch[1] == 0.0) and np.any(batch[2] == 0.0)
         for row, theta in zip(batch, thetas):
             assert_rows_equal(row, curve_values(basis, theta))
             assert_rows_equal(row, curve_values(basis, np.array([theta]))[0])
+    curves = _curves(table, thetas)
+    assert curves.shape == (thetas.size, table.width)
+    for i in range(thetas.size):
+        assert_rows_equal(curves[i], _curves(table, thetas[i:i + 1])[0])
 
 
 @pytest.mark.parametrize("family, model_kind, events_only", [
@@ -438,7 +439,7 @@ def test_curve_kernel_rows_equal_one_theta_calls():
     ("exponential", "aft", False), ("weibull", "ph", False),
 ])
 def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
-    plan = amplified_cvm_plan(family, model_kind)
+    plan = amplified_plan(_cvm_plan(batch_dataset(), family, model_kind))
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     rows = _row_values(plan, thetas)
@@ -456,7 +457,7 @@ def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
 
 
 def test_variance_kernel_rows_equal_one_theta_calls():
-    plan = amplified_variance_plan()
+    plan = amplified_plan(_variance_plan(batch_dataset()))
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     values, errors, contrasts = _variance_value(plan, thetas)
@@ -473,7 +474,7 @@ def test_variance_kernel_rows_equal_one_theta_calls():
 
 def test_failed_theta_keeps_its_chunk_mates():
     # 2SE: three thetas of one chunk fail in the curve transform
-    plan = amplified_variance_plan()
+    plan = amplified_plan(_variance_plan(batch_dataset()))
     single = {tau: _variance_value(plan, _thetas([tau]))[0][0] for tau in BATCH_TAUS}
     grid_errors = _variance_value(plan, _thetas(BATCH_TAUS))[1]
     assert grid_errors == [None, UNDEFINED, UNDEFINED, UNDEFINED, None, None]
@@ -568,18 +569,25 @@ def test_fits_keep_their_recorded_values():
 def test_knot_positions_equal_plain_searchsorted():
     rng = np.random.default_rng(8)
     knots = np.unique(rng.integers(1, 60, 25)).astype(float)
+    assert knots.size == 23
     # durations on the knots, tied with each other, between and outside them
     x = np.concatenate([knots, knots[::3], rng.integers(0, 62, 200) / 1.0,
                         rng.uniform(0.0, 65.0, 200), [0.5, 0.5, 70.0, 70.0]])
     x = rng.permutation(x)
+    curves = (knots, knots[:1], knots[:0], knots[5:9])
+    bases = tuple(CurveBasis(times, np.zeros(times.size), np.zeros(times.size))
+                  for times in curves)
+    table = _CurveTable(bases, starts=(0, 24, 26, 27), width=32)  # 23, 1, 0 and 4 knots
     for side in ("left", "right"):
-        for times in (knots, knots[:1], knots[:0]):
-            (pos,) = _knot_positions((times,), x, side)
-            assert pos.dtype == np.intp
-            np.testing.assert_array_equal(pos, np.searchsorted(times, x, side=side))
-        both = _knot_positions((knots, knots[5:9]), x, side)
-        for times, pos in zip((knots, knots[5:9]), both):
-            np.testing.assert_array_equal(pos, np.searchsorted(times, x, side=side))
+        for j, times in enumerate(curves):
+            (columns,) = _columns(table, (j,), x, side)
+            assert columns.dtype == np.intp
+            np.testing.assert_array_equal(
+                columns, table.starts[j] + np.searchsorted(times, x, side=side))
+        both = _columns(table, (3, 0), x, side)
+        for j, columns in zip((3, 0), both):
+            np.testing.assert_array_equal(
+                columns, table.starts[j] + np.searchsorted(curves[j], x, side=side))
 
 
 def test_fit_3se_all_censored_fails(monkeypatch):
@@ -763,7 +771,7 @@ def test_plan_values_equal_curve_lookups():
             assert np.all(rows[strata3.indices[2]] == 1.0)
         curves = stratum_curves(ds2, theta)
         log_l = [np.log(-np.log(curves[strata2.levels[j]](x_kept))) for j in (ref, *others)]
-        contrasts = _kept_contrasts(plan2, np.array([theta]))[0]
+        contrasts = _variance_value(plan2, np.array([theta]))[2][0]
         for values, expected in zip(contrasts, log_l[1:]):
             assert np.all(values == expected - log_l[0])
 
@@ -782,7 +790,7 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
     for theta in (-0.5, 0.0, 2.0, 8.0):
         curves = stratum_curves(ds, theta)
         # each kept row's coefficients, as fit_2se averages them into beta_hat
-        b = _kept_contrasts(plan, np.array([theta]))[0].T @ plan.diffs_pinv.T
+        b = _variance_value(plan, np.array([theta]))[2][0].T @ plan.diffs_pinv.T
         assert b.shape == (x_kept.size, 1)
         expected = [
             semiparam_b(x, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
@@ -807,7 +815,7 @@ def test_weights_score_the_summed_row_coefficients():
     plan = _variance_plan(six_strata_dataset())
     assert plan.diffs_pinv.shape == (2, 5)
     for theta in (-0.5, 0.5, 3.0):
-        contrasts = _kept_contrasts(plan, np.array([theta]))[0]
+        contrasts = _variance_value(plan, np.array([theta]))[2][0]
         b = contrasts.T @ plan.diffs_pinv.T
         np.testing.assert_allclose(plan.weights @ contrasts, b.sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
@@ -832,8 +840,10 @@ def test_b_matrix_rejects_curve_value_one():
     ds = generate_dataset(DgpSpec(n=400, tau=0.5, model_t=AftModel("weibull", **BENCH),
                                   model_c=AftModel("weibull", **BENCH)), 3)
     plan = _variance_plan(ds)
-    pos = (np.zeros_like(plan.pos[0]), *plan.pos[1:])
-    values, errors, _ = _variance_value(dataclasses.replace(plan, pos=pos), np.array([1.0]))
+    columns = plan.columns.copy()
+    columns[0, 0] = plan.table.starts[1]  # the second stratum's column of ones
+    values, errors, _ = _variance_value(dataclasses.replace(plan, columns=columns),
+                                        np.array([1.0]))
     assert np.isnan(values[0]) and "undefined" in errors[0]
 
 

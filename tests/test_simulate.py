@@ -138,6 +138,17 @@ def test_monte_carlo_parallel_rejects_unpicklable_estimator():
         monte_carlo(spec, lambda d: _mean_duration(d), {"m": 0.5}, reps=4, jobs=2)
 
 
+def test_monte_carlo_names_truth_parameters_the_estimator_lacks():
+    spec = benchmark_spec(n=40)
+
+    def tau_only(ds):
+        return {"tau": 0.5}
+
+    with pytest.raises(ValueError, match=r"^the estimator did not return the truth "
+                                         r"parameters \['sigma', 'alpha'\]$"):
+        monte_carlo(spec, tau_only, {"sigma": 1.5, "tau": 0.8, "alpha": 1.0}, reps=2)
+
+
 def test_monte_carlo_too_many_failures():
     spec = benchmark_spec(n=40)
 
