@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -286,6 +287,27 @@ def test_curve_dump(tmp_path, capsys):
     for line in lines[1:5]:
         value = float(line.split(",")[-1])
         assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("extra, lines, sha256", [
+    ((), 1129, "016c4d334d6fa1cfb7b0acde249da9c28373de340c1d969fb9a9792b344e3fbf"),
+    (("--no-covariate",), 1189,
+     "587d721b9f7c603af56acfe85277590457a77c641acfe6e18824ff6e8c19fb96"),
+], ids=["strata", "all"])
+def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
+    # recorded bytes of `coprisk curve` on the `coprisk gen --seed 1 --n 400`
+    # sample, with two strata and with the one stratum named "all"
+    sample = tmp_path / "sample.csv"
+    code, _, _ = run(capsys, "gen", "--seed", "1", "--n", "400", "--output", str(sample),
+                     *extra)
+    assert code == 0
+    target = tmp_path / "curve.csv"
+    code, _, err = run(capsys, "curve", "--input", str(sample),
+                       "--tau-list=-0.9,-0.5,0,0.3,0.8,0.95", "--output", str(target))
+    assert code == 0, err
+    data = target.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_gen_without_covariate(tmp_path, capsys):
