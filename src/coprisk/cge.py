@@ -10,16 +10,16 @@ and ``dF(u)`` the incidence jump.  Evaluating the integrand at the left limit
 keeps the first event well defined and treats same-time events as occurring
 before same-time censorings.
 
-Only the generator depends on theta.  ``curve_basis`` builds a stratum's
-theta-free pieces once (``stratum_bases`` does so for every stratum of a
-dataset); ``curve_values`` is the kernel that the estimators' searches call,
-on one theta or on a chunk of them at once; ``copula_graphic`` composes the
-two into a step function.
+Only the generator depends on theta.  ``curve_table`` lays the theta-free
+pieces of one or more curves out as the columns of one table
+(``stratum_table`` does so for every stratum of a dataset); ``curves`` is
+the one kernel, which fills the table at a chunk of thetas and serves the
+estimators' searches, the CLI's curve dump and ``copula_graphic``, the
+step function of one curve at one theta.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,72 +51,75 @@ class TrimBounds:
 
 
 @dataclass(frozen=True)
-class CurveBasis:
-    """The theta-free part of one stratum's copula-graphic curve.
+class CurveTable:
+    """The theta-free part of one or more copula-graphic curves, laid out
+    as the columns of one table.
 
-    event_times: the cause-1 knot times; jumps: the incidence jumps dF there;
-    log_pi_left: log pi_hat(t-) at each knot.
+    spans[j] is curve j's slice of the columns.  Its first column holds 0 in
+    all three arrays: time 0, where the curve is 1.  The others hold the
+    curve's cause-1 knot times, log pi_hat(t-) at each knot and the
+    incidence jumps dF there.
     """
 
-    event_times: np.ndarray
-    jumps: np.ndarray
+    spans: tuple[slice, ...]
+    times: np.ndarray
     log_pi_left: np.ndarray
+    jumps: np.ndarray
 
 
-def curve_basis(pi_hat: StepFunction, f_t_hat: StepFunction) -> CurveBasis:
-    """Precompute the pieces of the curve that do not depend on theta.
+def curve_table(first_stages: Iterable[tuple[StepFunction, StepFunction]]) -> CurveTable:
+    """The table of the curves of (pi_hat, f_t_hat) pairs, one curve a pair.
 
-    pi_hat and f_t_hat must come from the same stratum.
+    Each pair's pi_hat and f_t_hat must come from the same stratum.
     """
-    times = f_t_hat.jump_times
-    jumps = np.diff(np.concatenate(([f_t_hat.initial_value], f_t_hat.values)))
-    pi_left = pi_hat.left_limit(times)
-    bad = pi_left <= 0.0
-    if np.any(bad):
-        t_bad = times[np.argmax(bad)]
-        raise EstimationError(
-            f"overall survival vanishes at event time {t_bad}; the curve "
-            "integrand diverges there"
-        )
-    return CurveBasis(event_times=times, jumps=jumps, log_pi_left=np.log(pi_left))
+    spans, times, log_pi_left, jumps = [], [], [], []
+    start = 0
+    for pi_hat, f_t_hat in first_stages:
+        knots = f_t_hat.jump_times
+        pi_left = pi_hat.left_limit(knots)
+        bad = pi_left <= 0.0
+        if np.any(bad):
+            raise EstimationError(
+                f"overall survival vanishes at event time {knots[np.argmax(bad)]}; "
+                "the curve integrand diverges there"
+            )
+        spans.append(slice(start, start + 1 + knots.size))
+        start += 1 + knots.size
+        times += [[0.0], knots]
+        log_pi_left += [[0.0], np.log(pi_left)]
+        jumps += [[0.0], np.diff(f_t_hat.values, prepend=f_t_hat.initial_value)]
+    return CurveTable(tuple(spans), np.concatenate(times), np.concatenate(log_pi_left),
+                      np.concatenate(jumps))
 
 
-def stratum_bases(ds: Dataset, strata: StrataIndex) -> list[CurveBasis]:
-    """One curve basis per stratum, in the order of strata.indices."""
-    return [
-        curve_basis(
-            overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx])
-        )
+def stratum_table(ds: Dataset, strata: StrataIndex) -> CurveTable:
+    """The table of every stratum's curve, in the order of strata.indices."""
+    return curve_table(
+        (overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx]))
         for idx in strata.indices
-    ]
+    )
 
 
-def curve_values(basis: CurveBasis, theta) -> np.ndarray:
-    """Curve values at the basis's event times for dependence theta.
+def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
+    """The table's curves at each theta of a 1-d array, one row per theta.
 
-    theta is one dependence, giving one curve, or a 1-d array of them,
-    giving a (thetas x knots) array with one curve per row.  The integrand
-    -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1).  For theta < 0 the
-    curve clamps at zero once the accumulated sum leaves the generator's
-    support.  Where that sum overflows, one theta raises EstimationError
-    and a theta of an array gets a row of NaN.
+    The integrand -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1).  For
+    theta < 0 a curve clamps at zero once its accumulated sum leaves the
+    generator's support.  A theta at which any curve's sum overflows gets a
+    row of NaN.
     """
-    thetas = np.asarray(theta, dtype=float)
-    col = thetas.reshape(-1, 1)
+    col = np.asarray(thetas, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore"):
-        running = np.cumsum(np.exp(-(col + 1.0) * basis.log_pi_left) * basis.jumps, axis=1)
-        # the terms are positive, so an overflowed sum ends at inf, and one
-        # sum over the last column tests every theta
-        overflow = math.isinf(running[:, -1:].sum())
-        if overflow:
-            if thetas.ndim == 0:
-                raise EstimationError(f"{CURVE_OVERFLOW} (theta = {float(thetas):g})")
-            rows = np.isinf(running[:, -1])
-            running[rows] = 0.0
+        running = np.exp(-(col + 1.0) * table.log_pi_left)
+        running *= table.jumps
+        for span in table.spans:
+            np.cumsum(running[:, span], axis=1, out=running[:, span])
+        # the terms are positive, so an overflowed sum ends its span at inf
+        failed = np.isinf(running[:, [span.stop - 1 for span in table.spans]]).any(axis=1)
+        running[failed] = 0.0
         values = generator(running, col)
-    if overflow:
-        values[rows] = np.nan
-    return values[0] if thetas.ndim == 0 else values
+    values[failed] = np.nan
+    return values
 
 
 def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> StepFunction:
@@ -126,27 +129,28 @@ def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) ->
     before the first cause-1 event and steps at each of them.
     """
     theta = _validate_theta(theta)
-    basis = curve_basis(pi_hat, f_t_hat)
-    return StepFunction(basis.event_times, curve_values(basis, theta), initial_value=1.0)
+    table = curve_table([(pi_hat, f_t_hat)])
+    (values,) = curves(table, np.array([theta]))
+    if np.isnan(values[0]):
+        raise EstimationError(f"{CURVE_OVERFLOW} (theta = {theta:g})")
+    return StepFunction(table.times[1:], values[1:], initial_value=1.0)
 
 
-def trim_support(bases: Iterable[CurveBasis], ds: Dataset) -> TrimBounds:
+def trim_support(table: CurveTable, ds: Dataset) -> TrimBounds:
     """Support window for estimators that compare curves across strata.
 
-    Only each stratum's event times are used, so the window does not depend
+    Only each curve's knot times are used, so the window does not depend
     on theta.
 
-    x_star is the smallest last-event time across strata (each curve plateaus
-    after its own last cause-1 event), x_double_star the largest first-event
-    time (each curve equals 1 before its own first event).
+    x_star is the smallest last-event time across the table's curves (each
+    curve plateaus after its own last cause-1 event), x_double_star the
+    largest first-event time (each curve equals 1 before its own first
+    event).
     """
-    bases = list(bases)
-    if not bases:
-        raise EstimationError("trim_support needs at least one curve")
-    if any(basis.event_times.size == 0 for basis in bases):
+    if any(span.stop - span.start == 1 for span in table.spans):
         raise EstimationError("a stratum has no cause-1 events; its curve never leaves 1")
-    x_star = float(min(basis.event_times[-1] for basis in bases))
-    x_double_star = float(max(basis.event_times[0] for basis in bases))
+    x_star = float(min(table.times[span.stop - 1] for span in table.spans))
+    x_double_star = float(max(table.times[span.start + 1] for span in table.spans))
     kept = np.flatnonzero((ds.x >= x_double_star) & (ds.x <= x_star))
     if kept.size == 0:
         raise EstimationError(

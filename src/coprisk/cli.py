@@ -29,7 +29,7 @@ from .estimators import (
     three_stage_point,
     two_stage_point,
 )
-from .cge import curve_values, stratum_bases
+from .cge import CURVE_OVERFLOW, curves, stratum_table
 from .inference import bootstrap
 from .marginals import FAMILIES, AftModel
 from .simulate import DgpSpec, generate_dataset, monte_carlo
@@ -290,24 +290,24 @@ def cmd_curve(args) -> int:
     taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
     if not taus:
         raise ValueError("--tau-list must contain at least one value")
-    thetas = [theta_from_tau(tau) for tau in taus]
+    thetas = np.array([theta_from_tau(tau) for tau in taus])
     strata = stratify(ds)
+    table = stratum_table(ds, strata)
     # every curve is computed before the output is opened, so a bad tau or an
     # overflowing curve leaves no partial file or stdout
-    curves = [
-        (";".join(f"{v:g}" for v in level) or "all", tau, basis.event_times,
-         curve_values(basis, theta))
-        for level, basis in zip(strata.levels, stratum_bases(ds, strata))
-        for tau, theta in zip(taus, thetas)
-    ]
+    rows = curves(table, thetas)
+    failed = np.isnan(rows[:, 0])
+    if failed.any():
+        raise EstimationError(f"{CURVE_OVERFLOW} (theta = {thetas[np.argmax(failed)]:g})")
     out = sys.stdout if not args.output else open(args.output, "w", newline="", encoding="utf-8")
     try:
         writer = csv.writer(out)
         writer.writerow(["stratum", "tau", "t", "survival"])
-        for label, tau, times, surv in curves:
-            writer.writerow([label, f"{tau:g}", "0", "1"])
-            for t, s in zip(times, surv):
-                writer.writerow([label, f"{tau:g}", f"{t:.12g}", f"{s:.12g}"])
+        for level, span in zip(strata.levels, table.spans):
+            label = ";".join(f"{v:g}" for v in level) or "all"
+            for tau, row in zip(taus, rows):
+                for t, s in zip(table.times[span], row[span]):
+                    writer.writerow([label, f"{tau:g}", f"{t:.12g}", f"{s:.12g}"])
     finally:
         if args.output:
             out.close()

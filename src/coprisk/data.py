@@ -86,7 +86,12 @@ class Dataset:
         return self.n
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """The rows at the given integer indices, in their order."""
+        idx = np.asarray(indices)
+        # a cast to int would read a boolean mask as rows 0 and 1 and
+        # truncate fractional indices
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
         return Dataset(self.x[idx], self.delta[idx], self.z[idx])
 
 
@@ -122,8 +127,9 @@ def load_csv(
     """Read a dataset from a UTF-8 CSV file with a header row.
 
     z_cols=None auto-detects covariate columns named z1, z2, ... in order.
-    Header names are stripped of surrounding whitespace, and a column used
-    for x, delta or z must be named only once.  Fields may be quoted, so an
+    Header names are stripped of surrounding whitespace.  A column may be
+    used only once among x, delta and z, and a used column must be named
+    only once in the header.  Fields may be quoted, so an
     unused column may hold commas, and may have spaces around the number;
     blank lines are skipped.  Rows with a non-positive or missing x, or a
     missing, negative or non-integral delta (1.0 is accepted, 1.5 is not),
@@ -157,6 +163,9 @@ def load_csv(
             if missing:
                 raise DataError(f"{path}: covariate columns not found: {missing}")
         names = [x_col, delta_col, *z_cols]
+        reused = [c for c in dict.fromkeys(names) if names.count(c) > 1]
+        if reused:
+            raise DataError(f"{path}: columns used more than once for x, delta and z: {reused}")
         repeated = [c for c in dict.fromkeys(names) if header.count(c) > 1]
         if repeated:
             raise DataError(f"{path}: columns named more than once in the header: {repeated}")

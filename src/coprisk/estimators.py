@@ -27,21 +27,20 @@ the search catches nothing; it fails only if every grid point fails or the
 minimiser's own evaluation does.
 
 Each fit builds one plan per dataset before its search.  Both plans hold
-one curve table, every stratum's theta-free curve basis (strata from
-``stratify``) laid out as the columns of one (thetas x width) array, and
-the columns that the rows read: each row's own stratum at its left limit
-(3SE), or each kept row in every stratum, right-continuously (2SE).  The
-columns come from searching the knots with the durations sorted once.  The
-three-stage plan also holds a thin QR of the regression's theta-free columns
-over the cause-1 rows; the two-stage plan holds the weights of that linear
-combination.  The criterion is one kernel that scores a chunk of thetas at
-once: it fills the table (``cge.curve_values``), presmooths (3SE) or
-transforms (2SE) it, gathers the rows with one take, and then runs either
-the regression from the QR or one weighted sum of log cumulative hazard
-differences.  The grid pass hands it chunks of up to GRID_CHUNK_ELEMENTS /
-rows thetas; the golden-section refinement and the final evaluation hand it
-one.  No evaluation calls LAPACK on the rows.  ``fgls_fit`` runs the same
-regression on its own.
+one ``cge.CurveTable`` of every stratum's curve (strata from ``stratify``)
+and the table columns that the rows read: each row's own stratum at its
+left limit (3SE), or each kept row in every stratum, right-continuously
+(2SE).  The columns come from searching the knots with the durations sorted
+once.  The three-stage plan also holds a thin QR of the regression's
+theta-free columns over the cause-1 rows; the two-stage plan holds the
+weights of that linear combination.  The criterion is one kernel that
+scores a chunk of thetas at once: it fills the table (``cge.curves``, one
+row per theta), presmooths (3SE) or transforms (2SE) it, gathers the rows
+with one take, and then runs either the regression from the QR or one
+weighted sum of log cumulative hazard differences.  The grid pass hands it
+chunks of up to GRID_CHUNK_ELEMENTS / rows thetas; the golden-section
+refinement and the final evaluation hand it one.  No evaluation calls
+LAPACK on the rows.  ``fgls_fit`` runs the same regression on its own.
 
 The regression has at most one theta-dependent column, S_W^{-1}(s) in the
 AFT families with a shape parameter.  Its slope comes from the
@@ -77,21 +76,13 @@ designs; see the package README for the summary):
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cge import (
-    CURVE_OVERFLOW,
-    CurveBasis,
-    TrimBounds,
-    curve_values,
-    stratum_bases,
-    trim_support,
-)
+from .cge import CURVE_OVERFLOW, CurveTable, TrimBounds, curves, stratum_table, trim_support
 from .copula import theta_from_tau
 from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
@@ -353,28 +344,10 @@ def _grid_chunk(rows: int) -> int:
     return max(1, GRID_CHUNK_ELEMENTS // max(rows, 1))
 
 
-@dataclass(frozen=True)
-class _CurveTable:
-    """Every stratum's curve in the columns of one (thetas x width) array.
-
-    bases are in stratum order.  Curve j's column starts[j] holds 1, its
-    value before the first event, and the next columns its knots' values.
-    """
-
-    bases: tuple[CurveBasis, ...]
-    starts: tuple[int, ...]
-    width: int
-
-
-def _curve_table(ds: Dataset, strata: StrataIndex) -> _CurveTable:
-    bases = tuple(stratum_bases(ds, strata))
-    sizes = [b.event_times.size + 1 for b in bases]
-    return _CurveTable(bases, tuple(itertools.accumulate(sizes[:-1], initial=0)), sum(sizes))
-
-
-def _columns(table: _CurveTable, strata: tuple, x: np.ndarray, side: str) -> np.ndarray:
+def _columns(table: CurveTable, strata: tuple, x: np.ndarray, side: str) -> np.ndarray:
     """Each duration's column in the curve of each of the given strata, one
-    row per stratum: the curve's start plus np.searchsorted(knots, x, side).
+    row per stratum: the curve's first column plus
+    np.searchsorted(knots, x, side).
 
     The durations are sorted once, looked up in that order and the columns
     scattered back: numpy starts each search of an ascending query where the
@@ -385,18 +358,10 @@ def _columns(table: _CurveTable, strata: tuple, x: np.ndarray, side: str) -> np.
     x_sorted = x[order]
     columns = np.empty((len(strata), x.size), dtype=np.intp)
     for row, j in zip(columns, strata):
-        pos = np.searchsorted(table.bases[j].event_times, x_sorted, side=side)
-        row[order] = table.starts[j] + pos
+        span = table.spans[j]
+        pos = np.searchsorted(table.times[span.start + 1:span.stop], x_sorted, side=side)
+        row[order] = span.start + pos
     return columns
-
-
-def _curves(table: _CurveTable, thetas: np.ndarray) -> np.ndarray:
-    """The table's curves at each theta, one row per theta."""
-    curves = np.empty((thetas.size, table.width))
-    for basis, start in zip(table.bases, table.starts):
-        curves[:, start] = 1.0
-        curves[:, start + 1:start + 1 + basis.event_times.size] = curve_values(basis, thetas)
-    return curves
 
 
 @dataclass(frozen=True)
@@ -410,7 +375,7 @@ class _CvmPlan:
     is the number of thetas per grid-pass call.
     """
 
-    table: _CurveTable
+    table: CurveTable
     windows: tuple[int, ...]
     gather: np.ndarray
     events: np.ndarray
@@ -422,11 +387,12 @@ class _CvmPlan:
 
 def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
     strata = stratify(ds)
-    table = _curve_table(ds, strata)
+    table = stratum_table(ds, strata)
     gather = np.empty(ds.n, dtype=np.intp)
     for j, idx in enumerate(strata.indices):
         gather[idx] = _columns(table, (j,), ds.x[idx], "left")[0]
-    windows = tuple(_smooth_window(b.event_times.size, smooth_knots) for b in table.bases)
+    windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
+                    for span in table.spans)
     events = np.flatnonzero(ds.delta == 1)
     log_x = np.log(ds.x)
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
@@ -437,11 +403,11 @@ def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _
 def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> np.ndarray:
     """Per-row curve values at the left limit of each observed duration,
     one row per theta."""
-    curves = _curves(plan.table, thetas)
-    for basis, start, window in zip(plan.table.bases, plan.table.starts, plan.windows):
-        knots = curves[:, start + 1:start + 1 + basis.event_times.size]
+    values = curves(plan.table, thetas)
+    for span, window in zip(plan.table.spans, plan.windows):
+        knots = values[:, span.start + 1:span.stop]
         knots[...] = smooth_curve_values(knots, window)
-    return np.take(curves, plan.gather, axis=1)
+    return np.take(values, plan.gather, axis=1)
 
 
 def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool, out=None):
@@ -467,7 +433,7 @@ def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool, out=None):
     # a theta that failed above has NaN coefficients, hence a NaN value
     failed = ~np.isfinite(values)
     if failed.any():
-        # only an overflowed curve (see curve_values) puts NaN in s_hat; the
+        # only an overflowed curve (see cge.curves) puts NaN in s_hat; the
         # regression then fails under another name, which this one replaces
         overflow = np.isnan(s_cl).any(axis=1)
         errors = [CURVE_OVERFLOW if o else e for o, e in zip(overflow, errors)]
@@ -507,7 +473,7 @@ class _VariancePlan:
     """
 
     trim: TrimBounds
-    table: _CurveTable
+    table: CurveTable
     columns: np.ndarray
     diffs_pinv: np.ndarray
     weights: np.ndarray
@@ -523,9 +489,9 @@ def _variance_plan(ds: Dataset) -> _VariancePlan:
             "more values in the sample; a single stratum is not identified"
         )
     ref, others, diffs_pinv = _pair_structure(strata)
-    table = _curve_table(ds, strata)
+    table = stratum_table(ds, strata)
     # the trimmed window depends only on each stratum's event times
-    trim = trim_support(table.bases, ds)
+    trim = trim_support(table, ds)
     x_kept = ds.x[trim.kept]
     if x_kept.size < 2:
         raise EstimationError("fewer than 2 rows survive trimming")
@@ -553,7 +519,7 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
     makes it NaN.  A non-finite contrast makes its theta's value
     non-finite, so the contrasts are checked only then.
     """
-    table = _curves(plan.table, thetas)
+    table = curves(plan.table, thetas)
     with np.errstate(divide="ignore"):
         np.log(np.negative(np.log(table, out=table), out=table), out=table)
     log_l = np.take(table, plan.columns, axis=1, out=plan.log_l[:thetas.size])

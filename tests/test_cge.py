@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from coprisk.cge import (
-    CURVE_OVERFLOW,
-    CurveBasis,
-    copula_graphic,
-    curve_basis,
-    curve_values,
-    trim_support,
-)
+from coprisk.cge import CURVE_OVERFLOW, copula_graphic, curve_table, curves, trim_support
 from coprisk.data import Dataset
 from coprisk.errors import EstimationError
 from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
@@ -22,8 +15,9 @@ def curve_from_sample(x, delta, theta):
     return copula_graphic(overall_survival(x), sub_distribution(x, delta), theta)
 
 
-def basis_from_sample(x, delta):
-    return curve_basis(overall_survival(x), sub_distribution(x, delta))
+def table_from_samples(*samples):
+    """The curve table of (x, delta) samples, one curve each."""
+    return curve_table((overall_survival(x), sub_distribution(x, delta)) for x, delta in samples)
 
 
 def test_hand_example_independence():
@@ -112,23 +106,32 @@ def test_diverging_integrand_reported():
 def test_overflowing_theta_fails_alone():
     # pi_hat(u-) = e^-10 at the second knot: at theta = 100 its term is
     # e^1010, past the float range, while theta = 1 and 2 stay finite
-    basis = CurveBasis(event_times=np.array([1.0, 2.0]), jumps=np.array([0.1, 0.1]),
-                       log_pi_left=np.array([-1.0, -10.0]))
-    values = curve_values(basis, np.array([1.0, 100.0, 2.0]))
+    def first_stage(log_pi):
+        pi_hat = StepFunction(np.array([0.5, 1.5]), np.exp([-1.0, log_pi]), initial_value=1.0)
+        ft_hat = StepFunction(np.array([1.0, 2.0]), np.array([0.1, 0.2]), initial_value=0.0)
+        return pi_hat, ft_hat
+
+    pi_hat, ft_hat = first_stage(-10.0)
+    table = curve_table([(pi_hat, ft_hat)])
+    values = curves(table, np.array([1.0, 100.0, 2.0]))
     assert np.all(np.isnan(values[1]))
-    np.testing.assert_array_equal(values[0], curve_values(basis, 1.0))
-    np.testing.assert_array_equal(values[2], curve_values(basis, 2.0))
-    assert np.all((values[[0, 2]] > 0.0) & (values[[0, 2]] < 1.0))
+    for row, theta in zip(values[[0, 2]], (1.0, 2.0)):
+        assert row[0] == 1.0
+        np.testing.assert_array_equal(row[1:], copula_graphic(pi_hat, ft_hat, theta).values)
+        assert np.all((row[1:] > 0.0) & (row[1:] < 1.0))
     with pytest.raises(EstimationError, match="overflows") as info:
-        curve_values(basis, 100.0)
-    assert str(info.value).startswith(CURVE_OVERFLOW)
-    # at e^-7 the largest term, e^707 / 10, is past the bound that skips the
-    # check but inside the float range: a curve like any other
-    near = CurveBasis(event_times=basis.event_times, jumps=basis.jumps,
-                      log_pi_left=np.array([-1.0, -7.0]))
+        copula_graphic(pi_hat, ft_hat, 100.0)
+    assert str(info.value) == f"{CURVE_OVERFLOW} (theta = 100)"
+    # a theta at which one curve of a table overflows fails the whole row
+    pair = curve_table([first_stage(-1.0), (pi_hat, ft_hat)])
+    values = curves(pair, np.array([1.0, 100.0]))
+    assert np.all(np.isnan(values[1])) and not np.any(np.isnan(values[0]))
+    # at e^-7 the largest term, e^707 / 10, is huge but inside the float
+    # range: a curve like any other
+    near = copula_graphic(*first_stage(-7.0), 100.0)
     terms = np.exp(101.0 * np.array([1.0, 7.0])) * 0.1
-    np.testing.assert_allclose(curve_values(near, 100.0),
-                               (1.0 + 100.0 * np.cumsum(terms)) ** -0.01, rtol=1e-12)
+    np.testing.assert_allclose(near.values, (1.0 + 100.0 * np.cumsum(terms)) ** -0.01,
+                               rtol=1e-12)
 
 
 def _two_strata_dataset():
@@ -141,9 +144,8 @@ def _two_strata_dataset():
 
 def test_trim_support_rules():
     ds = _two_strata_dataset()
-    basis_a = basis_from_sample(ds.x[:3], ds.delta[:3])
-    basis_b = basis_from_sample(ds.x[3:], ds.delta[3:])
-    trim = trim_support([basis_a, basis_b], ds)
+    table = table_from_samples((ds.x[:3], ds.delta[:3]), (ds.x[3:], ds.delta[3:]))
+    trim = trim_support(table, ds)
     assert trim.x_star == 2.0  # stratum A plateaus after its last event
     assert trim.x_double_star == 1.5  # stratum B's curve is 1 before 1.5
     assert sorted(ds.x[trim.kept]) == [1.5, 2.0]
@@ -153,28 +155,24 @@ def test_trim_x_double_star_at_common_minimum():
     x = np.array([1.0, 2.0, 1.0, 3.0])
     delta = np.array([1, 1, 1, 1])
     ds = Dataset(x, delta, [[0.0], [0.0], [1.0], [1.0]])
-    basis_a = basis_from_sample(x[:2], delta[:2])
-    basis_b = basis_from_sample(x[2:], delta[2:])
-    trim = trim_support([basis_a, basis_b], ds)
+    trim = trim_support(table_from_samples((x[:2], delta[:2]), (x[2:], delta[2:])), ds)
     assert trim.x_double_star == 1.0
 
 
 def test_trim_requires_events_everywhere():
     ds = _two_strata_dataset()
-    basis_a = basis_from_sample(ds.x[:3], ds.delta[:3])
-    basis_none = basis_from_sample(ds.x[3:], [0, 0, 0])
+    table = table_from_samples((ds.x[:3], ds.delta[:3]), (ds.x[3:], [0, 0, 0]))
     with pytest.raises(EstimationError, match="no cause-1 events"):
-        trim_support([basis_a, basis_none], ds)
+        trim_support(table, ds)
 
 
 def test_trim_disjoint_supports():
     x = np.array([1.0, 1.2, 5.0, 6.0])
     delta = np.array([1, 1, 1, 1])
     ds = Dataset(x, delta, [[0.0], [0.0], [1.0], [1.0]])
-    basis_a = basis_from_sample(x[:2], delta[:2])
-    basis_b = basis_from_sample(x[2:], delta[2:])
+    table = table_from_samples((x[:2], delta[:2]), (x[2:], delta[2:]))
     with pytest.raises(EstimationError, match="do not overlap"):
-        trim_support([basis_a, basis_b], ds)
+        trim_support(table, ds)
 
 
 def test_all_events_incidence_complements_survivor():

@@ -96,6 +96,19 @@ def test_bad_row_exits_3(tmp_path, capsys):
     assert "line 3" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("extra", [
+    ("--z-cols", "z1,z1"), ("--z-cols", "delta"), ("--z-cols", "delta", "--method", "2se"),
+], ids=["z1-twice", "delta-as-z", "delta-as-z-2se"])
+def test_column_used_twice_exits_3(tmp_path, capsys, extra):
+    path = gen_csv(tmp_path, capsys, n=200)
+    code, out, err = run(capsys, "fit", "--input", str(path), *extra)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "data"
+    assert "used more than once" in error["message"]
+    assert repr(extra[1].split(",")[0]) in error["message"]
+
+
 def test_bad_tau_grid_exits_2(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys)
     code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", "oops")
@@ -169,7 +182,7 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkey
             raise AssertionError(f"{name} ran before the output path was checked")
         return refuse
 
-    for name in ("load_csv", "generate_dataset", "stratum_bases", "fit_3se", "fit_2se",
+    for name in ("load_csv", "generate_dataset", "stratum_table", "fit_3se", "fit_2se",
                  "three_stage_point", "two_stage_point", "bootstrap", "monte_carlo"):
         monkeypatch.setattr(cli, name, stub(name))
     bad = tmp_path / "missing" / "out"

@@ -134,6 +134,11 @@ def test_dataset_subset_and_row():
     assert list(rows.x) == [2.0, 1.0]
     assert list(rows.delta) == [0, 1]
     assert rows.z.tolist() == [[1.0], [0.0]]
+    assert list(ds.subset(np.array([2, 2], dtype=np.uint8)).x) == [3.0, 3.0]
+    # a mask would read as rows 0, 1, 1 and floats would truncate to 0, 2
+    for indices in ([False, True, True], [0.7, 2.9], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="subset indices must be integers"):
+            ds.subset(indices)
 
 
 def test_pool_risks():
@@ -407,4 +412,17 @@ def test_load_rejects_repeated_used_columns(tmp_path):
     # a repeated column that is not used is no error
     path = write(tmp_path, "x,delta,note,note\n1.0,1,a,b\n2.0,0,c,d\n")
     assert load_csv(path).n == 2
+
+
+@pytest.mark.parametrize("columns, reused", [
+    (dict(z_cols=["z1", "z1"]), "['z1']"),
+    (dict(z_cols=["delta"]), "['delta']"),
+    (dict(x_col="z2", z_cols=["z1", "z2"]), "['z2']"),
+    (dict(delta_col="x", z_cols=["z1", "z1", "x"]), "['x', 'z1']"),
+])
+def test_load_rejects_a_column_used_twice(tmp_path, columns, reused):
+    path = write(tmp_path, "x,delta,z1,z2\n1.0,1,0,1\n2.0,0,1,0\n3.0,1,1,1\n")
+    with pytest.raises(DataError) as info:
+        load_csv(path, **columns)
+    assert str(info.value) == f"{path}: columns used more than once for x, delta and z: {reused}"
 

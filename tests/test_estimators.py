@@ -6,15 +6,13 @@ import functools
 import numpy as np
 import pytest
 
-from coprisk.cge import CURVE_OVERFLOW, CurveBasis, copula_graphic, curve_values
+from coprisk.cge import CURVE_OVERFLOW, CurveTable, copula_graphic, curves, stratum_table
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
     FglsFit,
-    _CurveTable,
     _coef_variance,
     _columns,
-    _curves,
     _cvm_plan,
     _cvm_value,
     _pair_structure,
@@ -254,14 +252,14 @@ def one_event_dataset():
 
 
 def counted_curve_calls(monkeypatch) -> list:
-    """Each theta argument of the fits' curve_values calls, in call order."""
+    """Each thetas argument of the fits' curves calls, in call order."""
     calls = []
 
-    def counted(basis, theta):
-        calls.append(theta)
-        return curve_values(basis, theta)
+    def counted(table, thetas):
+        calls.append(thetas)
+        return curves(table, thetas)
 
-    monkeypatch.setattr("coprisk.estimators.curve_values", counted)
+    monkeypatch.setattr("coprisk.estimators.curves", counted)
     return calls
 
 
@@ -381,18 +379,18 @@ def test_search_tau_reports_grid_local_minima():
 # batched kernels: each row of a chunk is its own evaluation
 # ---------------------------------------------------------------------------
 
-# tau = 0 takes the generator's theta = 0 branch; with amplified() bases the
+# tau = 0 takes the generator's theta = 0 branch; in an amplified() table the
 # curves at tau = -0.5 and -0.2 clamp at zero
 BATCH_TAUS = np.array([-0.9, -0.5, -0.2, 0.0, 0.4, 0.8])
 UNDEFINED = ("a curve value of 0 or 1 inside the trimmed window makes the "
              "coefficient undefined")
 
 
-def amplified(basis, power=4.0):
-    """The basis with pi_hat(u-) raised to a power.  Its curves at negative
-    theta leave the generator's support and clamp at zero, which curves of a
-    sample's own first stage never do."""
-    return dataclasses.replace(basis, log_pi_left=power * basis.log_pi_left)
+def amplified(table, power=4.0):
+    """The curve table with pi_hat(u-) raised to a power.  Its curves at
+    negative theta leave the generator's support and clamp at zero, which
+    curves of a sample's own first stage never do."""
+    return dataclasses.replace(table, log_pi_left=power * table.log_pi_left)
 
 
 def batch_dataset():
@@ -408,9 +406,8 @@ def overflow_dataset():
 
 
 def amplified_plan(plan):
-    """The plan with every basis of its curve table amplified."""
-    table = dataclasses.replace(plan.table, bases=tuple(map(amplified, plan.table.bases)))
-    return dataclasses.replace(plan, table=table)
+    """The plan with its curve table amplified."""
+    return dataclasses.replace(plan, table=amplified(plan.table))
 
 
 def assert_rows_equal(batched, single):
@@ -421,17 +418,34 @@ def test_curve_kernel_rows_equal_one_theta_calls():
     thetas = _thetas(BATCH_TAUS)
     assert thetas[3] == 0.0
     table = amplified_plan(_variance_plan(batch_dataset())).table
-    for basis in table.bases:
-        batch = curve_values(basis, thetas)
-        assert batch.shape == (thetas.size, basis.event_times.size)
-        assert np.any(batch[1] == 0.0) and np.any(batch[2] == 0.0)
-        for row, theta in zip(batch, thetas):
-            assert_rows_equal(row, curve_values(basis, theta))
-            assert_rows_equal(row, curve_values(basis, np.array([theta]))[0])
-    curves = _curves(table, thetas)
-    assert curves.shape == (thetas.size, table.width)
+    batch = curves(table, thetas)
+    assert batch.shape == (thetas.size, table.times.size)
     for i in range(thetas.size):
-        assert_rows_equal(curves[i], _curves(table, thetas[i:i + 1])[0])
+        assert_rows_equal(batch[i], curves(table, thetas[i:i + 1])[0])
+    for span in table.spans:
+        np.testing.assert_array_equal(batch[:, span.start], 1.0)
+        assert np.any(batch[1, span] == 0.0) and np.any(batch[2, span] == 0.0)
+        # a curve's values do not depend on the other curves of its table
+        alone = CurveTable((slice(0, span.stop - span.start),), table.times[span],
+                           table.log_pi_left[span], table.jumps[span])
+        np.testing.assert_array_equal(batch[:, span], curves(alone, thetas))
+
+
+def test_curve_kernel_rows_equal_copula_graphic():
+    # one kernel over every stratum's curve gives each stratum's own curve
+    ds = six_strata_dataset(n=600)
+    strata = stratify(ds)
+    table = stratum_table(ds, strata)
+    thetas = _thetas(BATCH_TAUS)
+    batch = curves(table, thetas)
+    for idx, span in zip(strata.indices, table.spans):
+        pi_hat = overall_survival(ds.x[idx])
+        ft_hat = sub_distribution(ds.x[idx], ds.delta[idx])
+        np.testing.assert_array_equal(table.times[span][1:], ft_hat.jump_times)
+        for theta, row in zip(thetas, batch):
+            curve = copula_graphic(pi_hat, ft_hat, theta)
+            assert row[span.start] == 1.0
+            np.testing.assert_array_equal(row[span][1:], curve.values)
 
 
 @pytest.mark.parametrize("family, model_kind, events_only", [
@@ -574,20 +588,21 @@ def test_knot_positions_equal_plain_searchsorted():
     x = np.concatenate([knots, knots[::3], rng.integers(0, 62, 200) / 1.0,
                         rng.uniform(0.0, 65.0, 200), [0.5, 0.5, 70.0, 70.0]])
     x = rng.permutation(x)
-    curves = (knots, knots[:1], knots[:0], knots[5:9])
-    bases = tuple(CurveBasis(times, np.zeros(times.size), np.zeros(times.size))
-                  for times in curves)
-    table = _CurveTable(bases, starts=(0, 24, 26, 27), width=32)  # 23, 1, 0 and 4 knots
+    knot_sets = (knots, knots[:1], knots[:0], knots[5:9])
+    times = np.concatenate([np.concatenate(([0.0], k)) for k in knot_sets])
+    zeros = np.zeros(times.size)
+    spans = (slice(0, 24), slice(24, 26), slice(26, 27), slice(27, 32))  # 23, 1, 0, 4 knots
+    table = CurveTable(spans, times, zeros, zeros)
     for side in ("left", "right"):
-        for j, times in enumerate(curves):
+        for j, k in enumerate(knot_sets):
             (columns,) = _columns(table, (j,), x, side)
             assert columns.dtype == np.intp
             np.testing.assert_array_equal(
-                columns, table.starts[j] + np.searchsorted(times, x, side=side))
+                columns, spans[j].start + np.searchsorted(k, x, side=side))
         both = _columns(table, (3, 0), x, side)
         for j, columns in zip((3, 0), both):
             np.testing.assert_array_equal(
-                columns, table.starts[j] + np.searchsorted(curves[j], x, side=side))
+                columns, spans[j].start + np.searchsorted(knot_sets[j], x, side=side))
 
 
 def test_fit_3se_all_censored_fails(monkeypatch):
@@ -841,7 +856,7 @@ def test_b_matrix_rejects_curve_value_one():
                                   model_c=AftModel("weibull", **BENCH)), 3)
     plan = _variance_plan(ds)
     columns = plan.columns.copy()
-    columns[0, 0] = plan.table.starts[1]  # the second stratum's column of ones
+    columns[0, 0] = plan.table.spans[1].start  # the second stratum's column of ones
     values, errors, _ = _variance_value(dataclasses.replace(plan, columns=columns),
                                         np.array([1.0]))
     assert np.isnan(values[0]) and "undefined" in errors[0]
