@@ -11,10 +11,13 @@ curves have minimal variance; their mean at the minimiser is the coefficient
 estimate.  The variance is of each row's summed coefficients, which is one
 fixed linear combination of the strata's log cumulative hazards.
 
-Both searches run on a Kendall's-tau grid followed by golden-section
-refinement inside the winning bracket, so local minima away from the global
-one are handled; the grid pass's local minima are reported in the fit's
-diagnostics.  Estimation is deterministic: no randomness is involved.
+Both searches run on a Kendall's-tau grid followed by a bounded Brent
+refinement inside the winning bracket, seeded with the grid's best point and
+its neighbours, so local minima away from the global one are handled; the
+grid pass's local minima are reported in the fit's diagnostics.  The fit
+reports the kernel's outputs at its best evaluation, so no evaluation
+follows the refinement.  Estimation is deterministic: no randomness is
+involved.
 
 Both fits have one failure policy.  A failure that does not depend on theta
 raises its own EstimationError while the plan is built, before any curve is
@@ -23,8 +26,7 @@ coefficients or fewer than 2 rows left by the trimming (2SE), and a
 regression with too few cause-1 rows or rank-deficient fixed columns (3SE).
 A failure at one theta makes that theta's value NaN with that theta's
 message and counts in the diagnostics' n_grid_failed.  No kernel raises, so
-the search catches nothing; it fails only if every grid point fails or the
-minimiser's own evaluation does.
+the search catches nothing; it fails only if every grid point fails.
 
 Each fit builds one plan per dataset before its search.  Both plans hold
 one ``cge.CurveTable`` of every stratum's curve (strata from ``stratify``)
@@ -38,9 +40,9 @@ scores a chunk of thetas at once: it fills the table (``cge.curves``, one
 row per theta), presmooths (3SE) or transforms (2SE) it, gathers the rows
 with one take, and then runs either the regression from the QR or one
 weighted sum of log cumulative hazard differences.  The grid pass hands it
-chunks of up to GRID_CHUNK_ELEMENTS / rows thetas; the golden-section
-refinement and the final evaluation hand it one.  No evaluation calls
-LAPACK on the rows.  ``fgls_fit`` runs the same regression on its own.
+chunks of up to GRID_CHUNK_ELEMENTS / rows thetas; the Brent refinement
+hands it one at a time.  No evaluation calls LAPACK on the rows.
+``fgls_fit`` runs the same regression on its own.
 
 The regression has at most one theta-dependent column, S_W^{-1}(s) in the
 AFT families with a shape parameter.  Its slope comes from the
@@ -78,7 +80,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -114,8 +116,13 @@ SMOOTH_KNOT_CAP = 14.0
 # two thetas at n = 100000 took 1.5 times as long.
 GRID_CHUNK_ELEMENTS = 2**15
 
-GOLDEN_TOL = 1e-4
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Tolerance of the Brent refinement.  It stops once both ends of its
+# bracket lie within 2 * (sqrt(eps) |tau| + TAU_TOL / 3) of its best tau, so
+# where the criterion has one minimum in the bracket, tau_hat is within
+# about 2/3 TAU_TOL of it.
+TAU_TOL = 1e-4
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +529,9 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
     table = curves(plan.table, thetas)
     with np.errstate(divide="ignore"):
         np.log(np.negative(np.log(table, out=table), out=table), out=table)
-    log_l = np.take(table, plan.columns, axis=1, out=plan.log_l[:thetas.size])
+    # numpy buffers a take into out unless mode is "clip" or "wrap"; the
+    # plan's columns all lie inside the table, so clipping changes nothing
+    log_l = np.take(table, plan.columns, axis=1, out=plan.log_l[:thetas.size], mode="clip")
     contrasts = log_l[:, 1:]
     with np.errstate(invalid="ignore"):
         contrasts -= log_l[:, :1]
@@ -540,34 +549,77 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Grid search with golden-section refinement
+# Grid search with Brent refinement
 # ---------------------------------------------------------------------------
 
 
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> list[tuple[float, float]]:
-    evals: list[tuple[float, float]] = []
+def _brent(f: Callable[[float], float], lo: float, hi: float, tol: float,
+           start: Sequence[tuple[float, float]] = ()) -> tuple[float, float]:
+    """Bounded Brent minimisation of f on [lo, hi], in fminbound's form:
+    parabolic steps through the three best points x, w and v, with a
+    golden-section step wherever the parabola is rejected.  Returns the best
+    point found and its value.
 
-    def probe(x: float) -> float:
-        y = f(x)
-        evals.append((x, y))
-        return y
-
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    yc, yd = probe(c), probe(d)
-    while hi - lo > tol:
-        if yc < yd:
-            hi, d, yd = d, c, yc
-            c = hi - _INV_PHI * (hi - lo)
-            yc = probe(c)
+    start holds two or three (point, value) pairs in [lo, hi] that are
+    already scored, best first: they seed x, w and v (v = w if there are
+    two), and the previous two steps count as the bracket's width, so the
+    first step can be parabolic.  Without start, the first evaluation is at
+    the bracket's golden section.  A value may be inf (a failed point); a
+    parabola through it is rejected.  The search stops when both ends of the
+    bracket lie within 2 * (sqrt(eps) |x| + tol / 3) of x.
+    """
+    a, b = lo, hi
+    if start:
+        (x, fx), (w, fw), *rest = start
+        v, fv = rest[0] if rest else (w, fw)
+        e = step = b - a
+    else:
+        x = v = w = a + _GOLDEN * (b - a)
+        fx = fv = fw = f(x)
+        e = step = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            # through (x, fx), (w, fw) and (v, fv); an inf value makes p
+            # and q infinite or NaN, which fails the acceptance test
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e, last = step, e
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                step = p / q
+                if (x + step) - a < tol2 or b - (x + step) < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            e = a - x if x >= mid else b - x
+            step = _GOLDEN * e
+        u = x + (tol1 if step >= 0.0 else -tol1) if abs(step) < tol1 else x + step
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, yc = c, d, yd
-            d = lo + _INV_PHI * (hi - lo)
-            yd = probe(d)
-    probe(0.5 * (lo + hi))
-    return evals
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _validate_tau_grid(tau_grid) -> np.ndarray:
@@ -586,51 +638,71 @@ def _thetas(taus: np.ndarray) -> np.ndarray:
 
 
 def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
-    """Grid pass in chunks of up to chunk taus, golden-section inside the
-    best bracket one tau at a time, then one evaluation at the minimiser.
+    """Grid pass in chunks of up to chunk taus, then Brent refinement inside
+    the best bracket one tau at a time.
 
     kernel maps an array of thetas to (values, failure messages, *outputs)
-    as the kernels do; it never raises.  A failed theta is NaN with its own
-    message and is skipped; the search fails only if every grid point
-    fails, with the points' distinct messages, or if the minimiser's final
-    evaluation fails.  Returns (tau_hat, trace, the kernel's outputs at
-    tau_hat, diagnostics): n_grid_failed counts the failed grid points and
-    grid_local_minima holds the grid taus whose finite value lies below both
-    finite neighbours, so a criterion with several modes shows them all.
+    as the kernels do; it never raises, and its outputs may be views of
+    scratch memory that its next call overwrites.  A failed theta is NaN
+    with its own message and is skipped; the search fails only if every
+    grid point fails, with the points' distinct messages.  tau_hat is the
+    evaluated tau with the least finite value (the lower tau on a tie), and
+    the search keeps a copy of the kernel's outputs there, so no evaluation
+    follows the refinement.  Returns (tau_hat, trace, the kernel's outputs
+    at tau_hat, diagnostics): n_grid_failed counts the failed grid points
+    and grid_local_minima holds the grid taus whose finite value lies below
+    both finite neighbours, so a criterion with several modes shows them
+    all.
     """
+    best = (math.inf, math.inf, None)  # value, tau, outputs
+
+    def keep(taus, values, errors, outputs) -> None:
+        nonlocal best
+        ok = np.isfinite(values) & np.array([e is None for e in errors])
+        if ok.any():
+            i = int(np.flatnonzero(ok)[np.argmin(values[ok])])
+            if (values[i], taus[i]) < best[:2]:
+                best = (float(values[i]), float(taus[i]), [out[i].copy() for out in outputs])
+
     values = np.empty(grid.size)
     errors: list = []
     for start in range(0, grid.size, chunk):
-        chunk_values, chunk_errors, *_ = kernel(_thetas(grid[start:start + chunk]))
+        taus = grid[start:start + chunk]
+        chunk_values, chunk_errors, *outputs = kernel(_thetas(taus))
+        keep(taus, chunk_values, chunk_errors, outputs)
         values[start:start + chunk] = chunk_values
         errors.extend(chunk_errors)
     trace = [(float(tau), float(v)) for tau, v in zip(grid, values)]
     failed = [e for e in errors if e is not None]
-    if not np.any(np.isfinite(values)):
+    if best[2] is None:
         messages = dict.fromkeys(failed)  # distinct, in grid order
         raise EstimationError("criterion failed at every grid point: " + "; ".join(messages))
-    best = int(np.nanargmin(values))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, grid.size - 1)])
+    i = int(np.nanargmin(values))
     # a comparison with NaN is false, so failed points never count
     mid = values[1:-1]
     is_min = (mid < values[:-2]) & (mid < values[2:])
     minima = tuple(float(t) for t in grid[1:-1][is_min])
 
     def value(tau: float) -> float:
-        (v,), (error,), *_ = kernel(_thetas(np.array([tau])))
-        return math.inf if error is not None else float(v)
+        taus = np.array([tau])
+        tau_values, tau_errors, *outputs = kernel(_thetas(taus))
+        keep(taus, tau_values, tau_errors, outputs)
+        y = math.inf if tau_errors[0] is not None else float(tau_values[0])
+        trace.append((tau, y))
+        return y
 
+    # the best grid point first, then its neighbours by value; a failed
+    # neighbour enters as inf
+    scores = np.where(np.isfinite(values), values, math.inf)
+    lo, hi = max(i - 1, 0), min(i + 1, grid.size - 1)
     if hi > lo:
-        trace.extend(_golden_section(value, lo, hi, GOLDEN_TOL))
-    finite = [(t, v) for t, v in trace if np.isfinite(v)]
-    tau_hat, _ = min(finite, key=lambda tv: (tv[1], tv[0]))
+        seeds = sorted({i, lo, hi}, key=lambda j: (j != i, scores[j]))
+        _brent(value, float(grid[lo]), float(grid[hi]), TAU_TOL,
+               [(float(grid[j]), float(scores[j])) for j in seeds])
     trace.sort(key=lambda tv: tv[0])
-    _, (error,), *outputs = kernel(_thetas(np.array([tau_hat])))
-    if error is not None:
-        raise EstimationError(error)
+    _, tau_hat, outputs = best
     diagnostics = {"n_grid_failed": len(failed), "grid_local_minima": minima}
-    return tau_hat, tuple(trace), [out[0] for out in outputs], diagnostics
+    return tau_hat, tuple(trace), outputs, diagnostics
 
 
 # ---------------------------------------------------------------------------

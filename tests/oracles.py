@@ -6,8 +6,10 @@ implementations.
 """
 
 import csv
+import warnings
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from coprisk.data import MAX_STRATA, Dataset, StrataIndex
@@ -76,6 +78,19 @@ def semiparam_b(x_i, curve_z1, curve_z2, z1, z2):
             "there (trim the support first)"
         )
     return float(np.log(np.log(s2) / np.log(s1)) / (z2 - z1))
+
+
+def bounded_minimum(f, lo, hi, tol):
+    """scipy's bounded Brent minimiser (fminbound) on [lo, hi] with xatol
+    tol, started cold: (minimiser, value, number of evaluations).
+
+    Its numpy arithmetic warns on a parabola through inf values, which it
+    then rejects, as the package's minimiser does silently.
+    """
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
+    return float(res.x), float(res.fun), int(res.nfev)
 
 
 def clayton_conditional_cdf(u, v, theta):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from coprisk.cge import CURVE_OVERFLOW, CurveTable, copula_graphic, curves, stra
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
+    TAU_TOL,
     FglsFit,
+    _brent,
     _coef_variance,
     _columns,
     _cvm_plan,
@@ -36,7 +39,7 @@ from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel, PhModel, inverse_survival, survival
 from coprisk.simulate import DgpSpec, generate_dataset
 
-from oracles import lstsq_regression, padded_window_mean, semiparam_b
+from oracles import bounded_minimum, lstsq_regression, padded_window_mean, semiparam_b
 
 BENCH = dict(alpha=1.0, beta=[1.0], sigma=1.5)
 
@@ -375,6 +378,140 @@ def test_search_tau_reports_grid_local_minima():
         assert diagnostics["grid_local_minima"] == pytest.approx((-0.2,), abs=1e-12)
 
 
+def bowl(t):
+    return (t - 0.3137) ** 2
+
+
+# each case: f, the scored points a grid pass would seed (best first, then
+# the bracket's other ends by value) and the minimiser (None: every point)
+BRENT_CASES = {
+    "quadratic": (bowl, (0.3, 0.35, 0.25), 0.3137),
+    "quartic": (lambda t: (t - 0.3137) ** 4, (0.3, 0.35, 0.25), 0.3137),
+    "asymmetric": (lambda t: math.exp(40.0 * (t - 0.2863)) - 40.0 * (t - 0.2863),
+                   (0.3, 0.25, 0.35), 0.2863),
+    "left edge": (lambda t: t, (0.25, 0.3), 0.25),
+    "right edge": (lambda t: -t, (0.35, 0.3), 0.35),
+    "failed above": (lambda t: math.inf if t > 0.33 else bowl(t), (0.3, 0.25, 0.35), 0.3137),
+    "failed below": (lambda t: math.inf if t < 0.29 else (t - 0.2963) ** 2,
+                     (0.3, 0.35, 0.25), 0.2963),
+    "constant": (lambda t: 1.0, (0.3, 0.25, 0.35), None),
+}
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["cold", "seeded"])
+@pytest.mark.parametrize("case", BRENT_CASES)
+def test_brent_matches_bounded_fminbound(case, seeded):
+    f, points, minimiser = BRENT_CASES[case]
+    lo, hi = min(points), max(points)
+    evaluated = []
+
+    def counted(t):
+        evaluated.append(t)
+        return f(t)
+
+    start = [(t, f(t)) for t in points] if seeded else ()
+    x, fx = _brent(counted, lo, hi, TAU_TOL, start)
+    oracle_x, oracle_fx, oracle_evals = bounded_minimum(f, lo, hi, TAU_TOL)
+    assert fx == f(x) and lo <= x <= hi
+    assert all(lo < t < hi for t in evaluated)
+    if minimiser is not None:
+        assert abs(x - minimiser) <= TAU_TOL
+        assert abs(x - oracle_x) <= TAU_TOL
+    else:
+        assert fx == oracle_fx
+    if seeded:
+        # a seeded start takes no more evaluations than a cold one, and at
+        # most 12 except where no parabola fits (a flat function): there
+        # golden-section steps shrink the bracket by only 0.618 each
+        assert len(evaluated) <= oracle_evals
+        assert len(evaluated) <= (14 if case == "constant" else 12)
+    else:
+        # a cold start is fminbound itself
+        assert x == pytest.approx(oracle_x, abs=1e-9)
+        assert len(evaluated) == oracle_evals
+
+
+def scratch_kernel(f, calls):
+    """Scores taus by f, as the kernels score thetas.  Its output, each
+    tau's (tau, value), is a view of one scratch array that the next call
+    overwrites, as the 2SE contrasts are; each call's taus go to calls."""
+    scratch = np.empty((64, 2))
+
+    def kernel(thetas):
+        taus = thetas / (thetas + 2.0)
+        calls.append(taus)
+        values = np.array([f(t) for t in taus])
+        out = scratch[:taus.size]
+        out[:, 0], out[:, 1] = taus, values
+        return values, [None] * taus.size, out
+
+    return kernel
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 37])
+@pytest.mark.parametrize("f, tau_hat", [
+    (bowl, None),                          # between grid points: a refinement probe
+    (lambda t: (t - 0.3) ** 2, 0.3),       # on a grid point, inside a chunk of 16
+    (lambda t: t, -0.9),                   # at the grid's lower edge
+    (lambda t: -t, 0.9),                   # at the upper edge, a chunk of 5 at 16
+], ids=["probe", "grid-point", "lower-edge", "upper-edge"])
+def test_search_keeps_the_best_evaluation(f, tau_hat, chunk):
+    grid = np.linspace(-0.9, 0.9, 37)
+    calls = []
+    found, trace, (output,), _ = _search_tau(scratch_kernel(f, calls), grid, chunk)
+    grid_calls = -(-grid.size // chunk)
+    probes = [tau for tau, _ in trace if tau not in grid]
+    # the grid pass, then one call per refinement probe and nothing after
+    assert [c.size for c in calls[:grid_calls]] == [
+        grid[s:s + chunk].size for s in range(0, grid.size, chunk)]
+    assert len(calls) == grid_calls + len(probes) == grid_calls + len(trace) - grid.size
+    assert all(c.size == 1 for c in calls[grid_calls:])
+    assert sorted(c[0] for c in calls[grid_calls:]) == pytest.approx(sorted(probes), abs=1e-15)
+    if tau_hat is None:
+        assert abs(found - 0.3137) <= TAU_TOL and found in probes
+    else:
+        assert found == grid[np.argmin(np.abs(grid - tau_hat))]
+    assert dict(trace)[found] == min(v for _, v in trace)
+    # a kernel of its own, so that its call does not overwrite the output
+    (fresh,) = scratch_kernel(f, [])(_thetas([found]))[2]
+    np.testing.assert_allclose(output, fresh, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["3se", "2se"])
+def test_search_returns_the_kernel_outputs_at_tau_hat(kind):
+    ds = batch_dataset()
+    grid = np.linspace(-0.9, 0.9, 37)
+
+    def kernel_of(plan):
+        if kind == "2se":
+            return functools.partial(_variance_value, plan)
+
+        def kernel(thetas):
+            s_hat = _row_values(plan, thetas)
+            return _cvm_value(plan, s_hat, False, out=s_hat)
+
+        return kernel
+
+    def plan_of():
+        return _variance_plan(ds) if kind == "2se" else _cvm_plan(ds, "weibull", "aft")
+
+    plan = plan_of()
+    kernel, calls = kernel_of(plan), []
+
+    def counted(thetas):
+        calls.append(thetas.size)
+        return kernel(thetas)
+
+    tau_hat, trace, outputs, _ = _search_tau(counted, grid, 16)
+    assert calls[:3] == [16, 16, 5] and calls[3:] == [1] * (len(trace) - grid.size)
+    assert len(trace) <= grid.size + 8
+    # a fresh plan: the 2SE contrasts are a view of its plan's scratch array
+    _, (error,), *fresh = kernel_of(plan_of())(_thetas([tau_hat]))
+    assert error is None
+    for got, expected in zip(outputs, fresh):
+        np.testing.assert_allclose(got, expected[0], rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # batched kernels: each row of a chunk is its own evaluation
 # ---------------------------------------------------------------------------
@@ -561,21 +698,21 @@ def test_fit_3se_deterministic():
 
 
 def test_fits_keep_their_recorded_values():
-    # values of an earlier plan, exact: a faster plan (strata codes, sorted
-    # knot lookups) must not move a fit by one bit
+    # values recorded with the Brent refinement, exact: a faster plan or
+    # kernel must not move a fit by one bit
     model = AftModel("weibull", **BENCH)
     ds = generate_dataset(DgpSpec(n=20000, tau=0.8, model_t=model, model_c=model), 3)
     res = fit_3se(ds, family="weibull")
-    assert (res.tau_hat, res.theta_hat) == (0.8358480362690326, 10.183832313318213)
+    assert (res.tau_hat, res.theta_hat) == (0.8358485046009945, 10.183867074366699)
     assert (res.model.alpha, res.model.beta[0], res.model.sigma) == (
-        1.0133427973693867, 1.001680559934156, 1.4529978817241345)
-    assert min(v for _, v in res.objective_trace) == 1.1521902255755543e-05
+        1.013343005771904, 1.0016805669800741, 1.452997734757733)
+    assert min(v for _, v in res.objective_trace) == 1.1521902249117773e-05
     assert res.diagnostics["n_clamped"] == 2
-    assert res.diagnostics["mean_gap"] == 0.0013973293315440065
+    assert res.diagnostics["mean_gap"] == 0.0013973299176473788
     res = fit_2se(ds)
-    assert (res.tau_hat, res.theta_hat) == (0.7919966588867665, 7.61523016551563)
-    assert res.beta_hat.tolist() == [1.4813852870306188]
-    assert min(v for _, v in res.objective_trace) == 0.0014629196906567488
+    assert (res.tau_hat, res.theta_hat) == (0.7919888230388975, 7.6148679567059725)
+    assert res.beta_hat.tolist() == [1.481387853181039]
+    assert min(v for _, v in res.objective_trace) == 0.0014629197144779885
     assert (res.x_star, res.x_double_star, res.kept_n) == (
         1.653704311476632, 0.0005584877074101576, 18422)
 
@@ -822,6 +959,22 @@ def six_strata_dataset(n=3000, seed=11):
     t = rng.weibull(1.5, n) * scale
     c = rng.weibull(1.5, n) * scale * 1.1
     return Dataset(np.minimum(t, c), (t <= c).astype(int), z)
+
+
+@pytest.mark.parametrize("make", [batch_dataset, overflow_dataset, six_strata_dataset,
+                                  lambda: six_strata_dataset(n=300, seed=2)])
+def test_variance_plan_columns_lie_inside_their_curves(make):
+    # the kernel gathers with mode="clip", which would hide a bad column
+    ds = make()
+    strata = stratify(ds)
+    ref, others, _ = _pair_structure(strata)
+    plan = _variance_plan(ds)
+    assert plan.columns.dtype == np.intp
+    assert plan.columns.shape == (strata.n_strata, plan.trim.kept.size)
+    assert np.all((plan.columns >= 0) & (plan.columns < plan.table.times.size))
+    for row, j in zip(plan.columns, (ref, *others)):
+        span = plan.table.spans[j]
+        assert np.all((row >= span.start) & (row < span.stop))
 
 
 def test_weights_score_the_summed_row_coefficients():
