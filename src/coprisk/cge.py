@@ -10,12 +10,18 @@ and ``dF(u)`` the incidence jump.  Evaluating the integrand at the left limit
 keeps the first event well defined and treats same-time events as occurring
 before same-time censorings.
 
-Only the generator depends on theta.  ``curve_table`` lays the theta-free
-pieces of one or more curves out as the columns of one table
-(``stratum_table`` does so for every stratum of a dataset); ``curves`` is
-the one kernel, which fills the table at a chunk of thetas and serves the
-estimators' searches, the CLI's curve dump and ``copula_graphic``, the
-step function of one curve at one theta.
+Only the generator depends on theta.  A ``CurveTable`` lays the theta-free
+pieces of one or more curves out as the columns of one table.
+``sorted_table`` builds the table of every stratum of a dataset from one
+sort of its durations and returns the sort too, from which
+``left_columns`` gives each row's left-limit column for the three-stage
+fit; ``stratum_table`` is the table alone, and ``curve_table`` builds a
+table from first-stage step functions, for ``copula_graphic``.
+``curves`` is the one kernel, which fills a table at a chunk of thetas and
+serves the estimators' searches, the CLI's curve dump and
+``copula_graphic``, the step function of one curve at one theta.  It calls
+the generator without its input checks: the running sums it passes are
+finite and >= 0 by construction.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .copula import generator, _validate_theta
+from .copula import _generator, _validate_theta
 from .data import Dataset, StrataIndex
 from .errors import EstimationError
-from .first_stage import StepFunction, overall_survival, sub_distribution
+from .first_stage import StepFunction
 
 CURVE_OVERFLOW = (
     "the copula-graphic integrand pi_hat(u-)**-(theta+1) overflows; the "
@@ -92,12 +98,103 @@ def curve_table(first_stages: Iterable[tuple[StepFunction, StepFunction]]) -> Cu
                       np.concatenate(jumps))
 
 
+@dataclass(frozen=True)
+class SortedStrata:
+    """A dataset's rows sorted once by duration, and its strata's knots in
+    that order.
+
+    order holds the rows by ascending duration, and rows holds them by
+    stratum and then by duration: stratum j's rows are rows[slices[j]], with
+    strata in the order of strata.indices.  Tied durations come in no set
+    order, which no count depends on.  knot_ends[j] holds, for each knot of
+    stratum j, the end of its run of tied durations within the stratum's
+    slice, and knot_rows[j] one row at that knot.
+    """
+
+    order: np.ndarray
+    rows: np.ndarray
+    slices: tuple[slice, ...]
+    knot_ends: tuple[np.ndarray, ...]
+    knot_rows: tuple[np.ndarray, ...]
+
+
+def sorted_table(ds: Dataset, strata: StrataIndex) -> tuple[CurveTable, SortedStrata]:
+    """The table of every stratum's curve, in the order of strata.indices,
+    and the sort it was built from.
+
+    The durations are sorted once and the rows then stably by stratum, so
+    each stratum's rows are a slice in ascending duration, which
+    ``_stratum_curve`` reads with linear passes.
+    """
+    codes = np.empty(ds.n, dtype=np.uint8)
+    for j, idx in enumerate(strata.indices):
+        codes[idx] = j
+    order = np.argsort(ds.x)
+    rows = order[np.argsort(codes[order], kind="stable")]
+    del codes  # the plans' n-row temporaries are freed as soon as they are read
+    is_event = ds.delta == 1
+    stops = np.cumsum(strata.sizes)
+    slices = tuple(slice(stop - size, stop) for stop, size in zip(stops, strata.sizes))
+    spans, knot_ends, knot_rows, times, log_pi_left, jumps = [], [], [], [], [], []
+    start = 0
+    for part in slices:
+        below, ends, *curve = _stratum_curve(ds.x[rows[part]], is_event[rows[part]])
+        spans.append(slice(start, start + 1 + below.size))
+        knot_ends.append(ends)
+        knot_rows.append(rows[part][below])
+        for pieces, piece in zip((times, log_pi_left, jumps), curve):
+            pieces += [[0.0], piece]
+        start += 1 + below.size
+    table = CurveTable(tuple(spans), np.concatenate(times), np.concatenate(log_pi_left),
+                       np.concatenate(jumps))
+    return table, SortedStrata(order, rows, slices, tuple(knot_ends), tuple(knot_rows))
+
+
+def _stratum_curve(x: np.ndarray, events: np.ndarray):
+    """One stratum's knots from its durations in ascending order and their
+    cause-1 flags.
+
+    Returns the start and the end of each knot's run of tied durations, and
+    the curve's knot times, log pi_hat(t-) and jumps dF.  A run with a
+    cause-1 event is a knot, and its start counts the stratum's durations
+    below it.  At a knot, pi_hat(t-) is 1 - (durations below) / n and F(t)
+    is (events up to the knot) / n, the operations ``overall_survival`` and
+    ``sub_distribution`` perform.
+    """
+    n = x.size
+    # the runs' starts, then n
+    edges = np.empty(n + 1, dtype=bool)
+    edges[0] = edges[n] = True
+    np.not_equal(x[1:], x[:-1], out=edges[1:n])
+    edges = np.flatnonzero(edges)
+    knots = np.flatnonzero(np.logical_or.reduceat(events, edges[:-1]))
+    below, ends = edges[knots], edges[knots + 1]
+    del edges, knots
+    # no event lies between knot runs, so the sums from each knot's start to
+    # the next knot's are its events
+    cum_events = np.cumsum(np.add.reduceat(events, below, dtype=np.intp))
+    return (below, ends, x[below], np.log(1.0 - below / n),
+            np.diff(cum_events / n, prepend=0.0))
+
+
+def left_columns(table: CurveTable, sample: SortedStrata) -> np.ndarray:
+    """Each row's column in its own stratum's curve at the left limit of its
+    duration: the curve's first column plus the number of its knots below
+    the duration, which is the number of knot runs that end before the row.
+    """
+    left = np.empty(sample.rows.size, dtype=np.intp)
+    for span, part, ends in zip(table.spans, sample.slices, sample.knot_ends):
+        # one mark where each knot run ends; the first is the curve's first column
+        marks = np.zeros(part.stop - part.start + 1, dtype=np.intp)
+        marks[ends] = 1
+        marks[0] = span.start
+        left[sample.rows[part]] = np.cumsum(marks[:-1], out=marks[:-1])
+    return left
+
+
 def stratum_table(ds: Dataset, strata: StrataIndex) -> CurveTable:
     """The table of every stratum's curve, in the order of strata.indices."""
-    return curve_table(
-        (overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx]))
-        for idx in strata.indices
-    )
+    return sorted_table(ds, strata)[0]
 
 
 def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
@@ -117,7 +214,7 @@ def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
         # the terms are positive, so an overflowed sum ends its span at inf
         failed = np.isinf(running[:, [span.stop - 1 for span in table.spans]]).any(axis=1)
         running[failed] = 0.0
-        values = generator(running, col)
+        values = _generator(running, col)
     values[failed] = np.nan
     return values
 

@@ -47,16 +47,30 @@ def generator(u, theta):
     if not (np.isfinite(theta) & (theta >= THETA_MIN)).all():
         raise ValueError(f"theta must be a finite number >= -1, got {theta}")
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
     if not ((u >= 0).all() and np.isfinite(u).all()):
         raise ValueError("generator argument u must be finite and >= 0")
+    return _ret(_generator(u, theta), u.ndim == 0)
+
+
+def _generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``generator`` without its checks, for callers whose u is finite and
+    >= 0 and whose theta is admissible by construction.  exp(-u) is computed
+    only where some theta lies within THETA_ZERO_TOL of 0."""
     zero = np.abs(theta) < THETA_ZERO_TOL
-    theta = np.where(zero, 1.0, theta)
+    near_zero = zero.any()
+    if near_zero:
+        theta = np.where(zero, 1.0, theta)
+    out = np.asarray(theta * u)
+    out += 1.0
+    np.maximum(out, 0.0, out=out)
     with np.errstate(divide="ignore"):
         # log(0) = -inf, so points with 1 + theta*u <= 0 map to exp(-inf) = 0
-        out = np.asarray(np.exp(-np.log(np.maximum(1.0 + theta * u, 0.0)) / theta))
-    np.exp(-u, out=out, where=zero)
-    return _ret(out, scalar)
+        np.log(out, out=out)
+    out /= -theta
+    np.exp(out, out=out)
+    if near_zero:
+        np.exp(-u, out=out, where=zero)
+    return out
 
 
 def generator_inverse(s, theta: float):

@@ -272,18 +272,24 @@ def stratify(ds: Dataset) -> StrataIndex:
 
     Each column is coded by its own sorted values, and the codes are folded
     left to right into one integer per row, renumbered densely in the same
-    order after each column, so the key stays below n**2.  A level is the
-    covariate vector of its stratum's first row: where a column holds both
-    -0.0 and 0.0, which fall in one stratum, the level keeps that row's sign.
+    order after each column, so the key stays below n**2.  A code is the
+    value's position among the sorted distinct values, found by searching
+    them: np.unique's inverse would argsort the whole column instead.  A
+    level is the covariate vector of its stratum's first row: where a column
+    holds both -0.0 and 0.0, which fall in one stratum, the level keeps that
+    row's sign.
     """
     if ds.k == 0:
         return StrataIndex(levels=((),), indices=(np.arange(ds.n),))
-    values, codes = np.unique(ds.z[:, 0], return_inverse=True)
-    n_codes = values.size
+
+    def dense(keys):
+        values = np.unique(keys)
+        return values.size, np.searchsorted(values, keys)
+
+    n_codes, codes = dense(ds.z[:, 0])
     for column in ds.z.T[1:]:
-        values, column_codes = np.unique(column, return_inverse=True)
-        folded, codes = np.unique(codes * values.size + column_codes, return_inverse=True)
-        n_codes = folded.size
+        n_values, column_codes = dense(column)
+        n_codes, codes = dense(codes * n_values + column_codes)
     if n_codes > MAX_STRATA:
         raise DataError(
             f"{n_codes} distinct covariate vectors exceed the supported "

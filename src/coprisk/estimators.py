@@ -28,18 +28,21 @@ A failure at one theta makes that theta's value NaN with that theta's
 message and counts in the diagnostics' n_grid_failed.  No kernel raises, so
 the search catches nothing; it fails only if every grid point fails.
 
-Each fit builds one plan per dataset before its search.  Both plans hold
-one ``cge.CurveTable`` of every stratum's curve (strata from ``stratify``)
-and the table columns that the rows read: each row's own stratum at its
-left limit (3SE), or each kept row in every stratum, right-continuously
-(2SE).  The columns come from searching the knots with the durations sorted
-once.  The three-stage plan also holds a thin QR of the regression's
-theta-free columns over the cause-1 rows; the two-stage plan holds the
-weights of that linear combination.  The criterion is one kernel that
-scores a chunk of thetas at once: it fills the table (``cge.curves``, one
-row per theta), presmooths (3SE) or transforms (2SE) it, gathers the rows
-with one take, and then runs either the regression from the QR or one
-weighted sum of log cumulative hazard differences.  The grid pass hands it
+Each fit builds one plan per dataset before its search, from one sort of
+the durations (``cge.sorted_table``).  Both plans hold one
+``cge.CurveTable`` of every stratum's curve (strata from ``stratify``) and
+the table columns that the rows read: each row's own stratum at its left
+limit (3SE, ``cge.left_columns``), or each kept row in every stratum,
+right-continuously (2SE, ``_kept_columns``).  Both come from running
+counts over the sorted rows; no plan builds a step function or searches
+the knots.  The three-stage plan also holds a thin QR of the regression's
+theta-free columns over the cause-1 rows and the number of rows that read
+each column; the two-stage plan holds the weights of that linear
+combination.  The criterion is one kernel that scores a chunk of thetas at
+once: it fills the table (``cge.curves``, one row per theta), presmooths
+and clamps (3SE) or transforms (2SE) it, gathers the rows with one take,
+and then runs either the regression from the QR or one weighted sum of log
+cumulative hazard differences.  The grid pass hands it
 chunks of up to GRID_CHUNK_ELEMENTS / rows thetas; the Brent refinement
 hands it one at a time.  No evaluation calls LAPACK on the rows.
 ``fgls_fit`` runs the same regression on its own.
@@ -84,7 +87,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cge import CURVE_OVERFLOW, CurveTable, TrimBounds, curves, stratum_table, trim_support
+from .cge import (
+    CURVE_OVERFLOW,
+    CurveTable,
+    TrimBounds,
+    curves,
+    left_columns,
+    sorted_table,
+    trim_support,
+)
 from .copula import theta_from_tau
 from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
@@ -148,7 +159,8 @@ class FglsFit:
     n_clamped: int
 
     def model(self) -> AftModel:
-        """Decode (alpha, beta, sigma); fails if the implied shape is not positive."""
+        """Decode (alpha, beta, sigma); fails if the implied shape is not
+        positive or alpha = exp(log alpha) is not a positive finite float."""
         c = self.coef
         if self.model_kind == "ph":
             sigma = c[1]
@@ -156,14 +168,27 @@ class FglsFit:
                 raise EstimationError(
                     f"estimated baseline shape {sigma:.6g} is not positive"
                 )
-            return PhModel("weibull", math.exp(c[0] / sigma), c[2:], sigma)
+            return PhModel("weibull", _alpha(c[0] / sigma), c[2:], sigma)
         inv_sigma = c[-1]
         if not inv_sigma > 0:
             raise EstimationError(
                 f"estimated inverse shape 1/sigma = {inv_sigma:.6g} is not positive; "
                 "the regression slope on the transformed curve is degenerate"
             )
-        return AftModel(self.family, math.exp(c[0]), c[1:-1], 1.0 / inv_sigma)
+        return AftModel(self.family, _alpha(c[0]), c[1:-1], 1.0 / inv_sigma)
+
+
+def _alpha(log_alpha: float) -> float:
+    try:
+        alpha = math.exp(log_alpha)
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise EstimationError(
+            f"estimated log alpha = {log_alpha:.6g} puts alpha = exp(log alpha) "
+            "outside the floating-point range; rescale the durations"
+        )
+    return alpha
 
 
 RANK_DEFICIENT = (
@@ -222,11 +247,13 @@ def _regression(family: str, model_kind: str, log_x: np.ndarray,
                        log_x - q @ q_log_x, rcond, sv[0])
 
 
-def _clamp_curve_values(s_hat: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _clamp_curve_values(s_hat: np.ndarray, out=None,
+                        counts=None) -> tuple[np.ndarray, np.ndarray]:
     """Clamped values (into out if given) and the number of clamped values
-    along the last axis."""
+    along the last axis, each counted counts[i] times if counts is given."""
     clamped = (s_hat < S_CLAMP) | (s_hat > 1.0 - S_CLAMP)
-    return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP, out=out), np.count_nonzero(clamped, axis=-1)
+    n_clamped = np.count_nonzero(clamped, axis=-1) if counts is None else clamped @ counts
+    return np.clip(s_hat, S_CLAMP, 1.0 - S_CLAMP, out=out), n_clamped
 
 
 def _mark(errors: list, failed: np.ndarray, message: str) -> None:
@@ -340,6 +367,14 @@ def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
                                  out=smoothed)
 
 
+def _check_smooth_knots(smooth_knots) -> None:
+    # a bool is an int to Python, and a float would be truncated
+    if smooth_knots is None or (isinstance(smooth_knots, (int, np.integer))
+                                and not isinstance(smooth_knots, bool) and smooth_knots >= 0):
+        return
+    raise ValueError(f"smooth_knots must be None or an integer >= 0, got {smooth_knots!r}")
+
+
 def _smooth_window(n_knots: int, smooth_knots) -> int:
     if smooth_knots is None:
         return max(1, min(int(round(n_knots * SMOOTH_KNOT_FRACTION)),
@@ -351,26 +386,6 @@ def _grid_chunk(rows: int) -> int:
     return max(1, GRID_CHUNK_ELEMENTS // max(rows, 1))
 
 
-def _columns(table: CurveTable, strata: tuple, x: np.ndarray, side: str) -> np.ndarray:
-    """Each duration's column in the curve of each of the given strata, one
-    row per stratum: the curve's first column plus
-    np.searchsorted(knots, x, side).
-
-    The durations are sorted once, looked up in that order and the columns
-    scattered back: numpy starts each search of an ascending query where the
-    one before ended.  On an n = 100000 benchmark sample the 2SE plan's two
-    lookups took 12 ms this way, the sort included, and 30 ms in row order.
-    """
-    order = np.argsort(x)
-    x_sorted = x[order]
-    columns = np.empty((len(strata), x.size), dtype=np.intp)
-    for row, j in zip(columns, strata):
-        span = table.spans[j]
-        pos = np.searchsorted(table.times[span.start + 1:span.stop], x_sorted, side=side)
-        row[order] = span.start + pos
-    return columns
-
-
 @dataclass(frozen=True)
 class _CvmPlan:
     """What the three-stage criterion needs that does not depend on theta.
@@ -379,12 +394,14 @@ class _CvmPlan:
     window (1 for none); gather holds each row's column in the table, for
     the left-limit lookup.  regression holds the QR over the cause-1 rows
     (events); log_x and z cover all rows, for the model's survival.  chunk
-    is the number of thetas per grid-pass call.
+    is the number of thetas per grid-pass call.  counts[c] is the number of
+    rows that read column c, so clamped table values count as clamped rows.
     """
 
     table: CurveTable
     windows: tuple[int, ...]
     gather: np.ndarray
+    counts: np.ndarray
     events: np.ndarray
     regression: _Regression
     log_x: np.ndarray
@@ -393,43 +410,45 @@ class _CvmPlan:
 
 
 def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
-    strata = stratify(ds)
-    table = stratum_table(ds, strata)
-    gather = np.empty(ds.n, dtype=np.intp)
-    for j, idx in enumerate(strata.indices):
-        gather[idx] = _columns(table, (j,), ds.x[idx], "left")[0]
+    table, sample = sorted_table(ds, stratify(ds))
+    gather = left_columns(table, sample)
+    del sample  # see _variance_plan
     windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
                     for span in table.spans)
     events = np.flatnonzero(ds.delta == 1)
     log_x = np.log(ds.x)
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
-    return _CvmPlan(table=table, windows=windows, gather=gather, events=events,
+    return _CvmPlan(table=table, windows=windows, gather=gather,
+                    counts=np.bincount(gather, minlength=table.times.size), events=events,
                     regression=regression, log_x=log_x, z=ds.z, chunk=_grid_chunk(ds.n))
 
 
-def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> np.ndarray:
+def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row curve values at the left limit of each observed duration,
-    one row per theta."""
+    clamped, one row per theta, and each theta's number of clamped rows.
+
+    The table is clamped before the rows are gathered from it: clipping
+    commutes with a gather, and the table has fewer columns than there are
+    rows.
+    """
     values = curves(plan.table, thetas)
     for span, window in zip(plan.table.spans, plan.windows):
         knots = values[:, span.start + 1:span.stop]
         knots[...] = smooth_curve_values(knots, window)
-    return np.take(values, plan.gather, axis=1)
+    _, n_clamped = _clamp_curve_values(values, out=values, counts=plan.counts)
+    return np.take(values, plan.gather, axis=1), n_clamped
 
 
-def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool, out=None):
-    """Criterion from per-row curve values, one row of s_hat per theta.
+def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray, events_only: bool):
+    """Criterion from clamped per-row curve values, one row of s_cl per theta.
 
-    Returns (values, failure messages, regression coefficients, mean gaps,
-    numbers of clamped rows), one entry per theta; a failed theta's value is
-    NaN and its message is in the list, which holds None for the others.
-    The clamped values go into out, a new array if it is None; a caller that
-    has no further use for s_hat passes it as out.  The other (thetas x
-    rows) temporaries are updated in place too: at n = 100000 each one is
-    800 kB per theta, and fewer of them keep the evaluation's memory inside
-    what the allocator already holds.
+    Returns (values, failure messages, regression coefficients, mean gaps),
+    one entry per theta; a failed theta's value is NaN and its message is in
+    the list, which holds None for the others.  The (thetas x rows)
+    temporaries are updated in place: at n = 100000 each one is 800 kB per
+    theta, and fewer of them keep the evaluation's memory inside what the
+    allocator already holds.
     """
-    s_cl, n_clamped = _clamp_curve_values(s_hat, out=out)
     coef, errors = _solve(plan.regression, np.take(s_cl, plan.events, axis=1))
     gap = _model_survival(plan.regression, coef, plan.log_x, plan.z, errors)
     gap -= s_cl
@@ -446,7 +465,7 @@ def _cvm_value(plan: _CvmPlan, s_hat: np.ndarray, events_only: bool, out=None):
         errors = [CURVE_OVERFLOW if o else e for o, e in zip(overflow, errors)]
         _mark(errors, failed, "criterion evaluated to a non-finite value")
         values[failed] = np.nan
-    return values, errors, coef, mean_gap, n_clamped
+    return values, errors, coef, mean_gap
 
 
 def _pair_structure(strata: StrataIndex):
@@ -470,7 +489,8 @@ class _VariancePlan:
 
     table holds every stratum's curve; columns (strata x kept rows) holds
     each kept row's column in every curve for the right-continuous lookup,
-    the reference stratum's row first and then the others.  A row's
+    the reference stratum's row first and then the others (see
+    ``_kept_columns``).  A row's
     coefficients are diffs_pinv applied to its other strata's log cumulative
     hazard differences from the reference; the criterion reads only their
     sum, weights = diffs_pinv.sum(axis=0) applied to the same differences.
@@ -496,18 +516,55 @@ def _variance_plan(ds: Dataset) -> _VariancePlan:
             "more values in the sample; a single stratum is not identified"
         )
     ref, others, diffs_pinv = _pair_structure(strata)
-    table = stratum_table(ds, strata)
+    table, sample = sorted_table(ds, strata)
+    # the plan's n-row arrays are freed as soon as they are read, so that
+    # building it grows the heap little beyond what the kernel holds
+    order, knot_rows = sample.order, sample.knot_rows
+    del strata, sample
     # the trimmed window depends only on each stratum's event times
     trim = trim_support(table, ds)
-    x_kept = ds.x[trim.kept]
-    if x_kept.size < 2:
+    if trim.kept.size < 2:
         raise EstimationError("fewer than 2 rows survive trimming")
-    columns = _columns(table, (ref, *others), x_kept, "right")
-    chunk = _grid_chunk(x_kept.size)
+    columns = _kept_columns(ds, table, order, knot_rows, trim.kept, (ref, *others))
+    chunk = _grid_chunk(trim.kept.size)
     return _VariancePlan(
         trim=trim, table=table, columns=columns, diffs_pinv=diffs_pinv,
         weights=diffs_pinv.sum(axis=0), log_l=np.empty((chunk, *columns.shape)), chunk=chunk,
     )
+
+
+def _kept_columns(ds: Dataset, table: CurveTable, order: np.ndarray, knot_rows: tuple,
+                  kept: np.ndarray, strata: tuple) -> np.ndarray:
+    """Each kept row's column in the curve of each of the given strata, one
+    row per stratum: the curve's first column plus the number of its knots
+    at or below the row's duration.
+
+    order and knot_rows are those of ``cge.SortedStrata``.  The counts run
+    over the durations in ascending order.  Each run of tied durations gets
+    a number, each curve's knots are marked at the runs of its knot rows,
+    and a kept row reads the running count of marks at its own run.
+    """
+    x = ds.x[order]
+    new = np.empty(ds.n, dtype=bool)
+    new[0] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    del x
+    run = np.empty(ds.n, dtype=np.intp)
+    run[order] = np.cumsum(new, dtype=np.intp)  # numbered from 1
+    n_runs = int(run[order[-1]])
+    kept_runs = run[kept]
+    knot_runs = [run[knot_rows[j]] for j in strata]
+    del run
+    columns = np.empty((len(strata), kept.size), dtype=np.intp)
+    knots = np.empty(n_runs + 1, dtype=np.intp)
+    for out, j, runs in zip(columns, strata, knot_runs):
+        knots[:] = 0
+        knots[0] = table.spans[j].start
+        knots[runs] = 1
+        # numpy buffers a take into out unless mode is "clip" or "wrap"; the
+        # run numbers all lie inside knots, so clipping changes nothing
+        np.take(np.cumsum(knots, out=knots), kept_runs, out=out, mode="clip")
+    return columns
 
 
 def _coef_variance(row_sums: np.ndarray) -> np.ndarray:
@@ -735,19 +792,21 @@ def fit_3se(
     model_kind 'aft' fits the chosen family on the acceleration scale; 'ph'
     fits the Weibull-baseline proportional-hazards form (the only baseline
     supported on the hazard scale).  smooth_knots=None applies the default
-    presmoothing window, an integer fixes it, and 0 disables presmoothing.
+    presmoothing window, an integer >= 1 fixes it, and 0 disables
+    presmoothing; any other value is a ValueError.
     """
     _check_family(family)
     if model_kind not in ("aft", "ph"):
         raise ValueError(f"unknown model_kind {model_kind!r}; use 'aft' or 'ph'")
     if model_kind == "ph" and family != "weibull":
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
+    _check_smooth_knots(smooth_knots)
     grid = _validate_tau_grid(tau_grid)
     plan = _cvm_plan(ds, family, model_kind, smooth_knots)
 
     def kernel(thetas: np.ndarray):
-        s_hat = _row_values(plan, thetas)
-        return _cvm_value(plan, s_hat, events_only, out=s_hat)
+        s_cl, n_clamped = _row_values(plan, thetas)
+        return (*_cvm_value(plan, s_cl, events_only), n_clamped)
 
     tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
         kernel, grid, plan.chunk)

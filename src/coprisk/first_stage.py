@@ -3,7 +3,9 @@
 ``overall_survival`` is the empirical survivor of the observed duration X
 (fully observed, so no risk adjustment is involved), and ``sub_distribution``
 is the empirical cumulative incidence of cause 1.  Both are right-continuous
-step functions.
+step functions, the first stage of ``cge.copula_graphic``.  The fits and the
+CLI's curve dump do not build them: ``cge.sorted_table`` performs the same
+operations on one sort of a dataset's durations.
 """
 
 from __future__ import annotations

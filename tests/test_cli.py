@@ -402,3 +402,19 @@ def test_curve_overflow_is_an_estimation_error(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "overflows" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("method", ["3se-aft", "3se-ph"])
+def test_fit_with_alpha_outside_the_float_range_is_an_estimation_error(tmp_path, capsys,
+                                                                      method):
+    # durations near 1e-310 put log alpha near 710, where exp overflows
+    sample = load_csv(gen_csv(tmp_path, capsys, n=400, seed=1))
+    path = tmp_path / "tiny.csv"
+    csv_writer_rows(path, sample.x * 1e-310, sample.delta, sample.z)
+    assert load_csv(path).x.max() < 1e-308
+    code, out, err = run(capsys, "fit", "--input", str(path), "--method", method)
+    assert code == 4 and out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "estimation"
+    assert error["message"].startswith("estimated log alpha = 7")
+    assert "outside the floating-point range" in error["message"]

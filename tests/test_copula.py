@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprisk.copula import (
+    THETA_ZERO_TOL,
+    _generator,
     conditional_v_given_u,
     generator,
     generator_inverse,
@@ -188,3 +190,24 @@ def test_conditional_fuzz_in_unit_interval(theta, u, w):
     v = conditional_v_given_u(u, w, theta)
     assert 0.0 < v < 1.0
 
+
+
+@pytest.mark.parametrize("thetas", [
+    [-1.0, -0.5, 1e-9, 0.0, -1e-9, 2.0, 30.0],  # with the exp(-u) branch
+    [-1.0, -0.5, 0.3, 2.0, 30.0],               # without it
+])
+def test_generator_core_equals_the_checked_formula(thetas):
+    # the unchecked core, on a column of thetas against a 2-d u, has the
+    # bits of the formula with the theta = 0 limit applied per element
+    u = np.random.default_rng(3).exponential(1.0, (1, 200)) * np.array([[1.0]] * len(thetas))
+    u[:, :3] = [0.0, 0.5, 4.0]
+    col = np.array(thetas).reshape(-1, 1)
+    zero = np.abs(col) < THETA_ZERO_TOL
+    safe = np.where(zero, 1.0, col)
+    with np.errstate(divide="ignore"):
+        expected = np.exp(-np.log(np.maximum(1.0 + safe * u, 0.0)) / safe)
+    expected = np.where(zero, np.exp(-u), expected)
+    got = _generator(u, col)
+    assert got.tobytes() == expected.tobytes()
+    assert generator(u, col).tobytes() == expected.tobytes()
+    assert got[0, 2] == 0.0  # theta = -1 clamps at zero from u = 1 on

@@ -7,15 +7,23 @@ import math
 import numpy as np
 import pytest
 
-from coprisk.cge import CURVE_OVERFLOW, CurveTable, copula_graphic, curves, stratum_table
+from coprisk import cli
+from coprisk.cge import (
+    CURVE_OVERFLOW,
+    CurveTable,
+    copula_graphic,
+    curve_table,
+    curves,
+    stratum_table,
+)
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
+    S_CLAMP,
     TAU_TOL,
     FglsFit,
     _brent,
     _coef_variance,
-    _columns,
     _cvm_plan,
     _cvm_value,
     _pair_structure,
@@ -228,7 +236,7 @@ def test_cvm_perfect_fit_is_zero():
     ds, _, model = noiseless_dataset("weibull", n=120)
     plan = _cvm_plan(ds, "weibull", "aft", smooth_knots=0)
     s_exact = survival(model, ds.x, ds.z)
-    values, errors, _, _, _ = _cvm_value(plan, s_exact[None, :], False)
+    values, errors, _, _ = _cvm_value(plan, s_exact[None, :], False)
     assert errors == [None]
     assert values[0] <= 1e-18
 
@@ -487,8 +495,8 @@ def test_search_returns_the_kernel_outputs_at_tau_hat(kind):
             return functools.partial(_variance_value, plan)
 
         def kernel(thetas):
-            s_hat = _row_values(plan, thetas)
-            return _cvm_value(plan, s_hat, False, out=s_hat)
+            s_cl, n_clamped = _row_values(plan, thetas)
+            return (*_cvm_value(plan, s_cl, False), n_clamped)
 
         return kernel
 
@@ -593,18 +601,39 @@ def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
     plan = amplified_plan(_cvm_plan(batch_dataset(), family, model_kind))
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
-    rows = _row_values(plan, thetas)
+    rows, clamped = _row_values(plan, thetas)
     batch = _cvm_value(plan, rows, events_only)
-    assert batch[4][1] > 2 and batch[4][2] > 2  # rows read a curve clamped at zero
+    assert clamped[1] > 2 and clamped[2] > 2  # rows read a curve clamped at zero
     for i in range(thetas.size):
-        one_rows = _row_values(plan, thetas[i:i + 1])
+        one_rows, n_clamped = _row_values(plan, thetas[i:i + 1])
         assert_rows_equal(rows[i], one_rows[0])
-        values, errors, coef, mean_gap, n_clamped = _cvm_value(plan, one_rows, events_only)
+        values, errors, coef, mean_gap = _cvm_value(plan, one_rows, events_only)
         assert errors == [None] and batch[1][i] is None
         assert_rows_equal(batch[0][i], values[0])
         assert_rows_equal(batch[2][i], coef[0])
         assert_rows_equal(batch[3][i], mean_gap[0])
-        assert batch[4][i] == n_clamped[0]
+        assert clamped[i] == n_clamped[0]
+
+
+def test_table_clamp_equals_row_clamp():
+    # the kernel clamps the table and then gathers the rows; clamping the
+    # gathered rows instead gives the same values, and the plan's column
+    # counts give the same numbers of clamped rows
+    plan = amplified_plan(_cvm_plan(batch_dataset(), "weibull", "aft"))
+    thetas = _thetas(BATCH_TAUS)
+    rows, n_clamped = _row_values(plan, thetas)
+    table = curves(plan.table, thetas)
+    for span, window in zip(plan.table.spans, plan.windows):
+        table[:, span.start + 1:span.stop] = smooth_curve_values(
+            table[:, span.start + 1:span.stop], window)
+    unclamped = np.take(table, plan.gather, axis=1)
+    expected = np.clip(unclamped, S_CLAMP, 1.0 - S_CLAMP)
+    assert rows.tobytes() == expected.tobytes()
+    clamped = (unclamped < S_CLAMP) | (unclamped > 1.0 - S_CLAMP)
+    np.testing.assert_array_equal(n_clamped, np.count_nonzero(clamped, axis=1))
+    assert n_clamped.min() > 0 and n_clamped[1] > 2
+    np.testing.assert_array_equal(plan.counts, np.bincount(plan.gather,
+                                                           minlength=plan.table.times.size))
 
 
 def test_variance_kernel_rows_equal_one_theta_calls():
@@ -642,7 +671,7 @@ def test_failed_theta_keeps_its_chunk_mates():
     theta_04 = _thetas([0.4])[0]
 
     def kernel(thetas):
-        rows = _row_values(plan, thetas)
+        rows, _ = _row_values(plan, thetas)
         rows[thetas == theta_04] = 0.5
         return _cvm_value(plan, rows, False)
 
@@ -717,29 +746,116 @@ def test_fits_keep_their_recorded_values():
         1.653704311476632, 0.0005584877074101576, 18422)
 
 
+def assert_plan_columns_equal_searchsorted(ds, two_stage=True):
+    """Both plans' table columns equal the curve's first column plus
+    np.searchsorted over its knots: at the left limit of each row's own
+    stratum (3SE), and right-continuously in every stratum at each kept
+    row (2SE)."""
+    strata = stratify(ds)
+    plan = _cvm_plan(ds, "weibull", "aft")
+    assert plan.gather.dtype == np.intp and plan.gather.shape == (ds.n,)
+    for idx, span in zip(strata.indices, plan.table.spans):
+        knots = plan.table.times[span.start + 1:span.stop]
+        np.testing.assert_array_equal(
+            plan.gather[idx], span.start + np.searchsorted(knots, ds.x[idx], side="left"))
+    if not two_stage:
+        return
+    ref, others, _ = _pair_structure(strata)
+    plan = _variance_plan(ds)
+    x_kept = ds.x[plan.trim.kept]
+    assert plan.columns.dtype == np.intp
+    assert plan.columns.shape == (strata.n_strata, x_kept.size)
+    for columns, j in zip(plan.columns, (ref, *others)):
+        span = plan.table.spans[j]
+        knots = plan.table.times[span.start + 1:span.stop]
+        np.testing.assert_array_equal(
+            columns, span.start + np.searchsorted(knots, x_kept, side="right"))
+
+
 def test_knot_positions_equal_plain_searchsorted():
     rng = np.random.default_rng(8)
     knots = np.unique(rng.integers(1, 60, 25)).astype(float)
     assert knots.size == 23
-    # durations on the knots, tied with each other, between and outside them
-    x = np.concatenate([knots, knots[::3], rng.integers(0, 62, 200) / 1.0,
-                        rng.uniform(0.0, 65.0, 200), [0.5, 0.5, 70.0, 70.0]])
-    x = rng.permutation(x)
-    knot_sets = (knots, knots[:1], knots[:0], knots[5:9])
-    times = np.concatenate([np.concatenate(([0.0], k)) for k in knot_sets])
-    zeros = np.zeros(times.size)
-    spans = (slice(0, 24), slice(24, 26), slice(26, 27), slice(27, 32))  # 23, 1, 0, 4 knots
-    table = CurveTable(spans, times, zeros, zeros)
-    for side in ("left", "right"):
-        for j, k in enumerate(knot_sets):
-            (columns,) = _columns(table, (j,), x, side)
-            assert columns.dtype == np.intp
-            np.testing.assert_array_equal(
-                columns, spans[j].start + np.searchsorted(k, x, side=side))
-        both = _columns(table, (3, 0), x, side)
-        for j, columns in zip((3, 0), both):
-            np.testing.assert_array_equal(
-                columns, spans[j].start + np.searchsorted(knot_sets[j], x, side=side))
+    knot_sets = (knots, knots[:1], knots[:0], knots[5:9])  # 23, 1, 0 and 4 knots
+    # each stratum's events on its knots; censored durations on every knot,
+    # tied with each other, between and outside them
+    censored = np.concatenate([knots, knots[::3], rng.integers(1, 62, 200) / 1.0,
+                               rng.uniform(0.1, 65.0, 200), [0.5, 0.5, 70.0, 70.0]])
+    parts = [(np.concatenate([k, censored]), np.repeat([1, 0], [k.size, censored.size]),
+              np.full(k.size + censored.size, float(j))) for j, k in enumerate(knot_sets)]
+    x, delta, z = (np.concatenate(column) for column in zip(*parts))
+    order = rng.permutation(x.size)
+    ds = Dataset(x[order], delta[order], z[order])
+    table = stratum_table(ds, stratify(ds))
+    for span, k in zip(table.spans, knot_sets):
+        np.testing.assert_array_equal(table.times[span], np.concatenate(([0.0], k)))
+    assert_plan_columns_equal_searchsorted(ds, two_stage=False)
+    # a stratum without knots has no curve to compare, so the two-stage
+    # plan takes the strata with 23 and 4 knots
+    assert_plan_columns_equal_searchsorted(ds.subset(np.flatnonzero(z[order] % 3 == 0)))
+
+
+def rounded_dataset():
+    """Durations rounded up to 0.1, so events and censorings tie within
+    and across strata."""
+    ds = overflow_dataset()
+    return Dataset(np.ceil(ds.x * 10.0) / 10.0, ds.delta, ds.z)
+
+
+def resampled_dataset():
+    ds = overflow_dataset()
+    return ds.subset(np.random.default_rng(4).integers(0, ds.n, ds.n))
+
+
+def tied_first_dataset():
+    """Two strata; each one's smallest duration is a censoring tied with an
+    event, listed before it."""
+    rng = np.random.default_rng(6)
+    x = np.concatenate([[0.05, 0.05], rng.uniform(0.1, 2.0, 60),
+                        [0.02, 0.02, 0.02], rng.uniform(0.1, 2.5, 60)])
+    delta = np.concatenate([[0, 1], rng.integers(0, 2, 60), [0, 0, 1], rng.integers(0, 2, 60)])
+    z = np.repeat([0.0, 1.0], [62, 63])
+    return Dataset(x, delta, z)
+
+
+LAYOUT_CASES = {
+    "continuous": overflow_dataset,
+    "resampled": resampled_dataset,
+    "rounded": rounded_dataset,
+    "six-strata": lambda: six_strata_dataset(),  # defined below
+    "tied-first": tied_first_dataset,
+}
+
+
+@pytest.mark.parametrize("make", LAYOUT_CASES.values(), ids=LAYOUT_CASES.keys())
+def test_stratum_table_equals_the_first_stage_table(make):
+    # the one-sort table has the bits of the table built from each
+    # stratum's overall_survival and sub_distribution step functions
+    ds = make()
+    strata = stratify(ds)
+    table = stratum_table(ds, strata)
+    expected = curve_table(
+        (overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx]))
+        for idx in strata.indices)
+    assert table.spans == expected.spans
+    for name in ("times", "log_pi_left", "jumps"):
+        got, want = getattr(table, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("make", LAYOUT_CASES.values(), ids=LAYOUT_CASES.keys())
+def test_plan_columns_equal_plain_searchsorted(make):
+    assert_plan_columns_equal_searchsorted(make())
+
+
+def test_tied_first_stratum_starts_with_its_knot():
+    # the tied censoring does not count as below the first event: the
+    # curve's first knot has pi_hat(t-) = 1
+    ds = tied_first_dataset()
+    table = stratum_table(ds, stratify(ds))
+    for span, first in zip(table.spans, (0.05, 0.02)):
+        assert table.times[span.start + 1] == first
+        assert table.log_pi_left[span.start + 1] == 0.0
 
 
 def test_fit_3se_all_censored_fails(monkeypatch):
@@ -911,7 +1027,7 @@ def test_plan_values_equal_curve_lookups():
         curves = stratum_curves(ds3, theta)
         for smooth_knots in (None, 25, 0):
             rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots),
-                               np.array([theta]))[0]
+                               np.array([theta]))[0][0]
             for level, idx in strata3.items():
                 step = curves[level]
                 values = step.values
@@ -919,8 +1035,9 @@ def test_plan_values_equal_curve_lookups():
                     window = _smooth_window(values.size, smooth_knots)
                     values = smooth_curve_values(values, window)
                 smoothed = StepFunction(step.jump_times, values, 1.0)
-                assert np.all(rows[idx] == smoothed.left_limit(ds3.x[idx]))
-            assert np.all(rows[strata3.indices[2]] == 1.0)
+                expected = np.clip(smoothed.left_limit(ds3.x[idx]), S_CLAMP, 1.0 - S_CLAMP)
+                assert np.all(rows[idx] == expected)
+            assert np.all(rows[strata3.indices[2]] == 1.0 - S_CLAMP)
         curves = stratum_curves(ds2, theta)
         log_l = [np.log(-np.log(curves[strata2.levels[j]](x_kept))) for j in (ref, *others)]
         contrasts = _variance_value(plan2, np.array([theta]))[2][0]
@@ -1091,7 +1208,7 @@ def test_overflowing_theta_fails_alone_in_its_chunk(kind):
         plan = _cvm_plan(ds, "weibull", "aft")
 
         def kernel(thetas):
-            return _cvm_value(plan, _row_values(plan, thetas), False)[:2]
+            return _cvm_value(plan, _row_values(plan, thetas)[0], False)[:2]
     else:
         plan = _variance_plan(ds)
 
@@ -1117,3 +1234,74 @@ def test_fits_skip_an_overflowing_grid_point():
         assert result.tau_hat < 0.98
         with pytest.raises(EstimationError, match="every grid point.*overflows"):
             fit(ds, tau_grid=[0.98])
+
+
+# ---------------------------------------------------------------------------
+# the fit path: no step functions, one sort of the durations per plan
+# ---------------------------------------------------------------------------
+
+
+def counted_fit_path(monkeypatch) -> tuple[list, list]:
+    """Record each StepFunction built and the size of each float np.argsort."""
+    built, float_sorts = [], []
+    post_init, argsort = StepFunction.__post_init__, np.argsort
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_argsort(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.dtype.kind == "f":
+            float_sorts.append(a.size)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(StepFunction, "__post_init__", counted_post_init)
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    return built, float_sorts
+
+
+@pytest.mark.parametrize("fit", [functools.partial(fit_3se, family="weibull"), fit_2se],
+                         ids=["3se", "2se"])
+def test_fit_builds_no_step_function_and_sorts_the_durations_once(monkeypatch, fit):
+    ds = six_strata_dataset(n=600)
+    built, float_sorts = counted_fit_path(monkeypatch)
+    fit(ds)
+    assert built == []
+    assert float_sorts == [ds.n]
+
+
+def test_curve_dump_builds_no_step_function_and_sorts_the_durations_once(
+        monkeypatch, tmp_path, capsys):
+    path = tmp_path / "sample.csv"
+    assert cli.main(["gen", "--seed", "1", "--n", "400", "--output", str(path)]) == 0
+    built, float_sorts = counted_fit_path(monkeypatch)
+    assert cli.main(["curve", "--input", str(path), "--tau-list", "0,0.5"]) == 0
+    assert built == []
+    assert float_sorts == [400]
+    assert capsys.readouterr().out.startswith("stratum,tau,t,survival")
+
+
+@pytest.mark.parametrize("smooth_knots", [-5, 2.9, 2.0, math.nan, True, "3"])
+def test_fit_3se_rejects_an_invalid_smoothing_window(smooth_knots):
+    with pytest.raises(ValueError, match="^smooth_knots must be None or an integer >= 0, got "):
+        fit_3se(batch_dataset(), "weibull", smooth_knots=smooth_knots)
+
+
+@pytest.mark.parametrize("smooth_knots", [0, 3, np.int64(3)])
+def test_fit_3se_accepts_an_integer_smoothing_window(smooth_knots):
+    res = fit_3se(batch_dataset(), "weibull", smooth_knots=smooth_knots)
+    expected = fit_3se(batch_dataset(), "weibull", smooth_knots=int(smooth_knots))
+    assert res.objective_trace == expected.objective_trace
+
+
+@pytest.mark.parametrize("model_kind, coef, log_alpha", [
+    ("aft", [800.0, 1.0, 0.5], "800"),      # exp overflows
+    ("aft", [-800.0, 1.0, 0.5], "-800"),    # exp underflows to 0
+    ("ph", [1600.0, 2.0, 1.0], "800"),
+    ("ph", [-1600.0, 2.0, 1.0], "-800"),
+])
+def test_model_rejects_an_alpha_outside_the_float_range(model_kind, coef, log_alpha):
+    fit = FglsFit("weibull", model_kind, np.array(coef), 0)
+    with pytest.raises(EstimationError, match=f"^estimated log alpha = {log_alpha} puts alpha"):
+        fit.model()
