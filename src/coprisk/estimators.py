@@ -36,16 +36,21 @@ limit (3SE, ``cge.left_columns``), or each kept row in every stratum,
 right-continuously (2SE, ``_kept_columns``).  Both come from running
 counts over the sorted rows; no plan builds a step function or searches
 the knots.  The three-stage plan also holds a thin QR of the regression's
-theta-free columns over the cause-1 rows and the number of rows that read
-each column; the two-stage plan holds the weights of that linear
-combination.  The criterion is one kernel that scores a chunk of thetas at
-once: it fills the table (``cge.curves``, one row per theta), presmooths
-and clamps (3SE) or transforms (2SE) it, gathers the rows with one take,
-and then runs either the regression from the QR or one weighted sum of log
-cumulative hazard differences.  The grid pass hands it
-chunks of up to GRID_CHUNK_ELEMENTS / rows thetas; the Brent refinement
-hands it one at a time.  No evaluation calls LAPACK on the rows.
-``fgls_fit`` runs the same regression on its own.
+theta-free columns over the cause-1 rows, the number of rows that read
+each column, and each row's stratum code with the strata's covariate
+levels; the two-stage plan holds the weights of that linear combination.
+The criterion is one kernel that scores a chunk of thetas at once: it
+fills the table (``cge.curves``, one row per theta), presmooths and clamps
+(3SE) or transforms (2SE) it, gathers the rows with one take, and then
+runs either the regression from the QR or one weighted sum of log
+cumulative hazard differences.  The grid pass hands it chunks of up to
+GRID_CHUNK_ELEMENTS / rows thetas; the Brent refinement hands it one at a
+time.  No evaluation calls LAPACK on the rows.  In the three-stage
+kernel, the model's z'beta is a (thetas x strata) product that each row
+reads by its stratum code, the presmoother runs its running minimum only
+on curves that rise, and the regression transforms the clamped values
+with the unchecked ``marginals._sw_inverse``; each has the bits of the
+plain form.  ``fgls_fit`` runs the same regression on its own.
 
 The regression has at most one theta-dependent column, S_W^{-1}(s) in the
 AFT families with a shape parameter.  Its slope comes from the
@@ -65,7 +70,8 @@ designs; see the package README for the summary):
   rows.  The log-duration identity holds at any duration, but anchoring the
   regression at failure times is markedly more stable under resampling.
 * Before the decreasing transform, each curve is presmoothed by a moving
-  average over its jump knots (monotonicity restored by a running minimum).
+  average over its jump knots (monotonicity restored by a running minimum
+  where the average rises).
   The transform is convex near 1 and near 0, so plug-in noise otherwise
   translates into a systematic distortion of the fitted shape parameter that
   tilts the dependence search.  The default window for K knots is
@@ -99,7 +105,7 @@ from .cge import (
 from .copula import theta_from_tau
 from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
-from .marginals import AftModel, PhModel, _check_family, sw_inverse, sw_survival
+from .marginals import AftModel, PhModel, _check_family, _sw_inverse, sw_survival
 
 # Curve values are clamped into [S_CLAMP, 1 - S_CLAMP] before the decreasing
 # transform S_W^{-1}, which diverges at 0 and 1.  Clamped rows are counted and
@@ -169,13 +175,21 @@ class FglsFit:
                     f"estimated baseline shape {sigma:.6g} is not positive"
                 )
             return PhModel("weibull", _alpha(c[0] / sigma), c[2:], sigma)
-        inv_sigma = c[-1]
+        inv_sigma = float(c[-1])
         if not inv_sigma > 0:
             raise EstimationError(
                 f"estimated inverse shape 1/sigma = {inv_sigma:.6g} is not positive; "
                 "the regression slope on the transformed curve is degenerate"
             )
-        return AftModel(self.family, _alpha(c[0]), c[1:-1], 1.0 / inv_sigma)
+        # a Python float division overflows to inf without a warning
+        sigma = 1.0 / inv_sigma
+        if not math.isfinite(sigma):
+            raise EstimationError(
+                f"estimated inverse shape 1/sigma = {inv_sigma:.6g} puts sigma "
+                "outside the floating-point range; the regression slope on the "
+                "transformed curve is degenerate"
+            )
+        return AftModel(self.family, _alpha(c[0]), c[1:-1], sigma)
 
 
 def _alpha(log_alpha: float) -> float:
@@ -268,12 +282,14 @@ def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
     values at the regression rows, and each theta's failure message or None.
 
     A failed theta's coefficients are NaN.  Every AFT family's coefficients
-    end in the slope 1/sigma, which is 1.0 for the exponential family.
+    end in the slope 1/sigma, which is 1.0 for the exponential family.  The
+    transform skips ``sw_inverse``'s checks: clamped values lie inside
+    (0, 1), and an overflowed curve's NaN maps to NaN.
     """
     errors: list = [None] * s.shape[0]
     if reg.model_kind == "ph":
         return (np.log(-np.log(s)) @ reg.q) @ reg.r_inv.T, errors
-    v = sw_inverse(reg.family, s)
+    v = _sw_inverse(reg.family, s)
     qv = v @ reg.q
     if reg.family == "exponential":
         slope = np.ones(s.shape[0])
@@ -299,21 +315,32 @@ def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
     return coef, errors
 
 
+def _covariate_term(beta: np.ndarray, levels: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """z'beta at each row for each row of beta, one row per theta: the
+    (thetas x strata) products of beta with the strata's levels, each row
+    reading its stratum's.  A row's z equals its stratum's level (up to the
+    sign of a zero, which a product summed from +0.0 drops), so this has the
+    bits of ``beta @ z.T`` without a product as wide as the rows."""
+    return np.take(beta @ levels.T, codes, axis=1)
+
+
 def _model_survival(reg: _Regression, coef: np.ndarray, log_x: np.ndarray,
-                    z: np.ndarray, errors: list) -> np.ndarray:
-    """Survival each row of coef implies at rows (log x, z); robust to a
-    negative fitted slope (the criterion then simply scores poorly).  A zero
-    slope fails its theta."""
+                    levels: np.ndarray, codes: np.ndarray, errors: list) -> np.ndarray:
+    """Survival each row of coef implies at rows (log x, z), with z given as
+    the strata's levels and each row's stratum code; robust to a negative
+    fitted slope (the criterion then simply scores poorly).  A zero slope
+    fails its theta."""
     if reg.model_kind == "ph":
-        return sw_survival(reg.family,
-                           coef[:, :1] + coef[:, 1:2] * log_x + coef[:, 2:] @ z.T)
+        eta = coef[:, :1] + coef[:, 1:2] * log_x
+        eta += _covariate_term(coef[:, 2:], levels, codes)
+        return sw_survival(reg.family, eta)
     inv_sigma = coef[:, -1:]
     zero = inv_sigma[:, 0] == 0.0
     if zero.any():
         _mark(errors, zero, "zero inverse shape in the fitted regression")
         inv_sigma = np.where(inv_sigma == 0.0, np.nan, inv_sigma)
     eta = log_x + coef[:, :1]
-    eta += coef[:, 1:-1] @ z.T
+    eta += _covariate_term(coef[:, 1:-1], levels, codes)
     eta /= inv_sigma
     return sw_survival(reg.family, eta)
 
@@ -349,7 +376,9 @@ def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
     values is one curve or a (curves x knots) array.  Each curve is padded
     with window // 2 copies of its first value and window - 1 - window // 2
     of its last; each window mean is a difference of running sums, so a call
-    costs O(knots) per curve at any window.
+    costs O(knots) per curve at any window.  The means are clipped into
+    [0, 1] and projected by a running minimum, which is the identity on a
+    curve that never rises, so only a curve with a rise (or a NaN) runs it.
     """
     size = values.shape[-1]
     if window <= 1 or size < 3:
@@ -362,9 +391,15 @@ def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
     c[..., left:left + size] = values
     c[..., left + size:] = values[..., -1:]
     np.cumsum(c, axis=-1, out=c)
-    smoothed = (c[..., window:] - c[..., :-window]) / window
-    return np.minimum.accumulate(np.clip(smoothed, 0.0, 1.0, out=smoothed), axis=-1,
-                                 out=smoothed)
+    # mean i overwrites running sum i, which only mean i reads
+    smoothed = np.subtract(c[..., window:], c[..., :size], out=c[..., :size])
+    smoothed /= window
+    np.clip(smoothed, 0.0, 1.0, out=smoothed)
+    # a comparison with NaN is false, so a curve holding one is projected
+    rises = ~np.all(smoothed[..., 1:] <= smoothed[..., :-1], axis=-1)
+    if rises.any():
+        smoothed[rises] = np.minimum.accumulate(smoothed[rises], axis=-1)
+    return smoothed
 
 
 def _check_smooth_knots(smooth_knots) -> None:
@@ -393,9 +428,11 @@ class _CvmPlan:
     table holds every stratum's curve and windows each curve's presmoothing
     window (1 for none); gather holds each row's column in the table, for
     the left-limit lookup.  regression holds the QR over the cause-1 rows
-    (events); log_x and z cover all rows, for the model's survival.  chunk
-    is the number of thetas per grid-pass call.  counts[c] is the number of
-    rows that read column c, so clamped table values count as clamped rows.
+    (events); log_x and codes, each row's stratum, cover all rows, for the
+    model's survival, which reads each row's covariates from the strata's
+    levels (strata x k).  chunk is the number of thetas per grid-pass call.
+    counts[c] is the number of rows that read column c, so clamped table
+    values count as clamped rows.
     """
 
     table: CurveTable
@@ -405,14 +442,19 @@ class _CvmPlan:
     events: np.ndarray
     regression: _Regression
     log_x: np.ndarray
-    z: np.ndarray
+    levels: np.ndarray
+    codes: np.ndarray
     chunk: int
 
 
 def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
-    table, sample = sorted_table(ds, stratify(ds))
+    strata = stratify(ds)
+    table, sample = sorted_table(ds, strata)
     gather = left_columns(table, sample)
     del sample  # see _variance_plan
+    codes = np.empty(ds.n, dtype=np.intp)
+    for j, idx in enumerate(strata.indices):
+        codes[idx] = j
     windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
                     for span in table.spans)
     events = np.flatnonzero(ds.delta == 1)
@@ -420,7 +462,9 @@ def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
     return _CvmPlan(table=table, windows=windows, gather=gather,
                     counts=np.bincount(gather, minlength=table.times.size), events=events,
-                    regression=regression, log_x=log_x, z=ds.z, chunk=_grid_chunk(ds.n))
+                    regression=regression, log_x=log_x,
+                    levels=np.array(strata.levels, dtype=float),
+                    codes=codes, chunk=_grid_chunk(ds.n))
 
 
 def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,7 +494,7 @@ def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray, events_only: bool):
     allocator already holds.
     """
     coef, errors = _solve(plan.regression, np.take(s_cl, plan.events, axis=1))
-    gap = _model_survival(plan.regression, coef, plan.log_x, plan.z, errors)
+    gap = _model_survival(plan.regression, coef, plan.log_x, plan.levels, plan.codes, errors)
     gap -= s_cl
     if events_only:
         gap = np.take(gap, plan.events, axis=1)

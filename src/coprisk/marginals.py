@@ -108,17 +108,29 @@ def sw_inverse(family: str, s):
     """Inverse of S_W on s in (0, 1), strictly decreasing."""
     _check_family(family)
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
     if np.any(s <= 0.0) or np.any(s >= 1.0):
         raise ValueError("sw_inverse argument s must lie strictly inside (0, 1)")
+    out = _sw_inverse(family, s)
+    return float(out) if s.ndim == 0 else out
+
+
+def _sw_inverse(family: str, s: np.ndarray) -> np.ndarray:
+    """``sw_inverse`` without its checks, for callers whose s lies inside
+    (0, 1) by construction; NaN maps to NaN.  Computed in one array."""
+    out = np.empty_like(s)
     if family in ("exponential", "weibull"):
-        out = np.log(-np.log(s))
+        # log(-log(s))
+        np.log(s, out=out)
+        np.log(np.negative(out, out=out), out=out)
     elif family == "loglogistic":
-        out = np.log((1.0 - s) / s)
+        # log((1 - s) / s)
+        np.subtract(1.0, s, out=out)
+        out /= s
+        np.log(out, out=out)
     else:
         from scipy.special import ndtri
-        out = -ndtri(s)
-    return float(out) if scalar else out
+        np.negative(ndtri(s, out=out), out=out)
+    return out
 
 
 def cumulative_hazard(model: AftModel, t, z):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coprisk import cli
 from coprisk.cge import (
@@ -24,6 +25,7 @@ from coprisk.estimators import (
     FglsFit,
     _brent,
     _coef_variance,
+    _covariate_term,
     _cvm_plan,
     _cvm_value,
     _pair_structure,
@@ -241,6 +243,39 @@ def test_cvm_perfect_fit_is_zero():
     assert values[0] <= 1e-18
 
 
+def signed_zeros(ds, first_negative):
+    """ds with every other 0.0 of its first covariate column made -0.0,
+    starting at the first zero if first_negative, else at the second."""
+    z = ds.z.copy()
+    zeros = np.flatnonzero(z[:, 0] == 0.0)
+    z[zeros[0 if first_negative else 1::2], 0] = -0.0
+    return Dataset(ds.x, ds.delta, z)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Dataset(batch_dataset().x, batch_dataset().delta),      # k = 0
+    lambda: signed_zeros(batch_dataset(), first_negative=False),    # k = 1
+    lambda: signed_zeros(batch_dataset(), first_negative=True),
+    lambda: signed_zeros(six_strata_dataset(n=300, seed=2), first_negative=True),  # k = 2
+])
+@pytest.mark.parametrize("thetas", [16, 1])
+def test_covariate_term_has_the_bits_of_the_row_product(make, thetas):
+    # each row reads z'beta from its stratum's level, which keeps the sign of
+    # the stratum's first zero; the row product sums from +0.0, so -0.0 and
+    # 0.0 give the same bits
+    ds = make()
+    plan = _cvm_plan(ds, "weibull", "aft")
+    assert plan.levels.shape == (stratify(ds).n_strata, ds.k)
+    if ds.k:
+        assert np.any(np.signbit(ds.z[:, 0]) & (ds.z[:, 0] == 0.0))
+        assert np.any(~np.signbit(ds.z[:, 0]) & (ds.z[:, 0] == 0.0))
+    coef = np.random.default_rng(thetas).normal(0.0, 2.0, (thetas, ds.k + 2))
+    for beta in (coef[:, 1:-1], coef[:, 2:]):  # the AFT and the PH form
+        term = _covariate_term(beta, plan.levels, plan.codes)
+        assert term.shape == (thetas, ds.n)
+        assert term.tobytes() == (beta @ ds.z.T).tobytes()
+
+
 def test_cvm_trace_is_finite_on_simulated_data():
     spec = DgpSpec(
         n=400,
@@ -317,6 +352,57 @@ def test_smoother_matches_padded_window_mean(size, window):
     rows = smooth_curve_values(np.stack([values, 0.5 * values]), window)
     np.testing.assert_array_equal(rows[0], smoothed)
     np.testing.assert_array_equal(rows[1], smooth_curve_values(0.5 * values, window))
+
+
+def always_projected(values, window):
+    """The presmoother with its running minimum on every curve: the window
+    means from the same running sums, clipped into [0, 1] and projected."""
+    size = values.shape[-1]
+    if window <= 1 or size < 3:
+        return values
+    window = min(window, size)
+    left = 1 + window // 2
+    padded = np.concatenate([
+        np.zeros(values.shape[:-1] + (1,)),
+        np.repeat(values[..., :1], left - 1, axis=-1),
+        values,
+        np.repeat(values[..., -1:], window - left, axis=-1),
+    ], axis=-1)
+    sums = np.cumsum(padded, axis=-1)
+    means = (sums[..., window:] - sums[..., :-window]) / window
+    return np.minimum.accumulate(np.clip(means, 0.0, 1.0), axis=-1)
+
+
+@st.composite
+def smoother_inputs(draw):
+    """One curve or a (curves x knots) array, each curve nonincreasing,
+    with a rise somewhere, or all NaN, and a window from 1 to size + 2."""
+    size = draw(st.integers(1, 30))
+    n_rows = draw(st.sampled_from([None, 1, 2, 4]))
+    rows = []
+    for _ in range(n_rows or 1):
+        kind = draw(st.sampled_from(["nonincreasing", "rising", "nan"]))
+        if kind == "nan":
+            rows.append(np.full(size, np.nan))
+            continue
+        values = np.array(draw(st.lists(st.floats(-0.25, 1.25), min_size=size, max_size=size)))
+        if kind == "nonincreasing":
+            values = np.sort(values)[::-1]
+        rows.append(values)
+    values = rows[0] if n_rows is None else np.array(rows)
+    return values, draw(st.integers(1, size + 2))
+
+
+@given(smoother_inputs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_smoother_equals_the_always_projected_reference(case):
+    # the running minimum is skipped on curves that never rise, where it is
+    # the identity, so the result keeps the reference's bits
+    values, window = case
+    expected = always_projected(values, window)
+    smoothed = smooth_curve_values(values, window)
+    assert smoothed.shape == values.shape
+    assert smoothed.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("window", [459, 4684])
@@ -1304,4 +1390,14 @@ def test_fit_3se_accepts_an_integer_smoothing_window(smooth_knots):
 def test_model_rejects_an_alpha_outside_the_float_range(model_kind, coef, log_alpha):
     fit = FglsFit("weibull", model_kind, np.array(coef), 0)
     with pytest.raises(EstimationError, match=f"^estimated log alpha = {log_alpha} puts alpha"):
+        fit.model()
+
+
+@pytest.mark.parametrize("inv_sigma", [1e-320, 5e-324])
+def test_model_rejects_a_slope_whose_inverse_overflows(inv_sigma):
+    # 1 / inv_sigma is inf; the suite turns numpy's overflow warning into an
+    # error, so the decode must not compute it in numpy
+    fit = FglsFit("weibull", "aft", np.array([0.0, 1.0, inv_sigma]), 0)
+    with pytest.raises(EstimationError,
+                       match=r"^estimated inverse shape 1/sigma = \S+ puts sigma outside"):
         fit.model()

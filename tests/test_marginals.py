@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from scipy.special import ndtri
+
+from coprisk.estimators import S_CLAMP
 from coprisk.marginals import (
     FAMILIES,
     AftModel,
     PhModel,
+    _sw_inverse,
     cumulative_hazard,
     inverse_survival,
     survival,
@@ -74,6 +78,25 @@ def test_sw_inverse_domain_errors():
         for bad in (0.0, 1.0):
             with pytest.raises(ValueError):
                 sw_inverse(family, bad)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sw_inverse_core_has_the_bits_of_the_formula(family):
+    # the unchecked core, which the three-stage kernel calls on clamped
+    # values, computes the formula in one array; NaN passes through
+    s = np.concatenate([np.random.default_rng(5).uniform(0.0, 1.0, 500),
+                        [S_CLAMP, 1.0 - S_CLAMP, 0.5, np.nextafter(1.0, 0.0), 1e-300]])
+    expected = {
+        "exponential": lambda: np.log(-np.log(s)),
+        "weibull": lambda: np.log(-np.log(s)),
+        "loglogistic": lambda: np.log((1.0 - s) / s),
+        "lognormal": lambda: -ndtri(s),
+    }[family]()
+    assert _sw_inverse(family, s).tobytes() == expected.tobytes()
+    assert sw_inverse(family, s).tobytes() == expected.tobytes()
+    assert sw_inverse(family, s[0]) == expected[0]
+    assert type(sw_inverse(family, s[0])) is float
+    assert np.isnan(_sw_inverse(family, np.array([np.nan, 0.5]))[0])
 
 
 def test_inverse_survival_closed_form():
