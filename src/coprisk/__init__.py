@@ -6,7 +6,6 @@ nonparametric first-stage estimates with a copula-graphic plug-in and a
 minimum-distance search over the dependence parameter.
 """
 
-from .cge import copula_graphic
 from .copula import (
     generator,
     generator_inverse,
@@ -25,7 +24,6 @@ from .estimators import (
     three_stage_point,
     two_stage_point,
 )
-from .first_stage import StepFunction, overall_survival, sub_distribution
 from .inference import BootstrapResult, bootstrap
 from .marginals import AftModel, PhModel, inverse_survival, survival
 from .simulate import DgpSpec, McReport, generate_dataset, monte_carlo, sample_pair
@@ -44,9 +42,7 @@ __all__ = [
     "FitResult3SE",
     "McReport",
     "PhModel",
-    "StepFunction",
     "bootstrap",
-    "copula_graphic",
     "fgls_fit",
     "fit_2se",
     "fit_3se",
@@ -57,11 +53,9 @@ __all__ = [
     "inverse_survival",
     "load_csv",
     "monte_carlo",
-    "overall_survival",
     "pool_risks",
     "sample_pair",
     "stratify",
-    "sub_distribution",
     "survival",
     "tau_from_theta",
     "theta_from_tau",

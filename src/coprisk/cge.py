@@ -13,28 +13,25 @@ before same-time censorings.
 Only the generator depends on theta.  A ``CurveTable`` lays the theta-free
 pieces of one or more curves out as the columns of one table.
 ``sorted_table`` builds the table of every stratum of a dataset from one
-sort of its durations and returns the sort too, from which
-``left_columns`` gives each row's left-limit column for the three-stage
-fit; ``stratum_table`` is the table alone, and ``curve_table`` builds a
-table from first-stage step functions, for ``copula_graphic``.
-``curves`` is the one kernel, which fills a table at a chunk of thetas and
-serves the estimators' searches, the CLI's curve dump and
-``copula_graphic``, the step function of one curve at one theta.  It calls
-the generator without its input checks: the running sums it passes are
-finite and >= 0 by construction.
+sort of its durations, the whole first stage, and returns the sort too.
+From the sort, ``left_columns`` gives each row's left-limit column for the
+three-stage fit and ``kept_columns`` each kept row's right-continuous
+column in every stratum for the two-stage fit.  ``curves`` is the one
+kernel, which fills a table at a chunk of thetas and serves the
+estimators' searches and the CLI's curve dump.  It calls the generator
+without its input checks: the running sums it passes are finite and >= 0
+by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .copula import _generator, _validate_theta
+from .copula import _generator
 from .data import Dataset, StrataIndex
 from .errors import EstimationError
-from .first_stage import StepFunction
 
 CURVE_OVERFLOW = (
     "the copula-graphic integrand pi_hat(u-)**-(theta+1) overflows; the "
@@ -73,31 +70,6 @@ class CurveTable:
     jumps: np.ndarray
 
 
-def curve_table(first_stages: Iterable[tuple[StepFunction, StepFunction]]) -> CurveTable:
-    """The table of the curves of (pi_hat, f_t_hat) pairs, one curve a pair.
-
-    Each pair's pi_hat and f_t_hat must come from the same stratum.
-    """
-    spans, times, log_pi_left, jumps = [], [], [], []
-    start = 0
-    for pi_hat, f_t_hat in first_stages:
-        knots = f_t_hat.jump_times
-        pi_left = pi_hat.left_limit(knots)
-        bad = pi_left <= 0.0
-        if np.any(bad):
-            raise EstimationError(
-                f"overall survival vanishes at event time {knots[np.argmax(bad)]}; "
-                "the curve integrand diverges there"
-            )
-        spans.append(slice(start, start + 1 + knots.size))
-        start += 1 + knots.size
-        times += [[0.0], knots]
-        log_pi_left += [[0.0], np.log(pi_left)]
-        jumps += [[0.0], np.diff(f_t_hat.values, prepend=f_t_hat.initial_value)]
-    return CurveTable(tuple(spans), np.concatenate(times), np.concatenate(log_pi_left),
-                      np.concatenate(jumps))
-
-
 @dataclass(frozen=True)
 class SortedStrata:
     """A dataset's rows sorted once by duration, and its strata's knots in
@@ -126,10 +98,9 @@ def sorted_table(ds: Dataset, strata: StrataIndex) -> tuple[CurveTable, SortedSt
     each stratum's rows are a slice in ascending duration, which
     ``_stratum_curve`` reads with linear passes.
     """
-    codes = np.empty(ds.n, dtype=np.uint8)
-    for j, idx in enumerate(strata.indices):
-        codes[idx] = j
     order = np.argsort(ds.x)
+    # MAX_STRATA codes fit a byte, and numpy sorts bytes stably by radix
+    codes = strata.codes.astype(np.uint8)
     rows = order[np.argsort(codes[order], kind="stable")]
     del codes  # the plans' n-row temporaries are freed as soon as they are read
     is_event = ds.delta == 1
@@ -158,8 +129,8 @@ def _stratum_curve(x: np.ndarray, events: np.ndarray):
     the curve's knot times, log pi_hat(t-) and jumps dF.  A run with a
     cause-1 event is a knot, and its start counts the stratum's durations
     below it.  At a knot, pi_hat(t-) is 1 - (durations below) / n and F(t)
-    is (events up to the knot) / n, the operations ``overall_survival`` and
-    ``sub_distribution`` perform.
+    is (events up to the knot) / n: the empirical survivor of the
+    durations and the empirical cause-1 incidence.
     """
     n = x.size
     # the runs' starts, then n
@@ -192,9 +163,39 @@ def left_columns(table: CurveTable, sample: SortedStrata) -> np.ndarray:
     return left
 
 
-def stratum_table(ds: Dataset, strata: StrataIndex) -> CurveTable:
-    """The table of every stratum's curve, in the order of strata.indices."""
-    return sorted_table(ds, strata)[0]
+def kept_columns(ds: Dataset, table: CurveTable, sample: SortedStrata, kept: np.ndarray,
+                 strata: tuple) -> np.ndarray:
+    """Each kept row's column in the curve of each of the given strata, one
+    row per stratum: the curve's first column plus the number of its knots
+    at or below the row's duration.
+
+    The counts run over the durations in ascending order.  Each run of tied
+    durations gets a number, each curve's knots are marked at the runs of
+    its knot rows, and a kept row reads the running count of marks at its
+    own run.
+    """
+    order = sample.order
+    x = ds.x[order]
+    new = np.empty(ds.n, dtype=bool)
+    new[0] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    del x
+    run = np.empty(ds.n, dtype=np.intp)
+    run[order] = np.cumsum(new, dtype=np.intp)  # numbered from 1
+    n_runs = int(run[order[-1]])
+    kept_runs = run[kept]
+    knot_runs = [run[sample.knot_rows[j]] for j in strata]
+    del run
+    columns = np.empty((len(strata), kept.size), dtype=np.intp)
+    knots = np.empty(n_runs + 1, dtype=np.intp)
+    for out, j, runs in zip(columns, strata, knot_runs):
+        knots[:] = 0
+        knots[0] = table.spans[j].start
+        knots[runs] = 1
+        # numpy buffers a take into out unless mode is "clip" or "wrap"; the
+        # run numbers all lie inside knots, so clipping changes nothing
+        np.take(np.cumsum(knots, out=knots), kept_runs, out=out, mode="clip")
+    return columns
 
 
 def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
@@ -217,20 +218,6 @@ def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
         values = _generator(running, col)
     values[failed] = np.nan
     return values
-
-
-def copula_graphic(pi_hat: StepFunction, f_t_hat: StepFunction, theta: float) -> StepFunction:
-    """Plug-in survival curve for cause 1 at dependence parameter theta.
-
-    pi_hat and f_t_hat must come from the same stratum.  The curve is 1
-    before the first cause-1 event and steps at each of them.
-    """
-    theta = _validate_theta(theta)
-    table = curve_table([(pi_hat, f_t_hat)])
-    (values,) = curves(table, np.array([theta]))
-    if np.isnan(values[0]):
-        raise EstimationError(f"{CURVE_OVERFLOW} (theta = {theta:g})")
-    return StepFunction(table.times[1:], values[1:], initial_value=1.0)
 
 
 def trim_support(table: CurveTable, ds: Dataset) -> TrimBounds:

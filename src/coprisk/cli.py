@@ -29,7 +29,7 @@ from .estimators import (
     three_stage_point,
     two_stage_point,
 )
-from .cge import CURVE_OVERFLOW, curves, stratum_table
+from .cge import CURVE_OVERFLOW, curves, sorted_table
 from .inference import bootstrap
 from .marginals import FAMILIES, AftModel
 from .simulate import DgpSpec, generate_dataset, monte_carlo
@@ -292,7 +292,7 @@ def cmd_curve(args) -> int:
         raise ValueError("--tau-list must contain at least one value")
     thetas = np.array([theta_from_tau(tau) for tau in taus])
     strata = stratify(ds)
-    table = stratum_table(ds, strata)
+    table, _ = sorted_table(ds, strata)
     # every curve is computed before the output is opened, so a bad tau or an
     # overflowing curve leaves no partial file or stdout
     rows = curves(table, thetas)
@@ -303,22 +303,35 @@ def cmd_curve(args) -> int:
     try:
         writer = csv.writer(out)
         writer.writerow(["stratum", "tau", "t", "survival"])
+        tau_labels = [_shortest(tau) for tau in taus]
         for level, span in zip(strata.levels, table.spans):
-            label = ";".join(f"{v:g}" for v in level) or "all"
-            for tau, row in zip(taus, rows):
+            label = ";".join(map(_shortest, level)) or "all"
+            for tau_label, row in zip(tau_labels, rows):
                 for t, s in zip(table.times[span], row[span]):
-                    writer.writerow([label, f"{tau:g}", f"{t:.12g}", f"{s:.12g}"])
+                    writer.writerow([label, tau_label, f"{t:.12g}", f"{s:.12g}"])
     finally:
         if args.output:
             out.close()
     return 0
 
 
+def _shortest(value: float) -> str:
+    """The shortest text that reads back as the same float, without a
+    trailing ".0": distinct levels and taus get distinct labels."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _check_output_dirs(args) -> None:
-    """Fail before any work if an output path's directory does not exist,
-    with the error that opening the path would give."""
+    """Fail before any work if an output path is a directory or its
+    directory does not exist, with the error that opening the path would
+    give."""
     for path in (getattr(args, "output", None), getattr(args, "replicates_out", None)):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 

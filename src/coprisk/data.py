@@ -100,11 +100,13 @@ class StrataIndex:
     """Partition of dataset rows by distinct covariate vector.
 
     Levels are ordered lexicographically; every stratum is nonempty and the
-    index lists partition range(n).
+    index lists partition range(n).  codes holds each row's stratum, its
+    position in levels (intp).
     """
 
     levels: tuple[tuple[float, ...], ...]
     indices: tuple[np.ndarray, ...]
+    codes: np.ndarray
 
     @property
     def n_strata(self) -> int:
@@ -280,7 +282,8 @@ def stratify(ds: Dataset) -> StrataIndex:
     row's sign.
     """
     if ds.k == 0:
-        return StrataIndex(levels=((),), indices=(np.arange(ds.n),))
+        return StrataIndex(levels=((),), indices=(np.arange(ds.n),),
+                           codes=np.zeros(ds.n, dtype=np.intp))
 
     def dense(keys):
         values = np.unique(keys)
@@ -302,4 +305,5 @@ def stratify(ds: Dataset) -> StrataIndex:
     return StrataIndex(
         levels=tuple(map(tuple, ds.z[first_rows])),
         indices=tuple(np.split(order, bounds)),
+        codes=codes,
     )

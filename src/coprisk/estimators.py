@@ -29,16 +29,16 @@ message and counts in the diagnostics' n_grid_failed.  No kernel raises, so
 the search catches nothing; it fails only if every grid point fails.
 
 Each fit builds one plan per dataset before its search, from one sort of
-the durations (``cge.sorted_table``).  Both plans hold one
+the durations (``cge.sorted_table``, the first stage).  Both plans hold one
 ``cge.CurveTable`` of every stratum's curve (strata from ``stratify``) and
 the table columns that the rows read: each row's own stratum at its left
 limit (3SE, ``cge.left_columns``), or each kept row in every stratum,
-right-continuously (2SE, ``_kept_columns``).  Both come from running
-counts over the sorted rows; no plan builds a step function or searches
-the knots.  The three-stage plan also holds a thin QR of the regression's
-theta-free columns over the cause-1 rows, the number of rows that read
-each column, and each row's stratum code with the strata's covariate
-levels; the two-stage plan holds the weights of that linear combination.
+right-continuously (2SE, ``cge.kept_columns``).  Both come from running
+counts over the sorted rows; no plan searches the knots.  The three-stage
+plan also holds a thin QR of the regression's theta-free columns over the
+cause-1 rows, the number of rows that read each column, and each row's
+stratum code (from ``stratify``) with the strata's covariate levels; the
+two-stage plan holds the weights of that linear combination.
 The criterion is one kernel that scores a chunk of thetas at once: it
 fills the table (``cge.curves``, one row per theta), presmooths and clamps
 (3SE) or transforms (2SE) it, gathers the rows with one take, and then
@@ -98,6 +98,7 @@ from .cge import (
     CurveTable,
     TrimBounds,
     curves,
+    kept_columns,
     left_columns,
     sorted_table,
     trim_support,
@@ -452,9 +453,6 @@ def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _
     table, sample = sorted_table(ds, strata)
     gather = left_columns(table, sample)
     del sample  # see _variance_plan
-    codes = np.empty(ds.n, dtype=np.intp)
-    for j, idx in enumerate(strata.indices):
-        codes[idx] = j
     windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
                     for span in table.spans)
     events = np.flatnonzero(ds.delta == 1)
@@ -464,7 +462,7 @@ def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _
                     counts=np.bincount(gather, minlength=table.times.size), events=events,
                     regression=regression, log_x=log_x,
                     levels=np.array(strata.levels, dtype=float),
-                    codes=codes, chunk=_grid_chunk(ds.n))
+                    codes=strata.codes, chunk=_grid_chunk(ds.n))
 
 
 def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -534,10 +532,10 @@ class _VariancePlan:
     table holds every stratum's curve; columns (strata x kept rows) holds
     each kept row's column in every curve for the right-continuous lookup,
     the reference stratum's row first and then the others (see
-    ``_kept_columns``).  A row's
-    coefficients are diffs_pinv applied to its other strata's log cumulative
-    hazard differences from the reference; the criterion reads only their
-    sum, weights = diffs_pinv.sum(axis=0) applied to the same differences.
+    ``cge.kept_columns``).  A row's coefficients are diffs_pinv applied to
+    its other strata's log cumulative hazard differences from the
+    reference; the criterion reads only their sum, weights =
+    diffs_pinv.sum(axis=0) applied to the same differences.
     log_l (chunk x strata x kept rows) is the one scratch array, which every
     evaluation overwrites, so a plan serves one search at a time; chunk is
     the number of thetas per grid-pass call.
@@ -561,54 +559,21 @@ def _variance_plan(ds: Dataset) -> _VariancePlan:
         )
     ref, others, diffs_pinv = _pair_structure(strata)
     table, sample = sorted_table(ds, strata)
-    # the plan's n-row arrays are freed as soon as they are read, so that
-    # building it grows the heap little beyond what the kernel holds
-    order, knot_rows = sample.order, sample.knot_rows
-    del strata, sample
+    # the plan's n-row arrays are freed as soon as they are read (the sort
+    # once the columns are), so that building it grows the heap little
+    # beyond what the kernel holds
+    del strata
     # the trimmed window depends only on each stratum's event times
     trim = trim_support(table, ds)
     if trim.kept.size < 2:
         raise EstimationError("fewer than 2 rows survive trimming")
-    columns = _kept_columns(ds, table, order, knot_rows, trim.kept, (ref, *others))
+    columns = kept_columns(ds, table, sample, trim.kept, (ref, *others))
+    del sample
     chunk = _grid_chunk(trim.kept.size)
     return _VariancePlan(
         trim=trim, table=table, columns=columns, diffs_pinv=diffs_pinv,
         weights=diffs_pinv.sum(axis=0), log_l=np.empty((chunk, *columns.shape)), chunk=chunk,
     )
-
-
-def _kept_columns(ds: Dataset, table: CurveTable, order: np.ndarray, knot_rows: tuple,
-                  kept: np.ndarray, strata: tuple) -> np.ndarray:
-    """Each kept row's column in the curve of each of the given strata, one
-    row per stratum: the curve's first column plus the number of its knots
-    at or below the row's duration.
-
-    order and knot_rows are those of ``cge.SortedStrata``.  The counts run
-    over the durations in ascending order.  Each run of tied durations gets
-    a number, each curve's knots are marked at the runs of its knot rows,
-    and a kept row reads the running count of marks at its own run.
-    """
-    x = ds.x[order]
-    new = np.empty(ds.n, dtype=bool)
-    new[0] = True
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    del x
-    run = np.empty(ds.n, dtype=np.intp)
-    run[order] = np.cumsum(new, dtype=np.intp)  # numbered from 1
-    n_runs = int(run[order[-1]])
-    kept_runs = run[kept]
-    knot_runs = [run[knot_rows[j]] for j in strata]
-    del run
-    columns = np.empty((len(strata), kept.size), dtype=np.intp)
-    knots = np.empty(n_runs + 1, dtype=np.intp)
-    for out, j, runs in zip(columns, strata, knot_runs):
-        knots[:] = 0
-        knots[0] = table.spans[j].start
-        knots[runs] = 1
-        # numpy buffers a take into out unless mode is "clip" or "wrap"; the
-        # run numbers all lie inside knots, so clipping changes nothing
-        np.take(np.cumsum(knots, out=knots), kept_runs, out=out, mode="clip")
-    return columns
 
 
 def _coef_variance(row_sums: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
+from coprisk.cge import CurveTable
 from coprisk.data import MAX_STRATA, Dataset, StrataIndex
 from coprisk.errors import DataError, EstimationError
 
@@ -27,6 +28,37 @@ def nelson_aalen_survival(x, delta, t):
             at_risk = int(np.sum(x >= u))
             hazard += died / at_risk
     return float(np.exp(-hazard))
+
+
+def first_stage_table(x, delta):
+    """The curve table of one sample, by set counting over its cause-1
+    event times.
+
+    Reference for the one-sort table: at each event time u (a knot),
+    pi_hat(u-) = 1.0 - (durations below u) / n, and the incidence jumps are
+    np.diff(cumsum(events at each knot) / n, prepend=0), the arithmetic of
+    the empirical survivor and cause-1 incidence step functions.
+    """
+    x = np.asarray(x, dtype=float)
+    delta = np.asarray(delta, dtype=int)
+    n = x.size
+    knots = sorted(set(x[delta == 1]))
+    pi_left, counts = [], []
+    for u in knots:
+        pi_left.append(1.0 - int(np.sum(x < u)) / n)
+        counts.append(int(np.sum((x == u) & (delta == 1))))
+    times = np.array([0.0, *knots])
+    log_pi_left = np.concatenate(([0.0], np.log(np.array(pi_left, dtype=float))))
+    jumps = np.concatenate(([0.0], np.diff(np.cumsum(np.array(counts, dtype=np.intp)) / n,
+                                           prepend=0.0)))
+    return CurveTable((slice(0, times.size),), times, log_pi_left, jumps)
+
+
+def step_value(times, values, t, side="right"):
+    """A step function at t > 0, from its knot times (times[0] = 0) and its
+    value from each knot on: right-continuous, or its left limit with
+    side="left"."""
+    return np.asarray(values)[np.searchsorted(times, t, side=side) - 1]
 
 
 def mixed_risk_sample(rng, n):
@@ -232,7 +264,8 @@ def unique_rows_stratify(ds):
     numbers), the same ascending row indices and the same error.
     """
     if ds.k == 0:
-        return StrataIndex(levels=((),), indices=(np.arange(ds.n),))
+        return StrataIndex(levels=((),), indices=(np.arange(ds.n),),
+                           codes=np.zeros(ds.n, dtype=np.intp))
     levels, inverse = np.unique(ds.z, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     if levels.shape[0] > MAX_STRATA:
@@ -241,4 +274,5 @@ def unique_rows_stratify(ds):
             f"maximum of {MAX_STRATA}; discrete covariates are required"
         )
     indices = tuple(np.flatnonzero(inverse == s) for s in range(levels.shape[0]))
-    return StrataIndex(levels=tuple(tuple(row) for row in levels), indices=indices)
+    return StrataIndex(levels=tuple(tuple(row) for row in levels), indices=indices,
+                       codes=inverse)

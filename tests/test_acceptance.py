@@ -24,6 +24,7 @@ import pytest
 from scipy.stats import kendalltau
 
 import coprisk as cp
+from coprisk.cge import curves, sorted_table
 from coprisk.estimators import (
     DEFAULT_TAU_GRID, fit_2se, fit_3se, three_stage_point, two_stage_point,
 )
@@ -31,7 +32,7 @@ from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel
 from coprisk.simulate import DgpSpec, generate_dataset, monte_carlo, sample_pair
 
-from oracles import mixed_risk_sample, nelson_aalen_survival, study_design_sample
+from oracles import mixed_risk_sample, nelson_aalen_survival, step_value, study_design_sample
 
 SEED = 20250809
 WEIBULL_CHI = dict(alpha=1.0, beta=[1.0], sigma=1.5)
@@ -198,18 +199,25 @@ def test_criterion_5_misspecification_signature():
     )
 
 
+def sample_curves(x, delta, thetas):
+    """One sample's knot times and its curve at each theta, one row each,
+    from the one-sort table that the fits run on."""
+    ds = cp.Dataset(x, delta)
+    table, _ = sorted_table(ds, cp.stratify(ds))
+    return table.times, curves(table, thetas)
+
+
 def test_criterion_6_independence_oracle_equivalence():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(50):
         x, delta = mixed_risk_sample(rng, int(rng.integers(4, 31)))
-        curve = cp.copula_graphic(
-            cp.overall_survival(x), cp.sub_distribution(x, delta), 0.0
-        )
+        times, (curve,) = sample_curves(x, delta, [0.0])
         grid = np.concatenate([x, x * 0.5, x * 1.5])
         worst = max(
             worst,
-            max(abs(curve(t) - nelson_aalen_survival(x, delta, t)) for t in grid),
+            max(abs(step_value(times, curve, t) - nelson_aalen_survival(x, delta, t))
+                for t in grid),
         )
     detail = f"max abs diff vs brute-force oracle = {worst:.2e} (<=1e-12)"
     criterion("criterion 6 (theta=0 curve equals exp(-Nelson-Aalen))", worst <= 1e-12, detail)
@@ -222,13 +230,12 @@ def test_criterion_7_dependence_ordering_suite():
     all_strict = True
     for _ in range(50):
         x, delta = study_design_sample(rng)
-        pi_hat = cp.overall_survival(x)
-        ft_hat = cp.sub_distribution(x, delta)
+        times, rows = sample_curves(x, delta, thetas)
         grid = np.sort(np.concatenate([x, x * 0.5, x * 1.5]))
         prev = None
         strict = False
-        for theta in thetas:
-            vals = cp.copula_graphic(pi_hat, ft_hat, theta)(grid)
+        for row in rows:
+            vals = step_value(times, row, grid)
             if prev is not None:
                 worst_excess = max(worst_excess, float(np.max(vals - prev)))
                 strict = strict or bool(np.any(vals < prev - 1e-12))

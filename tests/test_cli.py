@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coprisk import cli
+from coprisk.cge import CURVE_OVERFLOW
 from coprisk.cli import main
 from coprisk.data import load_csv
 from coprisk.estimators import three_stage_point
@@ -182,16 +183,19 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkey
             raise AssertionError(f"{name} ran before the output path was checked")
         return refuse
 
-    for name in ("load_csv", "generate_dataset", "stratum_table", "fit_3se", "fit_2se",
+    for name in ("load_csv", "generate_dataset", "sorted_table", "fit_3se", "fit_2se",
                  "three_stage_point", "two_stage_point", "bootstrap", "monte_carlo"):
         monkeypatch.setattr(cli, name, stub(name))
-    bad = tmp_path / "missing" / "out"
-    code, out, err = run(capsys, *(a.format(csv=path, bad=bad) for a in argv))
-    assert called == []
-    assert code == 2 and out == ""
-    error = json.loads(err)["error"]
-    assert error == {"kind": "usage",
-                     "message": f"[Errno 2] No such file or directory: {str(bad)!r}"}
+    # a path in a missing directory, and a path that is a directory
+    directory = tmp_path / "directory"
+    directory.mkdir()
+    for bad, message in ((tmp_path / "missing" / "out", "[Errno 2] No such file or directory"),
+                         (directory, "[Errno 21] Is a directory")):
+        code, out, err = run(capsys, *(a.format(csv=path, bad=bad) for a in argv))
+        assert called == []
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"kind": "usage", "message": f"{message}: {str(bad)!r}"}
 
 
 def test_simulate_emits_report_and_table(tmp_path, capsys):
@@ -401,7 +405,23 @@ def test_curve_overflow_is_an_estimation_error(tmp_path, capsys):
     code, out, err = run(capsys, "curve", "--input", str(path), "--tau-list", "0.98")
     assert code == 4
     assert out == ""
-    assert "overflows" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"]["message"] == f"{CURVE_OVERFLOW} (theta = 98)"
+
+
+def test_curve_labels_tell_close_levels_and_taus_apart(tmp_path, capsys):
+    # 1.0000001 and 1.0000002 agree to 6 significant digits
+    rng = np.random.default_rng(2)
+    levels = (1.0000001, 1.0000002)
+    rows = ["x,delta,z1"] + [f"{rng.uniform(0.1, 4.0):.4f},{int(i % 3 > 0)},{levels[i % 2]!r}"
+                             for i in range(40)]
+    path = tmp_path / "close.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "curve", "--input", str(path),
+                         "--tau-list", "0.1234567,0.1234568,1e-07,0")
+    assert code == 0, err
+    labels = {tuple(line.split(",")[:2]) for line in out.splitlines()[1:]}
+    assert labels == {(level, tau) for level in ("1.0000001", "1.0000002")
+                      for tau in ("0.1234567", "0.1234568", "1e-07", "0")}
 
 
 @pytest.mark.parametrize("method", ["3se-aft", "3se-ph"])

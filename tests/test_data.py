@@ -215,6 +215,9 @@ def assert_same_strata(got, want):
     for ix, expected in zip(got.indices, want.indices):
         assert ix.dtype == expected.dtype
         np.testing.assert_array_equal(ix, expected)
+    # each row's code is its stratum's position in levels
+    assert got.codes.dtype == np.intp
+    np.testing.assert_array_equal(got.codes, want.codes)
 
 
 def test_stratify_several_columns_matches_oracle():

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprisk import cli
-from coprisk.cge import (
-    CURVE_OVERFLOW,
-    CurveTable,
-    copula_graphic,
-    curve_table,
-    curves,
-    stratum_table,
-)
+from coprisk.cge import CURVE_OVERFLOW, CurveTable, curves, sorted_table
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
@@ -44,12 +37,18 @@ from coprisk.estimators import (
     three_stage_point,
     two_stage_point,
 )
-from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
 from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel, PhModel, inverse_survival, survival
 from coprisk.simulate import DgpSpec, generate_dataset
 
-from oracles import bounded_minimum, lstsq_regression, padded_window_mean, semiparam_b
+from oracles import (
+    bounded_minimum,
+    first_stage_table,
+    lstsq_regression,
+    padded_window_mean,
+    semiparam_b,
+    step_value,
+)
 
 BENCH = dict(alpha=1.0, beta=[1.0], sigma=1.5)
 
@@ -663,20 +662,19 @@ def test_curve_kernel_rows_equal_one_theta_calls():
 
 
 def test_curve_kernel_rows_equal_copula_graphic():
-    # one kernel over every stratum's curve gives each stratum's own curve
+    # one kernel over every stratum's curve gives each stratum's own
+    # copula-graphic curve, one theta at a time from its first stage alone
     ds = six_strata_dataset(n=600)
     strata = stratify(ds)
-    table = stratum_table(ds, strata)
+    table, _ = sorted_table(ds, strata)
     thetas = _thetas(BATCH_TAUS)
     batch = curves(table, thetas)
     for idx, span in zip(strata.indices, table.spans):
-        pi_hat = overall_survival(ds.x[idx])
-        ft_hat = sub_distribution(ds.x[idx], ds.delta[idx])
-        np.testing.assert_array_equal(table.times[span][1:], ft_hat.jump_times)
+        alone = first_stage_table(ds.x[idx], ds.delta[idx])
+        np.testing.assert_array_equal(table.times[span], alone.times)
         for theta, row in zip(thetas, batch):
-            curve = copula_graphic(pi_hat, ft_hat, theta)
             assert row[span.start] == 1.0
-            np.testing.assert_array_equal(row[span][1:], curve.values)
+            np.testing.assert_array_equal(row[span], curves(alone, [theta])[0])
 
 
 @pytest.mark.parametrize("family, model_kind, events_only", [
@@ -872,7 +870,7 @@ def test_knot_positions_equal_plain_searchsorted():
     x, delta, z = (np.concatenate(column) for column in zip(*parts))
     order = rng.permutation(x.size)
     ds = Dataset(x[order], delta[order], z[order])
-    table = stratum_table(ds, stratify(ds))
+    table, _ = sorted_table(ds, stratify(ds))
     for span, k in zip(table.spans, knot_sets):
         np.testing.assert_array_equal(table.times[span], np.concatenate(([0.0], k)))
     assert_plan_columns_equal_searchsorted(ds, two_stage=False)
@@ -915,17 +913,20 @@ LAYOUT_CASES = {
 
 @pytest.mark.parametrize("make", LAYOUT_CASES.values(), ids=LAYOUT_CASES.keys())
 def test_stratum_table_equals_the_first_stage_table(make):
-    # the one-sort table has the bits of the table built from each
-    # stratum's overall_survival and sub_distribution step functions
+    # the one-sort table has the bits of each stratum's first stage, counted
+    # one knot at a time
     ds = make()
     strata = stratify(ds)
-    table = stratum_table(ds, strata)
-    expected = curve_table(
-        (overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx]))
-        for idx in strata.indices)
-    assert table.spans == expected.spans
+    table, _ = sorted_table(ds, strata)
+    expected = [first_stage_table(ds.x[idx], ds.delta[idx]) for idx in strata.indices]
+    stop = 0
+    for span, curve in zip(table.spans, expected):
+        assert span == slice(stop, stop + curve.times.size)
+        stop = span.stop
+    assert len(table.spans) == len(expected)
     for name in ("times", "log_pi_left", "jumps"):
-        got, want = getattr(table, name), getattr(expected, name)
+        got = getattr(table, name)
+        want = np.concatenate([getattr(curve, name) for curve in expected])
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
@@ -938,7 +939,7 @@ def test_tied_first_stratum_starts_with_its_knot():
     # the tied censoring does not count as below the first event: the
     # curve's first knot has pi_hat(t-) = 1
     ds = tied_first_dataset()
-    table = stratum_table(ds, stratify(ds))
+    table, _ = sorted_table(ds, stratify(ds))
     for span, first in zip(table.spans, (0.05, 0.02)):
         assert table.times[span.start + 1] == first
         assert table.log_pi_left[span.start + 1] == 0.0
@@ -1058,11 +1059,12 @@ def test_three_stage_point_keys():
 
 
 def ph_power_curves(beta=0.7, z1=0.0, z2=1.0):
-    """Two stratum curves satisfying the exact PH power relation."""
-    times = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    s1 = np.array([0.9, 0.75, 0.6, 0.45, 0.3])
+    """Two stratum curves satisfying the exact PH power relation, as
+    right-continuous lookups."""
+    times = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    s1 = np.array([1.0, 0.9, 0.75, 0.6, 0.45, 0.3])
     s2 = s1 ** np.exp(beta * (z2 - z1))
-    return StepFunction(times, s1, 1.0), StepFunction(times, s2, 1.0)
+    return functools.partial(step_value, times, s1), functools.partial(step_value, times, s2)
 
 
 def test_semiparam_b_ph_identity():
@@ -1084,13 +1086,13 @@ def test_semiparam_b_boundary_error():
 
 
 def stratum_curves(ds, theta):
-    """{level: copula_graphic curve} built the direct, per-theta way."""
-    return {
-        level: copula_graphic(
-            overall_survival(ds.x[idx]), sub_distribution(ds.x[idx], ds.delta[idx]), theta
-        )
-        for level, idx in stratify(ds).items()
-    }
+    """{level: (knot times, curve values)} of every stratum at one theta,
+    from the one-sort table, for a searchsorted lookup."""
+    strata = stratify(ds)
+    table, _ = sorted_table(ds, strata)
+    (row,) = curves(table, [theta])
+    return {level: (table.times[span], row[span])
+            for level, span in zip(strata.levels, table.spans)}
 
 
 def test_plan_values_equal_curve_lookups():
@@ -1110,22 +1112,21 @@ def test_plan_values_equal_curve_lookups():
     plan2 = _variance_plan(ds2)
     x_kept = ds2.x[plan2.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
-        curves = stratum_curves(ds3, theta)
+        by_level = stratum_curves(ds3, theta)
         for smooth_knots in (None, 25, 0):
             rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots),
                                np.array([theta]))[0][0]
             for level, idx in strata3.items():
-                step = curves[level]
-                values = step.values
+                times, values = by_level[level]
                 if smooth_knots is None or smooth_knots > 1:
-                    window = _smooth_window(values.size, smooth_knots)
-                    values = smooth_curve_values(values, window)
-                smoothed = StepFunction(step.jump_times, values, 1.0)
-                expected = np.clip(smoothed.left_limit(ds3.x[idx]), S_CLAMP, 1.0 - S_CLAMP)
-                assert np.all(rows[idx] == expected)
+                    window = _smooth_window(values.size - 1, smooth_knots)
+                    values = np.append(1.0, smooth_curve_values(values[1:], window))
+                left = step_value(times, values, ds3.x[idx], side="left")
+                assert np.all(rows[idx] == np.clip(left, S_CLAMP, 1.0 - S_CLAMP))
             assert np.all(rows[strata3.indices[2]] == 1.0 - S_CLAMP)
-        curves = stratum_curves(ds2, theta)
-        log_l = [np.log(-np.log(curves[strata2.levels[j]](x_kept))) for j in (ref, *others)]
+        by_level = stratum_curves(ds2, theta)
+        log_l = [np.log(-np.log(step_value(*by_level[strata2.levels[j]], x_kept)))
+                 for j in (ref, *others)]
         contrasts = _variance_value(plan2, np.array([theta]))[2][0]
         for values, expected in zip(contrasts, log_l[1:]):
             assert np.all(values == expected - log_l[0])
@@ -1143,12 +1144,13 @@ def test_b_matrix_rows_equal_scalar_semiparam_b(p_z):
     plan = _variance_plan(ds)
     x_kept = ds.x[plan.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
-        curves = stratum_curves(ds, theta)
+        by_level = stratum_curves(ds, theta)
         # each kept row's coefficients, as fit_2se averages them into beta_hat
         b = _variance_value(plan, np.array([theta]))[2][0].T @ plan.diffs_pinv.T
         assert b.shape == (x_kept.size, 1)
         expected = [
-            semiparam_b(x, curves[(0.0,)], curves[(1.0,)], 0.0, 1.0)
+            semiparam_b(x, functools.partial(step_value, *by_level[(0.0,)]),
+                        functools.partial(step_value, *by_level[(1.0,)]), 0.0, 1.0)
             for x in x_kept
         ]
         np.testing.assert_allclose(b[:, 0], expected, rtol=0, atol=1e-12)
@@ -1323,18 +1325,14 @@ def test_fits_skip_an_overflowing_grid_point():
 
 
 # ---------------------------------------------------------------------------
-# the fit path: no step functions, one sort of the durations per plan
+# the fit path: one sort of the durations per plan
 # ---------------------------------------------------------------------------
 
 
-def counted_fit_path(monkeypatch) -> tuple[list, list]:
-    """Record each StepFunction built and the size of each float np.argsort."""
-    built, float_sorts = [], []
-    post_init, argsort = StepFunction.__post_init__, np.argsort
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
+def counted_float_sorts(monkeypatch) -> list:
+    """Record the size of each float np.argsort."""
+    float_sorts = []
+    argsort = np.argsort
 
     def counted_argsort(a, *args, **kwargs):
         a = np.asarray(a)
@@ -1342,18 +1340,16 @@ def counted_fit_path(monkeypatch) -> tuple[list, list]:
             float_sorts.append(a.size)
         return argsort(a, *args, **kwargs)
 
-    monkeypatch.setattr(StepFunction, "__post_init__", counted_post_init)
     monkeypatch.setattr(np, "argsort", counted_argsort)
-    return built, float_sorts
+    return float_sorts
 
 
 @pytest.mark.parametrize("fit", [functools.partial(fit_3se, family="weibull"), fit_2se],
                          ids=["3se", "2se"])
 def test_fit_builds_no_step_function_and_sorts_the_durations_once(monkeypatch, fit):
     ds = six_strata_dataset(n=600)
-    built, float_sorts = counted_fit_path(monkeypatch)
+    float_sorts = counted_float_sorts(monkeypatch)
     fit(ds)
-    assert built == []
     assert float_sorts == [ds.n]
 
 
@@ -1361,9 +1357,8 @@ def test_curve_dump_builds_no_step_function_and_sorts_the_durations_once(
         monkeypatch, tmp_path, capsys):
     path = tmp_path / "sample.csv"
     assert cli.main(["gen", "--seed", "1", "--n", "400", "--output", str(path)]) == 0
-    built, float_sorts = counted_fit_path(monkeypatch)
+    float_sorts = counted_float_sorts(monkeypatch)
     assert cli.main(["curve", "--input", str(path), "--tau-list", "0,0.5"]) == 0
-    assert built == []
     assert float_sorts == [400]
     assert capsys.readouterr().out.startswith("stratum,tau,t,survival")
 

@@ -1,93 +1,83 @@
-"""Tests for the empirical survivor and cause-1 incidence step functions."""
+"""Tests for the first stage: the empirical survivor and cause-1 incidence
+that the one-sort curve table holds at each knot."""
 
 import numpy as np
 import pytest
 
-from coprisk.first_stage import StepFunction, overall_survival, sub_distribution
+from coprisk.cge import sorted_table
+from coprisk.data import Dataset, stratify
+
+from oracles import step_value
 
 
-def test_step_function_lookup():
-    f = StepFunction(np.array([1.0, 2.0]), np.array([0.6, 0.2]), initial_value=1.0)
-    assert f(0.5) == 1.0  # before the first jump
-    assert f(1.0) == 0.6  # right-continuous at a jump
-    assert f(3.0) == 0.2  # beyond the last jump
-    assert f.left_limit(1.0) == 1.0
-    assert f.left_limit(2.0) == 0.6
-    assert f.final_value == 0.2
-
-
-def test_step_function_validation():
-    with pytest.raises(ValueError):
-        StepFunction(np.array([2.0, 1.0]), np.array([0.5, 0.2]), 1.0)
-    with pytest.raises(ValueError):
-        StepFunction(np.array([0.0]), np.array([0.5]), 1.0)
+def table_of(x, delta, z=None):
+    ds = Dataset(x, delta, z)
+    return sorted_table(ds, stratify(ds))[0]
 
 
 def test_overall_survival_hand_example():
-    pi = overall_survival([1.0, 2.0, 3.0])
-    assert pi(1.0) == pytest.approx(2 / 3)
-    assert pi(2.5) == pytest.approx(1 / 3)
-    assert pi(3.0) == 0.0
-    assert pi(0.1) == 1.0
+    # pi_hat(t-) at each knot: the fraction of durations not below it
+    table = table_of([1.0, 2.0, 3.0], [1, 1, 1])
+    np.testing.assert_array_equal(table.times, [0.0, 1.0, 2.0, 3.0])
+    assert table.log_pi_left[1] == 0.0
+    assert np.exp(table.log_pi_left[2:]) == pytest.approx([2 / 3, 1 / 3])
 
 
 def test_overall_survival_single_observation():
-    pi = overall_survival([5.0])
-    assert pi(4.9) == 1.0
-    assert pi(5.0) == 0.0
+    # a stratum of one row: its one knot has nothing below it
+    table = table_of([5.0, 1.0], [1, 1], [[0.0], [1.0]])
+    first = table.spans[0]
+    np.testing.assert_array_equal(table.times[first], [0.0, 5.0])
+    np.testing.assert_array_equal(table.log_pi_left[first], [0.0, 0.0])
+    np.testing.assert_array_equal(table.jumps[first], [0.0, 1.0])
 
 
 def test_overall_survival_ties():
-    pi = overall_survival([1.0, 1.0, 2.0])
-    assert pi(1.0) == pytest.approx(1 / 3)
+    # a censoring tied with an event is not below it
+    table = table_of([1.0, 1.0, 2.0], [0, 1, 1])
+    assert table.log_pi_left[1] == 0.0
+    assert np.exp(table.log_pi_left[2]) == pytest.approx(1 / 3)
 
 
 def test_sub_distribution_hand_example():
-    f = sub_distribution([1.0, 2.0, 3.0], [1, 0, 1])
-    assert f(1.0) == pytest.approx(1 / 3)
-    assert f(2.0) == pytest.approx(1 / 3)
-    assert f(3.0) == pytest.approx(2 / 3)
-    assert f(0.2) == 0.0
+    table = table_of([1.0, 2.0, 3.0], [1, 0, 1])
+    np.testing.assert_array_equal(table.times, [0.0, 1.0, 3.0])
+    assert table.jumps[1:] == pytest.approx([1 / 3, 1 / 3])
+    incidence = np.cumsum(table.jumps)
+    assert step_value(table.times, incidence, 2.0) == pytest.approx(1 / 3)
+    assert step_value(table.times, incidence, 3.0) == pytest.approx(2 / 3)
+    assert step_value(table.times, incidence, 0.2) == 0.0
 
 
 def test_sub_distribution_no_events():
-    f = sub_distribution([1.0, 2.0], [0, 0])
-    assert f(10.0) == 0.0
-    assert f.jump_times.size == 0
+    table = table_of([1.0, 2.0], [0, 0])
+    assert table.spans == (slice(0, 1),)
+    np.testing.assert_array_equal(table.jumps, [0.0])
 
 
 def test_all_events_complementary_identity():
-    x = [0.5, 1.5, 2.5, 4.0]
-    f = sub_distribution(x, [1, 1, 1, 1])
-    pi = overall_survival(x)
-    grid = np.array([0.1, 0.5, 1.0, 1.5, 3.0, 4.0, 9.0])
-    assert np.allclose(f(grid), 1.0 - pi(grid))
+    # without censoring, F(t-) = 1 - pi_hat(t-) at every knot
+    table = table_of([0.5, 1.5, 2.5, 4.0], [1, 1, 1, 1])
+    incidence_left = np.cumsum(table.jumps)[:-1]
+    assert np.allclose(incidence_left, 1.0 - np.exp(table.log_pi_left[1:]))
 
 
 def test_total_probability_identity():
+    # at each knot of either cause: F1(t-) + F0(t-) = 1 - pi_hat(t-)
     rng = np.random.default_rng(5)
     x = rng.uniform(0.1, 3.0, 40)
     delta = rng.integers(0, 2, 40)
-    f1 = sub_distribution(x, delta)
-    f0 = sub_distribution(x, 1 - delta)
-    pi = overall_survival(x)
-    grid = np.sort(np.concatenate([x, x * 0.7]))
-    assert np.allclose(f1(grid) + f0(grid), 1.0 - pi(grid), atol=1e-12)
+    tables = table_of(x, delta), table_of(x, 1 - delta)
+    for table in tables:
+        knots = table.times[1:]
+        left = [step_value(t.times, np.cumsum(t.jumps), knots, side="left") for t in tables]
+        assert np.allclose(sum(left), 1.0 - np.exp(table.log_pi_left[1:]), atol=1e-12)
 
 
 def test_row_order_invariance():
     x = np.array([2.0, 1.0, 3.0, 1.5])
     d = np.array([0, 1, 1, 0])
     perm = [2, 0, 3, 1]
-    grid = np.linspace(0.1, 4.0, 17)
-    assert np.allclose(overall_survival(x)(grid), overall_survival(x[perm])(grid))
-    assert np.allclose(
-        sub_distribution(x, d)(grid), sub_distribution(x[perm], d[perm])(grid)
-    )
-
-
-def test_empty_stratum_rejected():
-    with pytest.raises(ValueError):
-        overall_survival([])
-    with pytest.raises(ValueError):
-        sub_distribution([], [])
+    table, permuted = table_of(x, d), table_of(x[perm], d[perm])
+    for name in ("times", "log_pi_left", "jumps"):
+        assert getattr(table, name).tobytes() == getattr(permuted, name).tobytes()
