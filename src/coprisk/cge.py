@@ -16,11 +16,13 @@ pieces of one or more curves out as the columns of one table.
 sort of its durations, the whole first stage, and returns the sort too.
 From the sort, ``left_columns`` gives each row's left-limit column for the
 three-stage fit and ``kept_columns`` each kept row's right-continuous
-column in every stratum for the two-stage fit.  ``curves`` is the one
-kernel, which fills a table at a chunk of thetas and serves the
-estimators' searches and the CLI's curve dump.  It calls the generator
-without its input checks: the running sums it passes are finite and >= 0
-by construction.
+column in every stratum for the two-stage fit.  One kernel fills a table
+at a chunk of thetas: it forms each curve's running sum once and hands it
+to one of two heads.  ``curves`` applies the generator and serves the
+three-stage search and the CLI's curve dump; ``log_curves`` applies only
+its log-scale step, log S, which the two-stage criterion transforms
+without an exp and log round trip.  Both call the generator without its
+input checks: the running sums are finite and >= 0 by construction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import _generator
+from .copula import _generator, _log_generator
 from .data import Dataset, StrataIndex
 from .errors import EstimationError
 
@@ -77,7 +79,7 @@ class SortedStrata:
 
     order holds the rows by ascending duration, and rows holds them by
     stratum and then by duration: stratum j's rows are rows[slices[j]], with
-    strata in the order of strata.indices.  Tied durations come in no set
+    strata in the order of strata.levels.  Tied durations come in no set
     order, which no count depends on.  knot_ends[j] holds, for each knot of
     stratum j, the end of its run of tied durations within the stratum's
     slice, and knot_rows[j] one row at that knot.
@@ -91,7 +93,7 @@ class SortedStrata:
 
 
 def sorted_table(ds: Dataset, strata: StrataIndex) -> tuple[CurveTable, SortedStrata]:
-    """The table of every stratum's curve, in the order of strata.indices,
+    """The table of every stratum's curve, in the order of strata.levels,
     and the sort it was built from.
 
     The durations are sorted once and the rows then stably by stratum, so
@@ -198,13 +200,13 @@ def kept_columns(ds: Dataset, table: CurveTable, sample: SortedStrata, kept: np.
     return columns
 
 
-def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
-    """The table's curves at each theta of a 1-d array, one row per theta.
+def _fill(table: CurveTable, thetas: np.ndarray, head) -> np.ndarray:
+    """The table's columns at each theta of a 1-d array, one row per theta:
+    head(running sums, thetas as a column), with a row of NaN at a theta at
+    which any curve's sum overflows.
 
-    The integrand -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1).  For
-    theta < 0 a curve clamps at zero once its accumulated sum leaves the
-    generator's support.  A theta at which any curve's sum overflows gets a
-    row of NaN.
+    The integrand -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1), and
+    each curve's sum runs over its own span.
     """
     col = np.asarray(thetas, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore"):
@@ -215,9 +217,28 @@ def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
         # the terms are positive, so an overflowed sum ends its span at inf
         failed = np.isinf(running[:, [span.stop - 1 for span in table.spans]]).any(axis=1)
         running[failed] = 0.0
-        values = _generator(running, col)
+        values = head(running, col)
     values[failed] = np.nan
     return values
+
+
+def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
+    """The table's curves at each theta of a 1-d array, one row per theta.
+
+    For theta < 0 a curve clamps at zero once its accumulated sum leaves the
+    generator's support.  A theta at which any curve's sum overflows gets a
+    row of NaN.
+    """
+    return _fill(table, thetas, _generator)
+
+
+def log_curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
+    """The log of ``curves``, from the generator's log-scale step without
+    its exp, so a curve value that exp would round to 0 keeps its finite
+    log.  Each curve's first column is +-0, a curve clamped at zero is -inf,
+    and a theta at which any curve's sum overflows gets a row of NaN.
+    """
+    return _fill(table, thetas, _log_generator)
 
 
 def trim_support(table: CurveTable, ds: Dataset) -> TrimBounds:

@@ -52,10 +52,11 @@ def generator(u, theta):
     return _ret(_generator(u, theta), u.ndim == 0)
 
 
-def _generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``generator`` without its checks, for callers whose u is finite and
-    >= 0 and whose theta is admissible by construction.  exp(-u) is computed
-    only where some theta lies within THETA_ZERO_TOL of 0."""
+def _log_generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """log phi_theta(u), ``log(max(1 + theta*u, 0)) / -theta``, without
+    checks, for callers whose u is finite and >= 0 and whose theta is
+    admissible by construction.  Where 1 + theta*u <= 0 it is -inf, and
+    where theta lies within THETA_ZERO_TOL of 0 it is -u."""
     zero = np.abs(theta) < THETA_ZERO_TOL
     near_zero = zero.any()
     if near_zero:
@@ -64,13 +65,18 @@ def _generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     out += 1.0
     np.maximum(out, 0.0, out=out)
     with np.errstate(divide="ignore"):
-        # log(0) = -inf, so points with 1 + theta*u <= 0 map to exp(-inf) = 0
         np.log(out, out=out)
     out /= -theta
-    np.exp(out, out=out)
     if near_zero:
-        np.exp(-u, out=out, where=zero)
+        np.negative(u, out=out, where=zero)
     return out
+
+
+def _generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``generator`` without its checks: exp of ``_log_generator``, so a
+    point with 1 + theta*u <= 0 maps to exp(-inf) = 0."""
+    out = _log_generator(u, theta)
+    return np.exp(out, out=out)
 
 
 def generator_inverse(s, theta: float):

@@ -99,25 +99,18 @@ class Dataset:
 class StrataIndex:
     """Partition of dataset rows by distinct covariate vector.
 
-    Levels are ordered lexicographically; every stratum is nonempty and the
-    index lists partition range(n).  codes holds each row's stratum, its
-    position in levels (intp).
+    Levels are ordered lexicographically and every stratum is nonempty.
+    codes holds each row's stratum, its position in levels (intp), and
+    sizes each stratum's number of rows.
     """
 
     levels: tuple[tuple[float, ...], ...]
-    indices: tuple[np.ndarray, ...]
     codes: np.ndarray
+    sizes: tuple[int, ...]
 
     @property
     def n_strata(self) -> int:
         return len(self.levels)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(ix) for ix in self.indices)
-
-    def items(self):
-        return zip(self.levels, self.indices)
 
 
 def load_csv(
@@ -277,13 +270,13 @@ def stratify(ds: Dataset) -> StrataIndex:
     order after each column, so the key stays below n**2.  A code is the
     value's position among the sorted distinct values, found by searching
     them: np.unique's inverse would argsort the whole column instead.  A
-    level is the covariate vector of its stratum's first row: where a column
-    holds both -0.0 and 0.0, which fall in one stratum, the level keeps that
-    row's sign.
+    level is the covariate vector of its stratum's first row, the least row
+    with its code, which needs no sort of the rows: where a column holds
+    both -0.0 and 0.0, which fall in one stratum, the level keeps that row's
+    sign.
     """
     if ds.k == 0:
-        return StrataIndex(levels=((),), indices=(np.arange(ds.n),),
-                           codes=np.zeros(ds.n, dtype=np.intp))
+        return StrataIndex(levels=((),), codes=np.zeros(ds.n, dtype=np.intp), sizes=(ds.n,))
 
     def dense(keys):
         values = np.unique(keys)
@@ -298,12 +291,10 @@ def stratify(ds: Dataset) -> StrataIndex:
             f"{n_codes} distinct covariate vectors exceed the supported "
             f"maximum of {MAX_STRATA}; discrete covariates are required"
         )
-    # MAX_STRATA codes fit a byte, and numpy sorts bytes stably by radix
-    order = np.argsort(codes.astype(np.uint8), kind="stable")
-    bounds = np.cumsum(np.bincount(codes, minlength=n_codes)[:-1])
-    first_rows = order[np.concatenate(([0], bounds))]
+    first_rows = np.full(n_codes, ds.n)
+    np.minimum.at(first_rows, codes, np.arange(ds.n))
     return StrataIndex(
         levels=tuple(map(tuple, ds.z[first_rows])),
-        indices=tuple(np.split(order, bounds)),
         codes=codes,
+        sizes=tuple(np.bincount(codes, minlength=n_codes).tolist()),
     )

@@ -40,12 +40,14 @@ cause-1 rows, the number of rows that read each column, and each row's
 stratum code (from ``stratify``) with the strata's covariate levels; the
 two-stage plan holds the weights of that linear combination.
 The criterion is one kernel that scores a chunk of thetas at once: it
-fills the table (``cge.curves``, one row per theta), presmooths and clamps
-(3SE) or transforms (2SE) it, gathers the rows with one take, and then
-runs either the regression from the QR or one weighted sum of log
-cumulative hazard differences.  The grid pass hands it chunks of up to
-GRID_CHUNK_ELEMENTS / rows thetas; the Brent refinement hands it one at a
-time.  No evaluation calls LAPACK on the rows.  In the three-stage
+fills the table (one row per theta) and presmooths and clamps the curves
+(3SE, ``cge.curves``) or takes log(-log S) of their logs (2SE,
+``cge.log_curves``, so no exp is taken and then undone), gathers the rows
+with one take, and then runs either the regression from the QR or one
+weighted sum of log cumulative hazard differences, summed over the other
+strata in their order with no matmul over the rows.  The grid pass hands
+it chunks of up to GRID_CHUNK_ELEMENTS / rows thetas; the Brent refinement
+hands it one at a time.  No evaluation calls LAPACK on the rows.  In the three-stage
 kernel, the model's z'beta is a (thetas x strata) product that each row
 reads by its stratum code, the presmoother runs its running minimum only
 on curves that rise, and the regression transforms the clamped values
@@ -100,6 +102,7 @@ from .cge import (
     curves,
     kept_columns,
     left_columns,
+    log_curves,
     sorted_table,
     trim_support,
 )
@@ -586,22 +589,29 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
 
     Returns (values, failure messages, contrasts) as _cvm_value does; the
     contrasts, a view of plan.log_l (thetas x other strata x kept rows), are
-    each other stratum's log(-log S) minus the reference's.  The transform
+    each other stratum's log cumulative hazard log(-log S) minus the
+    reference's.  log S comes from the curves' log-scale head
+    (``cge.log_curves``), so no exp is taken and undone, and the transform
     runs over the table, which has fewer columns than there are kept rows.
-    A curve value of 0 or 1 makes it infinite and only an overflowed curve
-    makes it NaN.  A non-finite contrast makes its theta's value
-    non-finite, so the contrasts are checked only then.
+    A curve value of 1 (log S = 0) or a clamped curve value of 0
+    (log S = -inf) makes it infinite and only an overflowed curve makes it
+    NaN.  Each row's weighted sum runs over the other strata in their order,
+    with no matmul over the rows.  A non-finite contrast makes its theta's
+    value non-finite, so the contrasts are checked only then.
     """
-    table = curves(plan.table, thetas)
+    table = log_curves(plan.table, thetas)
     with np.errstate(divide="ignore"):
-        np.log(np.negative(np.log(table, out=table), out=table), out=table)
+        np.log(np.negative(table, out=table), out=table)
     # numpy buffers a take into out unless mode is "clip" or "wrap"; the
     # plan's columns all lie inside the table, so clipping changes nothing
     log_l = np.take(table, plan.columns, axis=1, out=plan.log_l[:thetas.size], mode="clip")
     contrasts = log_l[:, 1:]
     with np.errstate(invalid="ignore"):
         contrasts -= log_l[:, :1]
-        values = _coef_variance(plan.weights @ contrasts)
+        row_sums = plan.weights[0] * contrasts[:, 0]
+        for j in range(1, plan.weights.size):
+            row_sums += plan.weights[j] * contrasts[:, j]
+        values = _coef_variance(row_sums)
     errors: list = [None] * thetas.size
     failed = ~np.isfinite(values)
     if failed.any():

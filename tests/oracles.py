@@ -258,14 +258,13 @@ def csv_writer_rows(path, x, delta, z):
 
 def unique_rows_stratify(ds):
     """Strata from one np.unique over whole covariate rows, with one
-    flatnonzero scan per stratum.
+    flatnonzero scan per stratum for its size.
 
     Reference for stratify's column codes: the same levels (compared as
-    numbers), the same ascending row indices and the same error.
+    numbers), the same row codes and sizes, and the same error.
     """
     if ds.k == 0:
-        return StrataIndex(levels=((),), indices=(np.arange(ds.n),),
-                           codes=np.zeros(ds.n, dtype=np.intp))
+        return StrataIndex(levels=((),), codes=np.zeros(ds.n, dtype=np.intp), sizes=(ds.n,))
     levels, inverse = np.unique(ds.z, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     if levels.shape[0] > MAX_STRATA:
@@ -273,6 +272,6 @@ def unique_rows_stratify(ds):
             f"{levels.shape[0]} distinct covariate vectors exceed the supported "
             f"maximum of {MAX_STRATA}; discrete covariates are required"
         )
-    indices = tuple(np.flatnonzero(inverse == s) for s in range(levels.shape[0]))
-    return StrataIndex(levels=tuple(tuple(row) for row in levels), indices=indices,
-                       codes=inverse)
+    sizes = tuple(np.flatnonzero(inverse == s).size for s in range(levels.shape[0]))
+    return StrataIndex(levels=tuple(tuple(row) for row in levels), codes=inverse,
+                       sizes=sizes)

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from coprisk.cge import CurveTable, curves, sorted_table, trim_support
+from coprisk.cge import CurveTable, curves, log_curves, sorted_table, trim_support
+from coprisk.copula import THETA_ZERO_TOL
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
+from coprisk.inference import substream_rng
+from coprisk.marginals import AftModel
+from coprisk.simulate import DgpSpec, generate_dataset
 
 from oracles import mixed_risk_sample, nelson_aalen_survival, step_value, study_design_sample
+from test_estimators import six_strata_dataset
 
 
 def sample_curves(x, delta, thetas):
@@ -175,3 +180,66 @@ def test_all_events_incidence_complements_survivor():
     grid = np.linspace(0.1, 4.0, 23)
     incidence = step_value(table.times, np.cumsum(table.jumps), grid)
     assert np.allclose(incidence, 1.0 - observable_survival(x, grid), atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the log-scale head: log S without the exp and log round trip
+# ---------------------------------------------------------------------------
+
+HEAD_THETAS = np.array([-0.5, 0.0, 2.0, 8.0])
+
+
+def benchmark_design_sample():
+    model = AftModel("weibull", 1.0, [1.0], 1.5)
+    spec = DgpSpec(n=2000, tau=0.8, model_t=model, model_c=model)
+    return generate_dataset(spec, substream_rng(1, 0))
+
+
+@pytest.mark.parametrize("make", [benchmark_design_sample, six_strata_dataset])
+def test_log_head_equals_the_log_of_the_curves(make):
+    table = table_of(make())
+    s = curves(table, HEAD_THETAS)
+    log_s = log_curves(table, HEAD_THETAS)
+    inside = (s > 1e-300) & (s < 1.0 - 1e-6)
+    assert np.all(inside.sum(axis=1) > table.times.size // 2)
+    np.testing.assert_allclose(np.log(-log_s[inside]), np.log(-np.log(s[inside])),
+                               rtol=1e-12, atol=0)
+    with np.errstate(divide="ignore"):
+        log_l = np.log(-log_s)
+    # log(-log S) is -inf where a curve is 1, at each curve's first column
+    for span in table.spans:
+        assert np.all(log_l[:, span.start] == -np.inf)
+        assert np.all(s[:, span.start] == 1.0)
+
+
+def test_log_head_is_inf_where_a_curve_clamps_at_zero():
+    # the table of test_nonstrict_generator_clamps_at_zero
+    table = hand_table(([1.0, 2.0], [0.0, np.log(0.1)], [0.5, 0.5]))
+    (s,), (log_s,) = curves(table, [-0.9]), log_curves(table, [-0.9])
+    assert s[2] == 0.0 and log_s[2] == -np.inf
+    with np.errstate(divide="ignore"):
+        log_l = np.log(-log_s)
+    assert (log_l[0], log_l[2]) == (-np.inf, np.inf)
+    assert log_l[1] == pytest.approx(np.log(-np.log(s[1])), rel=1e-12)
+
+
+def test_log_head_fails_an_overflowing_theta_alone():
+    # the table of test_overflowing_theta_fails_alone: theta = 100 overflows
+    table = hand_table(([1.0, 2.0], [-1.0, -10.0], [0.1, 0.1]))
+    thetas = np.array([1.0, 100.0, 2.0])
+    log_s = log_curves(table, thetas)
+    assert np.all(np.isnan(log_s[1]))
+    np.testing.assert_allclose(log_s[[0, 2]], np.log(curves(table, thetas[[0, 2]])),
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("theta", [0.0, THETA_ZERO_TOL / 2, -THETA_ZERO_TOL / 2])
+def test_log_head_near_independence_is_minus_the_running_sum(theta):
+    table = table_of(six_strata_dataset(n=600))
+    (log_s,) = log_curves(table, [theta])
+    u = np.exp(-(theta + 1.0) * table.log_pi_left) * table.jumps
+    for span in table.spans:
+        u[span] = np.cumsum(u[span])
+    assert log_s.tobytes() == (-u).tobytes()
+    with np.errstate(divide="ignore"):
+        assert np.log(-log_s).tobytes() == np.log(u).tobytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprisk import cli
-from coprisk.cge import CURVE_OVERFLOW, CurveTable, curves, sorted_table
+from coprisk.cge import CURVE_OVERFLOW, CurveTable, curves, log_curves, sorted_table
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
@@ -640,6 +640,11 @@ def amplified_plan(plan):
     return dataclasses.replace(plan, table=amplified(plan.table))
 
 
+def stratum_rows(strata):
+    """Each stratum's rows, in ascending order."""
+    return [np.flatnonzero(strata.codes == j) for j in range(strata.n_strata)]
+
+
 def assert_rows_equal(batched, single):
     np.testing.assert_allclose(batched, single, rtol=1e-12, atol=0)
 
@@ -669,7 +674,7 @@ def test_curve_kernel_rows_equal_copula_graphic():
     table, _ = sorted_table(ds, strata)
     thetas = _thetas(BATCH_TAUS)
     batch = curves(table, thetas)
-    for idx, span in zip(strata.indices, table.spans):
+    for idx, span in zip(stratum_rows(strata), table.spans):
         alone = first_stage_table(ds.x[idx], ds.delta[idx])
         np.testing.assert_array_equal(table.times[span], alone.times)
         for theta, row in zip(thetas, batch):
@@ -725,26 +730,43 @@ def test_variance_kernel_rows_equal_one_theta_calls():
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     values, errors, contrasts = _variance_value(plan, thetas)
-    # the curves that clamp at zero, and the theta = 0 curve whose
-    # generator underflows, read 0 inside the window
-    assert errors == [None, UNDEFINED, UNDEFINED, UNDEFINED, None, None]
-    assert np.all(np.isnan(values[1:4]))
-    for i in (0, 4, 5):
+    # the curves that clamp at zero read 0 inside the window
+    assert errors == [None, UNDEFINED, UNDEFINED, None, None, None]
+    assert np.all(np.isnan(values[1:3]))
+    for i in (0, 3, 4, 5):
         one_values, one_errors, one_contrasts = _variance_value(plan, thetas[i:i + 1])
         assert one_errors == [None]
         assert_rows_equal(values[i], one_values[0])
         assert_rows_equal(contrasts[i], one_contrasts[0])
 
 
+def test_underflowing_curve_scores_a_finite_value():
+    # at theta = 0 exp(-u) underflows to a curve value of 0 inside the
+    # trimmed window, which used to fail the theta; its log, -u, is finite
+    plan = amplified_plan(_variance_plan(batch_dataset()))
+    thetas = _thetas(BATCH_TAUS)
+    assert thetas[3] == 0.0
+    underflowed = curves(plan.table, thetas[3:4])[0][plan.columns] == 0.0
+    log_s = log_curves(plan.table, thetas[3:4])[0][plan.columns]
+    assert underflowed.any() and np.all(log_s[underflowed] < np.log(np.nextafter(0.0, 1.0)))
+    values, errors, contrasts = _variance_value(plan, thetas)
+    row = contrasts[3].copy()
+    assert errors[3] is None and np.isfinite(values[3]) and np.all(np.isfinite(row))
+    (one,), one_errors, (one_contrasts,) = _variance_value(plan, thetas[3:4])
+    assert one_errors == [None]
+    assert_rows_equal(values[3], one)
+    assert_rows_equal(row, one_contrasts)
+
+
 def test_failed_theta_keeps_its_chunk_mates():
-    # 2SE: three thetas of one chunk fail in the curve transform
+    # 2SE: two thetas of one chunk fail in the curve transform
     plan = amplified_plan(_variance_plan(batch_dataset()))
     single = {tau: _variance_value(plan, _thetas([tau]))[0][0] for tau in BATCH_TAUS}
     grid_errors = _variance_value(plan, _thetas(BATCH_TAUS))[1]
-    assert grid_errors == [None, UNDEFINED, UNDEFINED, UNDEFINED, None, None]
+    assert grid_errors == [None, UNDEFINED, UNDEFINED, None, None, None]
     _, trace, _, diagnostics = _search_tau(
         functools.partial(_variance_value, plan), BATCH_TAUS, BATCH_TAUS.size)
-    assert diagnostics["n_grid_failed"] == 3
+    assert diagnostics["n_grid_failed"] == 2
     on_grid = dict(t for t in trace if t[0] in single)
     for tau, value in single.items():
         np.testing.assert_allclose(on_grid[tau], value, rtol=1e-12, atol=0)
@@ -822,10 +844,11 @@ def test_fits_keep_their_recorded_values():
     assert min(v for _, v in res.objective_trace) == 1.1521902249117773e-05
     assert res.diagnostics["n_clamped"] == 2
     assert res.diagnostics["mean_gap"] == 0.0013973299176473788
+    # the 2SE half recorded with the log-scale kernel (cge.log_curves)
     res = fit_2se(ds)
-    assert (res.tau_hat, res.theta_hat) == (0.7919888230388975, 7.6148679567059725)
-    assert res.beta_hat.tolist() == [1.481387853181039]
-    assert min(v for _, v in res.objective_trace) == 0.0014629197144779885
+    assert (res.tau_hat, res.theta_hat) == (0.7919888230389316, 7.614867956707548)
+    assert res.beta_hat.tolist() == [1.481387853181028]
+    assert min(v for _, v in res.objective_trace) == 0.001462919714478048
     assert (res.x_star, res.x_double_star, res.kept_n) == (
         1.653704311476632, 0.0005584877074101576, 18422)
 
@@ -838,7 +861,7 @@ def assert_plan_columns_equal_searchsorted(ds, two_stage=True):
     strata = stratify(ds)
     plan = _cvm_plan(ds, "weibull", "aft")
     assert plan.gather.dtype == np.intp and plan.gather.shape == (ds.n,)
-    for idx, span in zip(strata.indices, plan.table.spans):
+    for idx, span in zip(stratum_rows(strata), plan.table.spans):
         knots = plan.table.times[span.start + 1:span.stop]
         np.testing.assert_array_equal(
             plan.gather[idx], span.start + np.searchsorted(knots, ds.x[idx], side="left"))
@@ -918,7 +941,7 @@ def test_stratum_table_equals_the_first_stage_table(make):
     ds = make()
     strata = stratify(ds)
     table, _ = sorted_table(ds, strata)
-    expected = [first_stage_table(ds.x[idx], ds.delta[idx]) for idx in strata.indices]
+    expected = [first_stage_table(ds.x[idx], ds.delta[idx]) for idx in stratum_rows(strata)]
     stop = 0
     for span, curve in zip(table.spans, expected):
         assert span == slice(stop, stop + curve.times.size)
@@ -1085,12 +1108,13 @@ def test_semiparam_b_boundary_error():
         semiparam_b(1.2, c1, c2, 1.0, 1.0)  # equal covariate values
 
 
-def stratum_curves(ds, theta):
+def stratum_curves(ds, theta, head=curves):
     """{level: (knot times, curve values)} of every stratum at one theta,
-    from the one-sort table, for a searchsorted lookup."""
+    from the one-sort table, for a searchsorted lookup; with
+    head=log_curves the values are log S."""
     strata = stratify(ds)
     table, _ = sorted_table(ds, strata)
-    (row,) = curves(table, [theta])
+    (row,) = head(table, [theta])
     return {level: (table.times[span], row[span])
             for level, span in zip(strata.levels, table.spans)}
 
@@ -1116,16 +1140,16 @@ def test_plan_values_equal_curve_lookups():
         for smooth_knots in (None, 25, 0):
             rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots),
                                np.array([theta]))[0][0]
-            for level, idx in strata3.items():
+            for level, idx in zip(strata3.levels, stratum_rows(strata3)):
                 times, values = by_level[level]
                 if smooth_knots is None or smooth_knots > 1:
                     window = _smooth_window(values.size - 1, smooth_knots)
                     values = np.append(1.0, smooth_curve_values(values[1:], window))
                 left = step_value(times, values, ds3.x[idx], side="left")
                 assert np.all(rows[idx] == np.clip(left, S_CLAMP, 1.0 - S_CLAMP))
-            assert np.all(rows[strata3.indices[2]] == 1.0 - S_CLAMP)
-        by_level = stratum_curves(ds2, theta)
-        log_l = [np.log(-np.log(step_value(*by_level[strata2.levels[j]], x_kept)))
+            assert np.all(rows[strata3.codes == 2] == 1.0 - S_CLAMP)
+        by_level = stratum_curves(ds2, theta, head=log_curves)
+        log_l = [np.log(-step_value(*by_level[strata2.levels[j]], x_kept))
                  for j in (ref, *others)]
         contrasts = _variance_value(plan2, np.array([theta]))[2][0]
         for values, expected in zip(contrasts, log_l[1:]):
@@ -1183,17 +1207,30 @@ def test_variance_plan_columns_lie_inside_their_curves(make):
 
 
 def test_weights_score_the_summed_row_coefficients():
-    # the criterion's weights @ contrasts is each row's coefficient vector
-    # summed, on a design with five contrasts and two coefficients
+    # the criterion's weighted sum over the other strata is each row's
+    # coefficient vector summed, on a design with five contrasts and two
+    # coefficients
     plan = _variance_plan(six_strata_dataset())
     assert plan.diffs_pinv.shape == (2, 5)
     for theta in (-0.5, 0.5, 3.0):
-        contrasts = _variance_value(plan, np.array([theta]))[2][0]
+        (value,), _, (contrasts,) = _variance_value(plan, np.array([theta]))
         b = contrasts.T @ plan.diffs_pinv.T
         np.testing.assert_allclose(plan.weights @ contrasts, b.sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
         assert _coef_variance(plan.weights @ contrasts) == pytest.approx(
             float(np.var(b.sum(axis=1), ddof=1)), rel=1e-12)
+        assert value == pytest.approx(float(np.var(b.sum(axis=1), ddof=1)), rel=1e-12)
+
+
+def test_two_strata_row_sums_have_the_bits_of_the_matmul():
+    # with one contrast the kernel's sum is w * c, which BLAS's w * c + 0
+    # rounds to the same bits
+    plan = _variance_plan(batch_dataset())
+    assert plan.weights.shape == (1,)
+    thetas = _thetas(BATCH_TAUS)
+    values, _, contrasts = _variance_value(plan, thetas)
+    assert np.all(np.isfinite(values))
+    assert values.tobytes() == _coef_variance(plan.weights @ contrasts).tobytes()
 
 
 def _row_sums(b_values):
