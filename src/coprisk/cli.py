@@ -1,14 +1,17 @@
 """Command-line front end: fit, bootstrap, simulate, gen and curve dumps.
 
-Every subcommand echoes its resolved configuration into the JSON output and
-produces byte-identical output for identical inputs (wall-clock timings are
-kept out of the JSON).
+Each cmd_* function returns the result dict of its command, or None for gen
+and curve, which write CSV.  main wraps a result in the one JSON envelope
+that fit, bootstrap and simulate share: schema_version, command, the
+resolved configuration and result.  Identical inputs give byte-identical
+output (wall-clock timings are kept out of the JSON).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import errno
 import functools
 import json
@@ -110,28 +113,6 @@ def _load_dataset(args) -> Dataset:
     return pool_risks(ds, args.target_risk)
 
 
-def _fit_payload(result: FitResult3SE | FitResult2SE) -> dict:
-    if isinstance(result, FitResult3SE):
-        params = {
-            "alpha": result.model.alpha,
-            "beta": list(result.model.beta),
-            "sigma": result.model.sigma,
-        }
-        extra = {}
-    else:
-        params = {"beta": list(result.beta_hat)}
-        extra = {"x_star": result.x_star, "x_double_star": result.x_double_star}
-    return {
-        "tau_hat": result.tau_hat,
-        "theta_hat": result.theta_hat,
-        "params": params,
-        "kept_n": result.kept_n,
-        "diagnostics": result.diagnostics,
-        "objective_trace": [[t, v] for t, v in result.objective_trace],
-        **extra,
-    }
-
-
 def _method(args, point: bool = False):
     """The fit that --method names, or with point=True its flat parameter
     view, with the method options bound; fit, bootstrap and simulate all
@@ -150,22 +131,27 @@ def _method(args, point: bool = False):
     return functools.partial(three_stage_point if point else fit_3se, **options)
 
 
-def cmd_fit(args) -> int:
-    ds = _load_dataset(args)
-    result = _method(args)(ds)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "fit",
-            "config": _config_echo(args),
-            "result": _fit_payload(result),
-        },
-        args.output,
-    )
-    return 0
+def cmd_fit(args) -> dict:
+    result: FitResult3SE | FitResult2SE = _method(args)(_load_dataset(args))
+    if isinstance(result, FitResult3SE):
+        model = result.model
+        params = {"alpha": model.alpha, "beta": model.beta, "sigma": model.sigma}
+        extra = {}
+    else:
+        params = {"beta": result.beta_hat}
+        extra = {"x_star": result.x_star, "x_double_star": result.x_double_star}
+    return {
+        "tau_hat": result.tau_hat,
+        "theta_hat": result.theta_hat,
+        "params": params,
+        "kept_n": result.kept_n,
+        "diagnostics": result.diagnostics,
+        "objective_trace": result.objective_trace,
+        **extra,
+    }
 
 
-def cmd_bootstrap(args) -> int:
+def cmd_bootstrap(args) -> dict:
     ds = _load_dataset(args)
     estimator = _method(args, point=True)
     result = bootstrap(
@@ -176,26 +162,17 @@ def cmd_bootstrap(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(result.param_names)
             writer.writerows(result.replicates.tolist())
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "bootstrap",
-            "config": _config_echo(args),
-            "result": {
-                "param_names": list(result.param_names),
-                "estimate": result.estimate,
-                "se": result.se,
-                "ci_lower": result.ci_lower,
-                "ci_upper": result.ci_upper,
-                "level": result.level,
-                "n_requested": result.n_requested,
-                "n_effective": result.n_effective,
-                "n_failed": result.n_failed,
-            },
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "param_names": result.param_names,
+        "estimate": result.estimate,
+        "se": result.se,
+        "ci_lower": result.ci_lower,
+        "ci_upper": result.ci_upper,
+        "level": result.level,
+        "n_requested": result.n_requested,
+        "n_effective": result.n_effective,
+        "n_failed": result.n_failed,
+    }
 
 
 def _dgp_from_args(args) -> DgpSpec:
@@ -204,20 +181,6 @@ def _dgp_from_args(args) -> DgpSpec:
     model_t = AftModel(args.family_t, args.alpha_t, beta_t, args.sigma_t)
     model_c = AftModel(args.family_c, args.alpha_c, beta_c, args.sigma_c)
     return DgpSpec(n=args.n, tau=args.tau, model_t=model_t, model_c=model_c, p_z=args.p_z)
-
-
-def _spec_echo(spec: DgpSpec) -> dict:
-    def marg(m: AftModel) -> dict:
-        return {"family": m.family, "alpha": m.alpha, "beta": list(m.beta), "sigma": m.sigma}
-
-    return {
-        "n": spec.n,
-        "tau": spec.tau,
-        "theta": spec.theta,
-        "p_z": spec.p_z,
-        "model_t": marg(spec.model_t),
-        "model_c": marg(spec.model_c),
-    }
 
 
 def _truth_for(spec: DgpSpec, method: str) -> dict[str, float]:
@@ -234,7 +197,7 @@ def _truth_for(spec: DgpSpec, method: str) -> dict[str, float]:
     return truth
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     spec = _dgp_from_args(args)
     ds = generate_dataset(spec, args.seed)
     header = ",".join(["x", "delta"] + [f"z{j+1}" for j in range(ds.k)])
@@ -243,10 +206,9 @@ def cmd_gen(args) -> int:
     rows = map(row.format, ds.x.tolist(), ds.delta.tolist(), *ds.z.T.tolist())
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join([header, *rows, ""]))
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     spec = _dgp_from_args(args)
     estimator = _method(args, point=True)
     truth = _truth_for(spec, args.method)
@@ -264,28 +226,19 @@ def cmd_simulate(args) -> int:
             f"{report.bias2[name]:>10.5f} {report.mse[name]:>10.5f}"
         )
     sys.stderr.write("\n".join(lines) + "\n")
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "config": _config_echo(args),
-            "result": {
-                "spec": _spec_echo(spec),
-                "truth": report.truth,
-                "n_requested": report.n_requested,
-                "n_completed": report.n_completed,
-                "n_failed": report.n_failed,
-                "mean": report.mean,
-                "bias2": report.bias2,
-                "mse": report.mse,
-            },
-        },
-        args.output,
-    )
-    return 0
+    return {
+        "spec": {**dataclasses.asdict(spec), "theta": spec.theta},
+        "truth": report.truth,
+        "n_requested": report.n_requested,
+        "n_completed": report.n_completed,
+        "n_failed": report.n_failed,
+        "mean": report.mean,
+        "bias2": report.bias2,
+        "mse": report.mse,
+    }
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> None:
     ds = _load_dataset(args)
     taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
     if not taus:
@@ -312,7 +265,6 @@ def cmd_curve(args) -> int:
     finally:
         if args.output:
             out.close()
-    return 0
 
 
 def _shortest(value: float) -> str:
@@ -443,7 +395,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_output_dirs(args)
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:
+            _emit({"schema_version": SCHEMA_VERSION, "command": args.command,
+                   "config": _config_echo(args), "result": result}, args.output)
+        return 0
     except ValueError as exc:
         _error("usage", str(exc))
         return EXIT_USAGE

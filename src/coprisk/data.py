@@ -82,9 +82,6 @@ class Dataset:
     def k(self) -> int:
         return self.z.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def subset(self, indices) -> "Dataset":
         """The rows at the given integer indices, in their order."""
         idx = np.asarray(indices)

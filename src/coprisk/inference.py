@@ -11,6 +11,7 @@ the process pool only when jobs > 1.
 from __future__ import annotations
 
 import functools
+import os
 import pickle
 from dataclasses import dataclass
 from typing import Callable
@@ -55,7 +56,9 @@ def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs
 
     Results come back in replicate order either way.  fn is the caller's
     callable; it must be picklable to reach the pool's workers, which is
-    checked before any worker starts.
+    checked before any worker starts.  The pool forks all its workers at
+    the first submit, so it gets no more of them than there are chunks of
+    work or CPUs.
     """
     if jobs <= 1:
         return [worker(fn, *args, r) for r in range(count)]
@@ -67,7 +70,8 @@ def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs
             f"{fn!r} cannot be sent to worker processes ({exc}); with jobs > 1 "
             "pass a module-level function or a functools.partial of one"
         ) from None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, -(-count // chunksize), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(functools.partial(worker, fn, *args), range(count),
                              chunksize=chunksize))
 

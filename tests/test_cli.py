@@ -261,6 +261,44 @@ def test_bootstrap_subcommand(tmp_path, capsys):
     assert len(lines) == 1 + result["n_effective"]
 
 
+@pytest.mark.parametrize("command, options", [
+    ("fit", ["--method", "2se"]),
+    ("bootstrap", ["--reps", "2"]),
+    ("simulate", ["--n", "200", "--tau", "0.5", "--reps", "2"]),
+])
+def test_json_commands_share_one_envelope(tmp_path, capsys, command, options):
+    if command != "simulate":
+        options = ["--input", str(gen_csv(tmp_path, capsys, n=200)), *options]
+    code, out, _ = run(capsys, command, *options)
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"schema_version", "command", "config", "result"}
+    assert payload["schema_version"] == 1
+    assert payload["command"] == command
+    assert payload["config"]["command"] == command
+    assert "func" not in payload["config"]
+
+
+@pytest.mark.parametrize("covariate", [True, False])
+def test_simulate_echoes_the_design(capsys, covariate):
+    argv = ["simulate", "--n", "200", "--tau", "0.5", "--p-z", "0.4", "--alpha-t", "1.2",
+            "--beta-t", "0.8", "--sigma-t", "1.25", "--family-c", "exponential",
+            "--alpha-c", "2", "--beta-c", "-0.5", "--sigma-c", "1", "--reps", "2",
+            "--seed", "1"]
+    code, out, _ = run(capsys, *argv, *([] if covariate else ["--no-covariate"]))
+    assert code == 0
+    assert json.loads(out)["result"]["spec"] == {
+        "n": 200,
+        "tau": 0.5,
+        "theta": 2.0,
+        "p_z": 0.4,
+        "model_t": {"family": "weibull", "alpha": 1.2, "beta": [0.8] if covariate else [],
+                    "sigma": 1.25},
+        "model_c": {"family": "exponential", "alpha": 2.0,
+                    "beta": [-0.5] if covariate else [], "sigma": 1.0},
+    }
+
+
 def test_events_only_reaches_bootstrap_and_simulate(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys, n=400)
     ds = load_csv(path)

@@ -63,6 +63,50 @@ def test_parallel_rejects_unpicklable_fit():
         bootstrap(lambda d: mean_duration(d), make_dataset(n=60), b=4, jobs=2)
 
 
+def test_pool_gets_no_more_workers_than_chunks_or_cpus(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from coprisk.marginals import AftModel
+    from coprisk.simulate import DgpSpec, monte_carlo
+
+    seen = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers=None):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    ds = make_dataset(n=60)
+    # 20 replicates in chunks of 8 are 3 chunks
+    pooled = bootstrap(mean_duration, ds, b=20, seed=5, jobs=5000)
+    serial = bootstrap(mean_duration, ds, b=20, seed=5, jobs=1)
+    assert np.array_equal(pooled.replicates, serial.replicates)
+    # 6 replications in chunks of 1 are 6 chunks, capped by the 4 CPUs
+    model = AftModel("weibull", 1.0, [1.0], 1.5)
+    spec = DgpSpec(n=40, tau=0.5, model_t=model, model_c=model)
+    pooled = monte_carlo(spec, mean_duration, {"mean_x": 0.5}, reps=6, seed=2, jobs=5000)
+    serial = monte_carlo(spec, mean_duration, {"mean_x": 0.5}, reps=6, seed=2, jobs=1)
+    assert pooled.mse == serial.mse
+    # an unknown CPU count allows one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    bootstrap(mean_duration, ds, b=20, seed=5, jobs=5000)
+    assert seen == [3, 4, 1]
+
+
 def test_mean_estimator_se_close_to_analytic():
     ds = make_dataset(n=400, seed=11)
     res = bootstrap(mean_duration, ds, b=2000, seed=0)
