@@ -287,7 +287,7 @@ def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
 
     A failed theta's coefficients are NaN.  Every AFT family's coefficients
     end in the slope 1/sigma, which is 1.0 for the exponential family.  The
-    transform skips ``sw_inverse``'s checks: clamped values lie inside
+    transform ``_sw_inverse`` checks nothing: clamped values lie inside
     (0, 1), and an overflowed curve's NaN maps to NaN.
     """
     errors: list = [None] * s.shape[0]

@@ -2,10 +2,10 @@
 
 Replicate r draws its resample from an RNG substream keyed by (seed, r), so
 results are bit-identical for a given seed regardless of execution order or
-the degree of parallelism.  Replicates on which the fit procedure raises an
-EstimationError are skipped and counted.  ``map_replicates`` is the one
-serial-or-process-pool loop, shared with the Monte Carlo harness; it imports
-the process pool only when jobs > 1.
+the degree of parallelism.  ``map_replicates`` is the one serial-or-process-pool
+loop, shared with the Monte Carlo harness: it skips and counts the replicates
+that raise an EstimationError, aborts past half with their reasons, and
+imports the process pool only when jobs > 1.
 """
 
 from __future__ import annotations
@@ -50,39 +50,53 @@ def _as_vector(values: dict, names: tuple[str, ...]) -> np.ndarray:
     return np.array([float(values[name]) for name in names])
 
 
-def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs: int,
-                   chunksize: int) -> list:
-    """[worker(fn, *args, r) for r in range(count)], in a process pool if jobs > 1.
+def _attempt(worker: Callable, fn: Callable, *args):
+    """worker(fn, *args), or the EstimationError it raised."""
+    try:
+        return worker(fn, *args)
+    except EstimationError as exc:
+        return exc
 
-    Results come back in replicate order either way.  fn is the caller's
-    callable; it must be picklable to reach the pool's workers, which is
-    checked before any worker starts.  The pool forks all its workers at
-    the first submit, so it gets no more of them than there are chunks of
-    work or CPUs.
+
+def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs: int,
+                   chunksize: int, failed: str) -> list:
+    """[worker(fn, *args, r) for r in range(count)] without the failed replicates.
+
+    A replicate fails when it raises an EstimationError.  More than count/2
+    failures abort with the error "<k> of <count> <failed>: <reasons>", which
+    lists the distinct failure messages in replicate order.  Results come
+    back in replicate order, in a process pool if jobs > 1.  fn is the
+    caller's callable; it must be picklable to reach the pool's workers,
+    which is checked before any worker starts.  The pool forks all its
+    workers at the first submit, so it gets no more of them than there are
+    chunks of work or CPUs.
     """
     if jobs <= 1:
-        return [worker(fn, *args, r) for r in range(count)]
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        pickle.dumps(fn)
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise ValueError(
-            f"{fn!r} cannot be sent to worker processes ({exc}); with jobs > 1 "
-            "pass a module-level function or a functools.partial of one"
-        ) from None
-    workers = min(jobs, -(-count // chunksize), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(functools.partial(worker, fn, *args), range(count),
-                             chunksize=chunksize))
+        raw = [_attempt(worker, fn, *args, r) for r in range(count)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        try:
+            pickle.dumps(fn)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                f"{fn!r} cannot be sent to worker processes ({exc}); with jobs > 1 "
+                "pass a module-level function or a functools.partial of one"
+            ) from None
+        workers = min(jobs, -(-count // chunksize), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(functools.partial(_attempt, worker, fn, *args), range(count),
+                                chunksize=chunksize))
+    errors = [res for res in raw if isinstance(res, EstimationError)]
+    if len(errors) > count / 2:
+        reasons = dict.fromkeys(str(exc) for exc in errors)  # distinct, in replicate order
+        raise EstimationError(f"{len(errors)} of {count} {failed}: " + "; ".join(reasons))
+    return [res for res in raw if not isinstance(res, EstimationError)]
 
 
 def _one_replicate(fit, ds, seed, names, r):
     rng = substream_rng(seed, r)
     idx = rng.integers(0, ds.n, size=ds.n)
-    try:
-        return _as_vector(fit(ds.subset(idx)), names)
-    except EstimationError:
-        return None
+    return _as_vector(fit(ds.subset(idx)), names)
 
 
 def bootstrap(
@@ -96,9 +110,11 @@ def bootstrap(
     """Resample rows with replacement B times and refit.
 
     fit maps a Dataset to a {name: value} dict; the names of the point fit
-    order the result's parameters.  More than B/2 failed replicates aborts
-    with an error.  jobs > 1 runs the replicates in worker processes, so fit
-    must then be picklable (see map_replicates).
+    order the result's parameters.  A replicate on which fit raises an
+    EstimationError is skipped and counted; more than B/2 failed replicates,
+    or fewer than 2 completed ones, abort with an EstimationError.  jobs > 1
+    runs the replicates in worker processes, so fit must then be picklable
+    (see map_replicates).
     """
     b = int(b)
     if b < 2:
@@ -109,13 +125,15 @@ def bootstrap(
     names = tuple(point_raw)
     point = _as_vector(point_raw, names)
 
-    raw = map_replicates(_one_replicate, fit, (ds, seed, names), b, jobs, chunksize=8)
-    rows = [vec for vec in raw if vec is not None]
+    rows = map_replicates(
+        _one_replicate, fit, (ds, seed, names), b, jobs, chunksize=8,
+        failed="bootstrap replicates failed; the fit is too unstable under resampling",
+    )
     n_failed = b - len(rows)
-    if n_failed > b / 2:
+    if len(rows) < 2:
         raise EstimationError(
-            f"{n_failed} of {b} bootstrap replicates failed; the fit is too "
-            "unstable under resampling"
+            f"{n_failed} of {b} bootstrap replicates failed, and a standard error "
+            "needs at least 2 completed replicates"
         )
     replicates = np.vstack(rows)
     alpha = 1.0 - level

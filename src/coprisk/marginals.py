@@ -9,10 +9,11 @@ distribution S_W for the noise term W:
     loglogistic   S_W(w) = 1 / (1 + exp(w))
     lognormal     S_W(w) = 1 - Phi(w)
 
-An ``AftModel`` accelerates time: Lambda(t|z) = -log S_W(sigma * log(alpha t e^{z'b})).
-A ``PhModel`` scales the baseline Lambda(t|0) by exp(z'beta) instead.
-``cumulative_hazard``, ``survival`` and ``inverse_survival`` read the form from
-the model's type.
+An ``AftModel`` accelerates time: S(t|z) = S_W(sigma * log(alpha t e^{z'b})).
+A ``PhModel`` scales the baseline cumulative hazard -log S(t|0) by exp(z'beta)
+instead.  ``survival`` and ``inverse_survival`` read the form from the model's
+type; the families themselves are written out only in ``sw_survival`` (S_W)
+and ``_sw_inverse`` (its inverse).
 
 The loglogistic and lognormal branches import ``expit``, ``ndtr`` and ``ndtri``
 from ``scipy.special`` on first use; exponential and weibull need only numpy,
@@ -104,19 +105,9 @@ def sw_survival(family: str, w):
     return float(out) if scalar else out
 
 
-def sw_inverse(family: str, s):
-    """Inverse of S_W on s in (0, 1), strictly decreasing."""
-    _check_family(family)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0.0) or np.any(s >= 1.0):
-        raise ValueError("sw_inverse argument s must lie strictly inside (0, 1)")
-    out = _sw_inverse(family, s)
-    return float(out) if s.ndim == 0 else out
-
-
 def _sw_inverse(family: str, s: np.ndarray) -> np.ndarray:
-    """``sw_inverse`` without its checks, for callers whose s lies inside
-    (0, 1) by construction; NaN maps to NaN.  Computed in one array."""
+    """Inverse of S_W, strictly decreasing, in one array.  It checks nothing:
+    callers pass s inside (0, 1), and NaN maps to NaN."""
     out = np.empty_like(s)
     if family in ("exponential", "weibull"):
         # log(-log(s))
@@ -133,45 +124,24 @@ def _sw_inverse(family: str, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def cumulative_hazard(model: AftModel, t, z):
-    """Cumulative hazard Lambda(t|z); zero at t = 0, increasing in t.
+def survival(model: AftModel, t, z):
+    """Marginal survival S(t|z); one at t = 0, decreasing in t.
 
-    An AftModel enters z'beta inside the time scale; a PhModel multiplies the
-    baseline Lambda(t|0) by exp(z'beta).
+    An AftModel gives S_W(sigma log(alpha t e^{z'b})); a PhModel raises its
+    baseline S(t|0) to the power exp(z'beta).
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
     if np.any(t < 0):
         raise ValueError("time t must be >= 0")
     ph = isinstance(model, PhModel)
-    # log(alpha * t * exp(z'beta)), or log(alpha * t) for the PH baseline;
-    # t = 0 maps to -inf and is set to zero hazard below
+    zb = _zb(model, z)
+    # log(alpha t e^{z'b}), or log(alpha t) for the PH baseline; t = 0 gives -inf
     with np.errstate(divide="ignore"):
         log_m = np.log(model.alpha) + np.log(t)
-    if not ph:
-        log_m = log_m + _zb(model, z)
-    w = model.sigma * log_m
-    if model.family in ("exponential", "weibull"):
-        out = np.exp(w)
-    elif model.family == "loglogistic":
-        with np.errstate(over="ignore"):
-            out = np.logaddexp(0.0, w)  # log(1 + exp(w))
-    else:
-        from scipy.special import ndtr
-        with np.errstate(divide="ignore"):
-            out = -np.log(ndtr(-w))
-    out = np.where(t == 0.0, 0.0, out)
+    out = sw_survival(model.family, model.sigma * (log_m if ph else log_m + zb))
     if ph:
-        out = out * np.exp(_zb(model, z))
-    return float(out) if scalar else out
-
-
-def survival(model: AftModel, t, z):
-    """Marginal survival exp(-Lambda(t|z)); S_W(sigma log(alpha t e^{z'b})) for an AftModel."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    out = np.exp(-cumulative_hazard(model, t, z))
-    return float(out) if scalar else out
+        out = out ** np.exp(zb)
+    return float(out) if t.ndim == 0 else out
 
 
 def inverse_survival(model: AftModel, u, z):
@@ -185,6 +155,8 @@ def inverse_survival(model: AftModel, u, z):
     zb = _zb(model, z)
     if isinstance(model, PhModel):
         u, zb = u ** np.exp(-zb), 0.0
-    w = sw_inverse(model.family, u)
-    out = np.exp(np.asarray(w) / model.sigma - np.log(model.alpha) - zb)
+    if np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise ValueError("inverse_survival argument u must lie strictly inside (0, 1)")
+    w = _sw_inverse(model.family, u)
+    out = np.exp(w / model.sigma - np.log(model.alpha) - zb)
     return float(out) if scalar else out

@@ -11,7 +11,6 @@ import numpy as np
 
 from .copula import conditional_v_given_u, theta_from_tau
 from .data import Dataset
-from .errors import EstimationError
 from .inference import map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
@@ -96,11 +95,7 @@ class McReport:
 
 
 def _mc_replicate(estimator, spec, seed, r):
-    ds = generate_dataset(spec, substream_rng(seed, r))
-    try:
-        return estimator(ds)
-    except EstimationError:
-        return None
+    return estimator(generate_dataset(spec, substream_rng(seed, r)))
 
 
 def monte_carlo(
@@ -116,21 +111,18 @@ def monte_carlo(
     Only parameters named in ``truth`` are summarised, and the estimator
     must return each of them.  Replicates on which the estimator raises an
     EstimationError are skipped and counted; more than reps/2 failures
-    aborts.  jobs > 1 runs the replicates in worker processes, so the
-    estimator must then be picklable.
+    abort with their reasons.  jobs > 1 runs the replicates in worker
+    processes, so the estimator must then be picklable.
     """
     reps = int(reps)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     start = time.perf_counter()
-    raw = map_replicates(_mc_replicate, estimator, (spec, seed), reps, jobs, chunksize=1)
-    results = [est for est in raw if est is not None]
+    results = map_replicates(
+        _mc_replicate, estimator, (spec, seed), reps, jobs, chunksize=1,
+        failed="replications failed; the design or the estimator configuration is degenerate",
+    )
     n_failed = reps - len(results)
-    if n_failed > reps / 2:
-        raise EstimationError(
-            f"{n_failed} of {reps} replications failed; the design or the "
-            "estimator configuration is degenerate"
-        )
     names = list(truth.keys())
     missing = [name for name in names if any(name not in res for res in results)]
     if missing:

@@ -72,6 +72,18 @@ def test_fit_single_stratum_2se_exits_4(tmp_path, capsys):
     assert "covariate" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_failures_carry_their_reason(capsys, jobs):
+    code, out, err = run(capsys, "simulate", "--no-covariate", "--method", "2se",
+                         "--reps", "3", "--n", "400", "--jobs", jobs)
+    assert code == 4 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("3 of 3 replications failed; ")
+    assert message.endswith(": the semiparametric fit needs at least one covariate taking "
+                            "two or more values in the sample; a single stratum is not "
+                            "identified")
+
+
 def test_fit_single_cause1_row_exits_4(tmp_path, capsys):
     path = tmp_path / "one_event.csv"
     rows = [f"{0.1 * (i + 1)!r},{int(i == 4)},{i % 2}" for i in range(30)]

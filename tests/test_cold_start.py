@@ -16,7 +16,7 @@ import pytest
 from coprisk.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# modules a Weibull fit does not use: scipy's special functions (loglogistic
+# modules a Weibull gen or fit does not use: scipy's special functions (loglogistic
 # and lognormal only) and the process pool (jobs > 1 only)
 COLD_UNUSED = ("scipy.special", "concurrent.futures.process", "multiprocessing")
 
@@ -35,20 +35,36 @@ def sample(tmp_path_factory):
     return path
 
 
-def test_weibull_fit_loads_neither_scipy_special_nor_the_pool(sample, tmp_path):
+def cold_main(*argv):
+    """Exit code of coprisk.cli.main(argv) in a new interpreter, and which
+    of COLD_UNUSED it loaded."""
     script = (
         "import json, sys\n"
         "import coprisk.cli\n"
         "code = coprisk.cli.main(sys.argv[1:])\n"
         f"print(json.dumps([code, [m for m in {COLD_UNUSED!r} if m in sys.modules]]))\n"
     )
-    out = tmp_path / "fit.json"
-    proc = fresh_python("-c", script, "fit", "--input", str(sample), "--family", "weibull",
-                        "--output", str(out))
+    proc = fresh_python("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_weibull_fit_loads_neither_scipy_special_nor_the_pool(sample, tmp_path):
+    out = tmp_path / "fit.json"
+    code, loaded = cold_main("fit", "--input", str(sample), "--family", "weibull",
+                             "--output", str(out))
     assert code == 0
     assert json.loads(out.read_text())["command"] == "fit"
+    assert loaded == []
+
+
+def test_weibull_gen_loads_neither_scipy_special_nor_the_pool(sample, tmp_path):
+    # gen draws its durations through inverse_survival on the Weibull design
+    out = tmp_path / "gen.csv"
+    code, loaded = cold_main("gen", "--n", "300", "--seed", "1", "--family-t", "weibull",
+                             "--family-c", "weibull", "--output", str(out))
+    assert code == 0
+    assert out.read_bytes() == sample.read_bytes()
     assert loaded == []
 
 

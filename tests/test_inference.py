@@ -1,5 +1,8 @@
 """Tests for the nonparametric bootstrap."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,40 @@ def test_too_many_failures():
 
     with pytest.raises(EstimationError, match="replicates failed"):
         bootstrap(estimator, make_dataset(), b=20, seed=0)
+
+
+def failing_after(ok_calls, messages):
+    """A fit that succeeds ok_calls times, then raises the given messages in turn."""
+    calls = itertools.count()
+
+    def fit(ds):
+        i = next(calls) - ok_calls
+        if i < 0:
+            return {"m": float(ds.x.mean())}
+        raise EstimationError(messages[i % len(messages)])
+
+    return fit
+
+
+def test_abort_lists_the_distinct_failure_reasons_in_order():
+    # the point fit succeeds; every replicate fails with one of two reasons
+    fit = failing_after(1, ["second reason", "first reason", "second reason"])
+    with pytest.raises(EstimationError) as info:
+        bootstrap(fit, make_dataset(), b=4, seed=0)
+    assert str(info.value) == (
+        "4 of 4 bootstrap replicates failed; the fit is too unstable under "
+        "resampling: second reason; first reason"
+    )
+
+
+def test_fewer_than_two_completed_replicates():
+    # the point fit and replicate 0 succeed, replicate 1 fails: half failed
+    # is allowed, but one replicate gives no standard error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="^1 of 2 bootstrap replicates failed, "
+                                                  "and a standard error needs at least 2"):
+            bootstrap(failing_after(2, ["boom"]), make_dataset(), b=2, seed=0)
 
 
 def test_argument_validation():

@@ -11,10 +11,8 @@ from coprisk.marginals import (
     AftModel,
     PhModel,
     _sw_inverse,
-    cumulative_hazard,
     inverse_survival,
     survival,
-    sw_inverse,
     sw_survival,
 )
 
@@ -23,6 +21,10 @@ def model(family, alpha=1.0, beta=(1.0,), sigma=None):
     if sigma is None:
         sigma = 1.0 if family == "exponential" else 1.5
     return AftModel(family, alpha, list(beta), sigma)
+
+
+def cumulative_hazard(m, t, z):
+    return -np.log(survival(m, t, z))
 
 
 def test_hazard_examples():
@@ -42,6 +44,11 @@ def test_hazard_strictly_increasing():
         assert np.all(np.isfinite(lam))
 
 
+def test_survival_rejects_negative_time():
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        survival(model("weibull"), [1.0, -0.5], np.zeros((2, 1)))
+
+
 def test_survival_examples():
     weib = AftModel("weibull", 1.0, [], 1.0)
     assert survival(weib, 0.0, []) == 1.0
@@ -49,35 +56,44 @@ def test_survival_examples():
 
 
 def test_survival_noise_scale_identity():
-    # survival(t|z) equals S_W at the log-linear noise value, every family
+    # an AftModel's survival(t|z) is S_W at the log-linear noise value, to
+    # the bit, in every family
     rng = np.random.default_rng(3)
     t = rng.uniform(0.05, 4.0, 60)
     z = rng.integers(0, 2, (60, 1)).astype(float)
     for family in FAMILIES:
         m = model(family, alpha=0.8, beta=(0.7,))
-        w = m.sigma * (np.log(m.alpha) + np.log(t) + 0.7 * z[:, 0])
-        assert np.allclose(survival(m, t, z), sw_survival(family, w), atol=1e-14)
+        w = m.sigma * (np.log(m.alpha) + np.log(t) + z @ m.beta)
+        assert survival(m, t, z).tobytes() == sw_survival(family, w).tobytes()
+        ph = PhModel(family, m.alpha, m.beta, m.sigma)
+        for form in (m, ph):
+            # a scalar t gives a float, and t = 0 gives one
+            assert type(survival(form, t[0], z[0])) is float
+            assert survival(form, 0.0, [1.0]) == 1.0
 
 
 def test_sw_inverse_examples():
-    assert sw_inverse("weibull", np.exp(-1.0)) == pytest.approx(0.0, abs=1e-12)
-    assert sw_inverse("loglogistic", 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert sw_inverse("lognormal", 0.5) == pytest.approx(0.0, abs=1e-12)
+    s = np.array([np.exp(-1.0), 0.5])
+    assert _sw_inverse("weibull", s)[0] == pytest.approx(0.0, abs=1e-12)
+    assert _sw_inverse("loglogistic", s)[1] == pytest.approx(0.0, abs=1e-12)
+    assert _sw_inverse("lognormal", s)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sw_inverse_round_trip_and_decreasing(family):
     s = np.linspace(0.01, 0.99, 99)
-    w = sw_inverse(family, s)
+    w = _sw_inverse(family, s)
     assert np.all(np.diff(w) < 0)
     assert np.max(np.abs(sw_survival(family, w) - s)) <= 1e-10
 
 
-def test_sw_inverse_domain_errors():
+def test_inverse_survival_domain_errors():
+    # the check applies to the value inverted: a PhModel's u ** exp(-z'beta)
     for family in FAMILIES:
-        for bad in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                sw_inverse(family, bad)
+        for m in (model(family), PhModel(family, 1.0, [1.0], model(family).sigma)):
+            for bad in (0.0, 1.0, [0.5, 1.5]):
+                with pytest.raises(ValueError, match="inverse_survival argument u"):
+                    inverse_survival(m, bad, [0.0])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -93,15 +109,16 @@ def test_sw_inverse_core_has_the_bits_of_the_formula(family):
         "lognormal": lambda: -ndtri(s),
     }[family]()
     assert _sw_inverse(family, s).tobytes() == expected.tobytes()
-    assert sw_inverse(family, s).tobytes() == expected.tobytes()
-    assert sw_inverse(family, s[0]) == expected[0]
-    assert type(sw_inverse(family, s[0])) is float
     assert np.isnan(_sw_inverse(family, np.array([np.nan, 0.5]))[0])
 
 
 def test_inverse_survival_closed_form():
     weib = AftModel("weibull", 1.0, [], 1.0)
     assert inverse_survival(weib, np.exp(-1.0), []) == pytest.approx(1.0, abs=1e-12)
+    for family in FAMILIES:
+        t = inverse_survival(model(family), 0.5, [0.0])
+        assert type(t) is float
+        assert t == np.exp(_sw_inverse(family, np.array(0.5)) / model(family).sigma)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -143,11 +160,12 @@ def test_ph_aft_weibull_identity():
 
 
 def test_ph_cumulative_hazard_scales():
-    m = PhModel("loglogistic", 0.7, [0.4], 1.2)
     t = np.array([0.5, 1.0, 2.0])
-    lam0 = cumulative_hazard(m, t, np.zeros((3, 1)))
-    lam1 = cumulative_hazard(m, t, np.ones((3, 1)))
-    assert np.allclose(lam1, lam0 * np.exp(0.4))
+    for family in FAMILIES:
+        m = PhModel(family, 0.7, [0.4], model(family).sigma)
+        lam0 = cumulative_hazard(m, t, np.zeros((3, 1)))
+        lam1 = cumulative_hazard(m, t, np.ones((3, 1)))
+        assert np.allclose(lam1, lam0 * np.exp(0.4), rtol=1e-13, atol=0.0)
 
 
 def test_model_validation():
