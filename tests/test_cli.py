@@ -377,6 +377,38 @@ def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("fit", "--family", "exponential"),
+     "6393f3b91b6fb6809dd3b4130d3bb28615502a1c90d2411bb1da00c8fba637dc"),
+    (("fit", "--family", "weibull"),
+     "594a44571e4dfb636eb6bd3da6040aeec27e0ebe900904b67a92d1411f319a3c"),
+    (("fit", "--family", "loglogistic"),
+     "70f5995a1b2b9ef9f0dbb46bedeeda672d72675d207015c4b8497bb1d70f7834"),
+    (("fit", "--family", "lognormal"),
+     "5e0b2d3cd95c0e16a53a964fdf062196ce6fa7e34ed84b4af14f80cf07079a34"),
+    (("fit", "--method", "3se-ph"),
+     "3d5006041ab94d5e120d08eee2246d2d368165a631029c708dedb2103dd7c1bd"),
+    (("fit", "--method", "2se"),
+     "d1e8e0e646d08ececcd04b6c5de480120574b213c65aef470fa0a7a9ff875a6f"),
+    (("bootstrap", "--reps", "4"),
+     "eefa0e16e50e7e6861602d694c7f32b2dc9a49206c741ccf6635b8073fd098aa"),
+    (("simulate", "--n", "400", "--reps", "2"),
+     "05038b80fd46c19ffe5a8f6b3885f5c93c4258a9b172d0e98851eabfe0593460"),
+], ids=["3se-aft-exponential", "3se-aft-weibull", "3se-aft-loglogistic",
+        "3se-aft-lognormal", "3se-ph", "2se", "bootstrap", "simulate"])
+def test_json_bytes_are_recorded(tmp_path, capsys, monkeypatch, argv, sha256):
+    # recorded JSON of `fit` and `bootstrap` on the `coprisk gen --seed 1
+    # --n 400` sample and of `simulate`; the input path is relative, so the
+    # echoed config is the same in every directory
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "gen", "--seed", "1", "--n", "400", "--output", "sample.csv")
+    assert code == 0
+    source = () if argv[0] == "simulate" else ("--input", "sample.csv")
+    code, out, err = run(capsys, *argv, *source)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_gen_without_covariate(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys, name="flat.csv", extra=("--no-covariate",))
     header = path.read_text().splitlines()[0]
