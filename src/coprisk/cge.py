@@ -17,12 +17,12 @@ sort of its durations, the whole first stage, and returns the sort too.
 From the sort, ``left_columns`` gives each row's left-limit column for the
 three-stage fit and ``kept_columns`` each kept row's right-continuous
 column in every stratum for the two-stage fit.  One kernel fills a table
-at a chunk of thetas: it forms each curve's running sum once and hands it
-to one of two heads.  ``curves`` applies the generator and serves the
-three-stage search and the CLI's curve dump; ``log_curves`` applies only
-its log-scale step, log S, which the two-stage criterion transforms
-without an exp and log round trip.  Both call the generator without its
-input checks: the running sums are finite and >= 0 by construction.
+at a chunk of thetas: ``log_curves`` forms each curve's running sum and
+applies the generator's log-scale step, log S, which the two-stage
+criterion transforms without an exp and log round trip.  ``curves`` is its
+exp, taken in place, and serves the three-stage search and the CLI's curve
+dump.  The step runs without the generator's input checks: the running
+sums are finite and >= 0 by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import _generator, _log_generator
+from .copula import _log_generator
 from .data import Dataset, StrataIndex
 from .errors import EstimationError
 
@@ -200,13 +200,16 @@ def kept_columns(ds: Dataset, table: CurveTable, sample: SortedStrata, kept: np.
     return columns
 
 
-def _fill(table: CurveTable, thetas: np.ndarray, head) -> np.ndarray:
-    """The table's columns at each theta of a 1-d array, one row per theta:
-    head(running sums, thetas as a column), with a row of NaN at a theta at
-    which any curve's sum overflows.
+def log_curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
+    """The log of the table's curves at each theta of a 1-d array, one row
+    per theta, from the generator's log-scale step, so a curve value that
+    exp would round to 0 keeps its finite log.
 
     The integrand -phi_inv_deriv(pi_hat(u-)) is pi_hat(u-)**-(theta+1), and
-    each curve's sum runs over its own span.
+    each curve's sum runs over its own span.  Each curve's first column is
+    +-0, a curve clamped at zero (theta < 0, once its sum leaves the
+    generator's support) is -inf, and a theta at which any curve's sum
+    overflows gets a row of NaN.
     """
     col = np.asarray(thetas, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore"):
@@ -217,28 +220,18 @@ def _fill(table: CurveTable, thetas: np.ndarray, head) -> np.ndarray:
         # the terms are positive, so an overflowed sum ends its span at inf
         failed = np.isinf(running[:, [span.stop - 1 for span in table.spans]]).any(axis=1)
         running[failed] = 0.0
-        values = head(running, col)
+        values = _log_generator(running, col)
     values[failed] = np.nan
     return values
 
 
 def curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
-    """The table's curves at each theta of a 1-d array, one row per theta.
-
-    For theta < 0 a curve clamps at zero once its accumulated sum leaves the
-    generator's support.  A theta at which any curve's sum overflows gets a
-    row of NaN.
+    """The table's curves at each theta of a 1-d array, one row per theta:
+    exp of ``log_curves``, so a curve clamped at zero is 0 and a theta at
+    which any curve's sum overflows gets a row of NaN.
     """
-    return _fill(table, thetas, _generator)
-
-
-def log_curves(table: CurveTable, thetas: np.ndarray) -> np.ndarray:
-    """The log of ``curves``, from the generator's log-scale step without
-    its exp, so a curve value that exp would round to 0 keeps its finite
-    log.  Each curve's first column is +-0, a curve clamped at zero is -inf,
-    and a theta at which any curve's sum overflows gets a row of NaN.
-    """
-    return _fill(table, thetas, _log_generator)
+    values = log_curves(table, thetas)
+    return np.exp(values, out=values)
 
 
 def trim_support(table: CurveTable, ds: Dataset) -> TrimBounds:

@@ -49,7 +49,8 @@ def generator(u, theta):
     u = np.asarray(u, dtype=float)
     if not ((u >= 0).all() and np.isfinite(u).all()):
         raise ValueError("generator argument u must be finite and >= 0")
-    return _ret(_generator(u, theta), u.ndim == 0)
+    out = _log_generator(u, theta)
+    return _ret(np.exp(out, out=out), u.ndim == 0)
 
 
 def _log_generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -72,19 +73,12 @@ def _log_generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generator(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``generator`` without its checks: exp of ``_log_generator``, so a
-    point with 1 + theta*u <= 0 maps to exp(-inf) = 0."""
-    out = _log_generator(u, theta)
-    return np.exp(out, out=out)
-
-
 def generator_inverse(s, theta: float):
     """Quasi-inverse phi_theta^{-1}(s) on s in (0, 1]."""
     theta = _validate_theta(theta)
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
-    if np.any(s <= 0.0) or np.any(s > 1.0):
+    if not np.all((s > 0.0) & (s <= 1.0)):
         raise ValueError("generator_inverse argument s must lie in (0, 1]")
     if abs(theta) < THETA_ZERO_TOL:
         return _ret(-np.log(s), scalar)
@@ -98,7 +92,7 @@ def generator_inverse_deriv(s, theta: float):
     theta = _validate_theta(theta)
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
-    if np.any(s <= 0.0) or np.any(s > 1.0):
+    if not np.all((s > 0.0) & (s <= 1.0)):
         raise ValueError("generator_inverse_deriv argument s must lie in (0, 1]")
     out = -np.exp(-(theta + 1.0) * np.log(s))
     return _ret(out, scalar)
@@ -131,7 +125,7 @@ def conditional_v_given_u(u, w, theta: float):
     w = np.asarray(w, dtype=float)
     scalar = u.ndim == 0 and w.ndim == 0
     u, w = np.broadcast_arrays(u, w)
-    if np.any(u <= 0.0) or np.any(u >= 1.0) or np.any(w <= 0.0) or np.any(w >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0) & (w > 0.0) & (w < 1.0)):
         raise ValueError("conditional_v_given_u requires u, w in the open interval (0, 1)")
 
     if abs(theta) < THETA_ZERO_TOL:

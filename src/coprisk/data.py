@@ -24,13 +24,14 @@ class Dataset:
 
     x is the observed duration (> 0), delta the integer risk label
     (0 = censored/other cause, 1..m = cause of failure), z a k-vector of
-    covariates (k may be zero).
+    covariates (k may be zero).  The dataset holds read-only copies, so the
+    caller's arrays stay writeable and later writes to them do not reach it.
     """
 
     __slots__ = ("x", "delta", "z")
 
     def __init__(self, x, delta, z=None):
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)
         delta = np.asarray(delta)
         if delta.dtype.kind == "u":
             # past int64 the cast below would wrap
@@ -52,7 +53,7 @@ class Dataset:
         delta = delta.astype(int)
         if z is None:
             z = np.empty((x.shape[0], 0))
-        z = np.asarray(z, dtype=float)
+        z = np.array(z, dtype=float)
         if z.ndim == 1:
             z = z.reshape(-1, 1)
         if x.ndim != 1 or delta.ndim != 1 or z.ndim != 2:
@@ -123,9 +124,9 @@ def load_csv(
     used only once among x, delta and z, and a used column must be named
     only once in the header.  Fields may be quoted, so an
     unused column may hold commas, and may have spaces around the number;
-    blank lines are skipped.  Rows with a non-positive or missing x, or a
-    missing, negative or non-integral delta (1.0 is accepted, 1.5 is not),
-    are rejected with a line number that counts the header as line 1 and
+    blank lines are skipped.  Rows with a non-positive or missing x, a
+    missing, negative or non-integral delta (1.0 is accepted, 1.5 is not)
+    or a missing or non-finite covariate are rejected with a line number that counts the header as line 1 and
     then each non-blank row, which is the file line when the file has no
     blank lines.
     """
@@ -182,12 +183,14 @@ def load_csv(
 
 
 def _check_rows(path, cols: np.ndarray) -> None:
-    """Reject the first row (x, delta, ...) of cols whose x is not finite
-    and > 0, or whose delta is not a whole number in [0, 2**63)."""
-    x, delta = cols[:, 0], cols[:, 1]
+    """Reject the first row (x, delta, z...) of cols whose x is not finite
+    and > 0, whose delta is not a whole number in [0, 2**63) or whose
+    covariates are not all finite."""
+    x, delta, z = cols[:, 0], cols[:, 1], cols[:, 2:]
     bad_x = ~(np.isfinite(x) & (x > 0.0))
     fractional = ~(np.isfinite(delta) & (delta == np.floor(delta)))
-    bad = bad_x | fractional | (delta < 0.0) | (delta >= LABEL_LIMIT)
+    bad_z = ~np.isfinite(z).all(axis=1)
+    bad = bad_x | fractional | (delta < 0.0) | (delta >= LABEL_LIMIT) | bad_z
     if not bad.any():
         return
     i = int(np.argmax(bad))
@@ -198,7 +201,10 @@ def _check_rows(path, cols: np.ndarray) -> None:
         raise DataError(f"{where}: delta must be a whole number, got {float(delta[i])}")
     if delta[i] < 0.0:
         raise DataError(f"{where}: delta must be >= 0, got {int(delta[i])}")
-    raise DataError(f"{where}: delta must be below 2**63, got {float(delta[i])}")
+    if delta[i] >= LABEL_LIMIT:
+        raise DataError(f"{where}: delta must be below 2**63, got {float(delta[i])}")
+    value = z[i][~np.isfinite(z[i])][0]
+    raise DataError(f"{where}: covariates z must be finite, got {float(value)}")
 
 
 def _unparseable(path, fh, usecols: list[int], exc: ValueError) -> DataError:

@@ -513,6 +513,13 @@ def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray, events_only: bool):
     return values, errors, coef, mean_gap
 
 
+def _cvm_kernel(plan: _CvmPlan, events_only: bool, thetas: np.ndarray):
+    """The three-stage criterion at each theta of a chunk: _cvm_value's
+    outputs and each theta's number of clamped rows."""
+    s_cl, n_clamped = _row_values(plan, thetas)
+    return (*_cvm_value(plan, s_cl, events_only), n_clamped)
+
+
 def _pair_structure(strata: StrataIndex):
     # reference stratum = the largest (ties resolved lexicographically); the
     # remaining strata each contribute one contrast row z_j - z_ref
@@ -579,11 +586,6 @@ def _variance_plan(ds: Dataset) -> _VariancePlan:
     )
 
 
-def _coef_variance(row_sums: np.ndarray) -> np.ndarray:
-    """Sample variance of the rows' summed coefficients, along the last axis."""
-    return np.var(row_sums, ddof=1, axis=-1)
-
-
 def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
     """The two-stage criterion at each theta of a chunk.
 
@@ -611,7 +613,8 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
         row_sums = plan.weights[0] * contrasts[:, 0]
         for j in range(1, plan.weights.size):
             row_sums += plan.weights[j] * contrasts[:, j]
-        values = _coef_variance(row_sums)
+        # the sample variance of the rows' summed coefficients
+        values = np.var(row_sums, ddof=1, axis=-1)
     errors: list = [None] * thetas.size
     failed = ~np.isfinite(values)
     if failed.any():
@@ -718,37 +721,38 @@ def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
     the best bracket one tau at a time.
 
     kernel maps an array of thetas to (values, failure messages, *outputs)
-    as the kernels do; it never raises, and its outputs may be views of
-    scratch memory that its next call overwrites.  A failed theta is NaN
-    with its own message and is skipped; the search fails only if every
-    grid point fails, with the points' distinct messages.  tau_hat is the
-    evaluated tau with the least finite value (the lower tau on a tie), and
-    the search keeps a copy of the kernel's outputs there, so no evaluation
-    follows the refinement.  Returns (tau_hat, trace, the kernel's outputs
-    at tau_hat, diagnostics): n_grid_failed counts the failed grid points
-    and grid_local_minima holds the grid taus whose finite value lies below
-    both finite neighbours, so a criterion with several modes shows them
-    all.
+    as the kernels do; it never raises, it sets a failed theta's value to
+    NaN with its own message, and its outputs may be views of scratch memory
+    that its next call overwrites.  Every call goes through one scoring
+    step, which records each tau's value in the trace (a failed one as NaN)
+    and keeps a copy of the kernel's outputs at the evaluated tau with the
+    least finite value (the lower tau on a tie), tau_hat, so no evaluation
+    follows the refinement.  A non-finite value is a failure and is skipped;
+    the search fails only if every grid point fails, with the points'
+    distinct messages.  Returns (tau_hat, trace, the kernel's outputs at
+    tau_hat, diagnostics): n_grid_failed counts the failed grid points and
+    grid_local_minima holds the grid taus whose finite value lies below both
+    finite neighbours, so a criterion with several modes shows them all.
     """
     best = (math.inf, math.inf, None)  # value, tau, outputs
+    trace: list = []
 
-    def keep(taus, values, errors, outputs) -> None:
+    def score(taus: np.ndarray):
         nonlocal best
-        ok = np.isfinite(values) & np.array([e is None for e in errors])
+        values, errors, *outputs = kernel(_thetas(taus))
+        ok = np.isfinite(values)
         if ok.any():
             i = int(np.flatnonzero(ok)[np.argmin(values[ok])])
             if (values[i], taus[i]) < best[:2]:
                 best = (float(values[i]), float(taus[i]), [out[i].copy() for out in outputs])
+        trace.extend(zip(taus.tolist(), values.tolist()))
+        return values, errors
 
     values = np.empty(grid.size)
     errors: list = []
     for start in range(0, grid.size, chunk):
-        taus = grid[start:start + chunk]
-        chunk_values, chunk_errors, *outputs = kernel(_thetas(taus))
-        keep(taus, chunk_values, chunk_errors, outputs)
-        values[start:start + chunk] = chunk_values
+        values[start:start + chunk], chunk_errors = score(grid[start:start + chunk])
         errors.extend(chunk_errors)
-    trace = [(float(tau), float(v)) for tau, v in zip(grid, values)]
     failed = [e for e in errors if e is not None]
     if best[2] is None:
         messages = dict.fromkeys(failed)  # distinct, in grid order
@@ -760,15 +764,11 @@ def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
     minima = tuple(float(t) for t in grid[1:-1][is_min])
 
     def value(tau: float) -> float:
-        taus = np.array([tau])
-        tau_values, tau_errors, *outputs = kernel(_thetas(taus))
-        keep(taus, tau_values, tau_errors, outputs)
-        y = math.inf if tau_errors[0] is not None else float(tau_values[0])
-        trace.append((tau, y))
-        return y
+        (y,), _ = score(np.array([tau]))
+        return float(y) if math.isfinite(y) else math.inf
 
     # the best grid point first, then its neighbours by value; a failed
-    # neighbour enters as inf
+    # point enters the refinement as inf
     scores = np.where(np.isfinite(values), values, math.inf)
     lo, hi = max(i - 1, 0), min(i + 1, grid.size - 1)
     if hi > lo:
@@ -822,13 +822,8 @@ def fit_3se(
     _check_smooth_knots(smooth_knots)
     grid = _validate_tau_grid(tau_grid)
     plan = _cvm_plan(ds, family, model_kind, smooth_knots)
-
-    def kernel(thetas: np.ndarray):
-        s_cl, n_clamped = _row_values(plan, thetas)
-        return (*_cvm_value(plan, s_cl, events_only), n_clamped)
-
     tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
-        kernel, grid, plan.chunk)
+        functools.partial(_cvm_kernel, plan, events_only), grid, plan.chunk)
     return FitResult3SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),

@@ -131,7 +131,7 @@ def survival(model: AftModel, t, z):
     baseline S(t|0) to the power exp(z'beta).
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("time t must be >= 0")
     ph = isinstance(model, PhModel)
     zb = _zb(model, z)
@@ -155,7 +155,7 @@ def inverse_survival(model: AftModel, u, z):
     zb = _zb(model, z)
     if isinstance(model, PhModel):
         u, zb = u ** np.exp(-zb), 0.0
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("inverse_survival argument u must lie strictly inside (0, 1)")
     w = _sw_inverse(model.family, u)
     out = np.exp(w / model.sigma - np.log(model.alpha) - zb)

@@ -237,6 +237,11 @@ def dict_reader_load(path, x_col="x", delta_col="delta", z_cols=None):
             dval = int(dfloat)
             if dval < 0:
                 raise DataError(f"{path}: line {lineno}: delta must be >= 0, got {dval}")
+            bad_z = [v for v in zrow if not np.isfinite(v)]
+            if bad_z:
+                raise DataError(
+                    f"{path}: line {lineno}: covariates z must be finite, got {bad_z[0]}"
+                )
             xs.append(xval)
             deltas.append(dval)
             zs.append(zrow)

@@ -72,6 +72,16 @@ def test_fit_single_stratum_2se_exits_4(tmp_path, capsys):
     assert "covariate" in json.loads(err)["error"]["message"]
 
 
+def test_fit_2se_with_copied_covariates_exits_4(tmp_path, capsys):
+    # a second covariate that copies the first: its coefficient is not identified
+    ds = load_csv(gen_csv(tmp_path, capsys, n=400, seed=1))
+    path = tmp_path / "copied.csv"
+    csv_writer_rows(path, ds.x, ds.delta, np.column_stack([ds.z, ds.z]))
+    code, _, err = run(capsys, "fit", "--input", str(path), "--method", "2se")
+    assert code == 4
+    assert "level contrasts do not span" in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_simulate_failures_carry_their_reason(capsys, jobs):
     code, out, err = run(capsys, "simulate", "--no-covariate", "--method", "2se",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coprisk.copula import (
     THETA_ZERO_TOL,
-    _generator,
+    _log_generator,
     conditional_v_given_u,
     generator,
     generator_inverse,
@@ -77,9 +77,10 @@ def test_inverse_examples():
 
 
 def test_inverse_domain_errors():
-    for bad in (0.0, -0.2, 1.0001):
-        with pytest.raises(ValueError):
-            generator_inverse(bad, 1.0)
+    for bad in (0.0, -0.2, 1.0001, np.nan, [0.5, np.nan]):
+        for f in (generator_inverse, generator_inverse_deriv):
+            with pytest.raises(ValueError, match="argument s must lie in"):
+                f(bad, 1.0)
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -174,10 +175,10 @@ def test_conditional_countermonotone():
 
 
 def test_conditional_domain_errors():
-    with pytest.raises(ValueError):
-        conditional_v_given_u(0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        conditional_v_given_u(0.5, 1.0, 1.0)
+    # NaN fails the check before numpy could warn about it
+    for u, w in ((0.0, 0.5), (0.5, 1.0), (np.nan, 0.5), (0.5, np.nan), ([0.5, np.nan], 0.5)):
+        with pytest.raises(ValueError, match="open interval"):
+            conditional_v_given_u(u, w, 1.0)
 
 
 @given(
@@ -197,17 +198,18 @@ def test_conditional_fuzz_in_unit_interval(theta, u, w):
     [-1.0, -0.5, 0.3, 2.0, 30.0],               # without it
 ])
 def test_generator_core_equals_the_checked_formula(thetas):
-    # the unchecked core, on a column of thetas against a 2-d u, has the
-    # bits of the formula with the theta = 0 limit applied per element
+    # the unchecked log-scale core, on a column of thetas against a 2-d u,
+    # has the bits of the formula with the theta = 0 limit applied per
+    # element, and the checked generator those of its exp
     u = np.random.default_rng(3).exponential(1.0, (1, 200)) * np.array([[1.0]] * len(thetas))
     u[:, :3] = [0.0, 0.5, 4.0]
     col = np.array(thetas).reshape(-1, 1)
     zero = np.abs(col) < THETA_ZERO_TOL
     safe = np.where(zero, 1.0, col)
     with np.errstate(divide="ignore"):
-        expected = np.exp(-np.log(np.maximum(1.0 + safe * u, 0.0)) / safe)
-    expected = np.where(zero, np.exp(-u), expected)
-    got = _generator(u, col)
-    assert got.tobytes() == expected.tobytes()
-    assert generator(u, col).tobytes() == expected.tobytes()
+        log_expected = -np.log(np.maximum(1.0 + safe * u, 0.0)) / safe
+    log_expected = np.where(zero, -u, log_expected)
+    assert _log_generator(u, col).tobytes() == log_expected.tobytes()
+    got = generator(u, col)
+    assert got.tobytes() == np.exp(log_expected).tobytes()
     assert got[0, 2] == 0.0  # theta = -1 clamps at zero from u = 1 on

@@ -96,6 +96,20 @@ def test_dataset_validation():
         ds.x[0] = 5.0  # immutable
 
 
+def test_dataset_copies_the_callers_arrays():
+    x, delta, z = np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), np.array([0.0, 1.0, 0.0])
+    ds = Dataset(x, delta, z)
+    assert ds.x is not x and ds.z.base is not z
+    for arr in (x, delta, z):
+        assert arr.flags.writeable
+        arr[0] = 5
+    assert ds.x.tolist() == [1.0, 2.0, 3.0]
+    assert ds.delta.tolist() == [1, 0, 1]
+    assert ds.z.tolist() == [[0.0], [1.0], [0.0]]
+    for arr in (ds.x, ds.delta, ds.z):
+        assert not arr.flags.writeable
+
+
 def test_dataset_rejects_float_labels_past_int64():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's cast warning would fail here
@@ -344,6 +358,16 @@ BAD_ROWS = {
     "delta = -1": ("x,delta\n1.0,1\n2.0,-1\n", "line 3: delta must be >= 0, got -1"),
     "delta = 1.5": ("x,delta\n1.0,1\n2.0,1.5\n",
                     "line 3: delta must be a whole number, got 1.5"),
+    "z1 = nan": ("x,delta,z1\n1.0,1,0\n2.0,0,nan\n",
+                 "line 3: covariates z must be finite, got nan"),
+    "z1 = inf": ("x,delta,z1\n1.0,1,0\n2.0,0,inf\n",
+                 "line 3: covariates z must be finite, got inf"),
+    "z2 = -inf": ("x,delta,z1,z2\n1.0,1,0,0\n2.0,0,1,-inf\n3.0,1,nan,0\n",
+                  "line 3: covariates z must be finite, got -inf"),
+    "bad delta before bad z": ("x,delta,z1\n1.0,1,0\n2.0,-1,nan\n",
+                               "line 3: delta must be >= 0, got -1"),
+    "bad z before bad text": ("x,delta,z1\n1.0,1,0\n2.0,0,nan\nthree,0,0\n",
+                              "line 3: covariates z must be finite, got nan"),
     "line after blank": ("x,delta\n1.0,1\n\n2.0,0\n3.0,-1\n",
                          "line 4: delta must be >= 0, got -1"),
     "bad value before bad text": ("x,delta\n1.0,1\n-2.0,0\nthree,0\n",

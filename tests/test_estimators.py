@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprisk import cli
-from coprisk.cge import CURVE_OVERFLOW, CurveTable, curves, log_curves, sorted_table
+from coprisk.cge import (
+    CURVE_OVERFLOW,
+    CurveTable,
+    TrimBounds,
+    curves,
+    log_curves,
+    sorted_table,
+)
 from coprisk.data import Dataset, stratify
 from coprisk.errors import EstimationError
 from coprisk.estimators import (
@@ -17,8 +24,8 @@ from coprisk.estimators import (
     TAU_TOL,
     FglsFit,
     _brent,
-    _coef_variance,
     _covariate_term,
+    _cvm_kernel,
     _cvm_plan,
     _cvm_value,
     _pair_structure,
@@ -30,6 +37,7 @@ from coprisk.estimators import (
     _thetas,
     _variance_plan,
     _variance_value,
+    _VariancePlan,
     fgls_fit,
     fit_2se,
     fit_3se,
@@ -570,6 +578,26 @@ def test_search_keeps_the_best_evaluation(f, tau_hat, chunk):
     np.testing.assert_allclose(output, fresh, rtol=1e-12, atol=0)
 
 
+def test_a_failed_refinement_probe_is_nan_in_the_trace():
+    # the criterion's minimum at tau = 0.62 lies where it fails, (0.6, 0.7),
+    # so the refinement's probes above the grid point 0.6 fail; each is NaN
+    # in the trace, as a failed grid point is, and none is tau_hat
+    grid = np.linspace(-0.9, 0.9, 19)
+
+    def kernel(thetas):
+        taus = thetas / (thetas + 2.0)
+        failed = (taus > 0.6 + 1e-9) & (taus < 0.7 - 1e-9)
+        values = np.where(failed, np.nan, (taus - 0.62) ** 2)
+        return values, ["fails here" if f else None for f in failed], -values
+
+    tau_hat, trace, (output,), diagnostics = _search_tau(kernel, grid, 4)
+    assert tau_hat == grid[15] and output == -dict(trace)[tau_hat]
+    assert diagnostics["n_grid_failed"] == 0
+    failed = [v for tau, v in trace if 0.6 < tau < 0.7]
+    assert len(failed) >= 2 and all(math.isnan(v) for v in failed)
+    assert all(math.isfinite(v) for tau, v in trace if not 0.6 < tau < 0.7)
+
+
 @pytest.mark.parametrize("kind", ["3se", "2se"])
 def test_search_returns_the_kernel_outputs_at_tau_hat(kind):
     ds = batch_dataset()
@@ -578,12 +606,7 @@ def test_search_returns_the_kernel_outputs_at_tau_hat(kind):
     def kernel_of(plan):
         if kind == "2se":
             return functools.partial(_variance_value, plan)
-
-        def kernel(thetas):
-            s_cl, n_clamped = _row_values(plan, thetas)
-            return (*_cvm_value(plan, s_cl, False), n_clamped)
-
-        return kernel
+        return functools.partial(_cvm_kernel, plan, False)
 
     def plan_of():
         return _variance_plan(ds) if kind == "2se" else _cvm_plan(ds, "weibull", "aft")
@@ -1217,8 +1240,6 @@ def test_weights_score_the_summed_row_coefficients():
         b = contrasts.T @ plan.diffs_pinv.T
         np.testing.assert_allclose(plan.weights @ contrasts, b.sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
-        assert _coef_variance(plan.weights @ contrasts) == pytest.approx(
-            float(np.var(b.sum(axis=1), ddof=1)), rel=1e-12)
         assert value == pytest.approx(float(np.var(b.sum(axis=1), ddof=1)), rel=1e-12)
 
 
@@ -1230,19 +1251,30 @@ def test_two_strata_row_sums_have_the_bits_of_the_matmul():
     thetas = _thetas(BATCH_TAUS)
     values, _, contrasts = _variance_value(plan, thetas)
     assert np.all(np.isfinite(values))
-    assert values.tobytes() == _coef_variance(plan.weights @ contrasts).tobytes()
+    assert values.tobytes() == np.var(plan.weights @ contrasts, ddof=1, axis=-1).tobytes()
 
 
-def _row_sums(b_values):
-    # two strata's log cumulative hazards at three kept rows whose
-    # coefficients are exactly b_values; the single contrast z1 - z0 = 1
-    log_l0 = np.log([0.2, 0.4, 0.6])
-    contrasts = (log_l0 + np.asarray(b_values) - log_l0)[None, :]
-    return np.linalg.pinv(np.array([[1.0]])).sum(axis=0) @ contrasts
+def hand_variance_value(b_values):
+    """The two-stage criterion at theta = 0 on a hand-made plan of two
+    strata whose three kept rows have coefficients b_values: at theta = 0
+    with pi_hat = 1 a curve's cumulative hazard is the running sum of its
+    jumps, 0.2, 0.4 and 0.6 at the rows in the reference stratum and
+    exp(b) times that in the other, and the single contrast is z1 - z0 = 1."""
+    hazards = np.array([[0.2, 0.4, 0.6]]) * np.exp([[0.0], [1.0]] * np.asarray(b_values))
+    with_start = np.pad(hazards, ((0, 0), (1, 0)))  # each curve's first column is 0
+    table = CurveTable(spans=(slice(0, 4), slice(4, 8)), times=np.tile([0.0, 1.0, 2.0, 3.0], 2),
+                       log_pi_left=np.zeros(8),
+                       jumps=np.diff(with_start, prepend=0.0, axis=1).ravel())
+    plan = _VariancePlan(trim=TrimBounds(3.0, 1.0, np.arange(3)), table=table,
+                         columns=np.array([[1, 2, 3], [5, 6, 7]]), diffs_pinv=np.eye(1),
+                         weights=np.ones(1), log_l=np.empty((1, 2, 3)), chunk=1)
+    (value,), (error,), _ = _variance_value(plan, np.array([0.0]))
+    assert error is None
+    return value
 
 
 def test_variance_objective_hand_value():
-    assert _coef_variance(_row_sums([1.0, 2.0, 3.0])) == pytest.approx(1.0, abs=1e-10)
+    assert hand_variance_value([1.0, 2.0, 3.0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_b_matrix_rejects_curve_value_one():
@@ -1258,7 +1290,7 @@ def test_b_matrix_rejects_curve_value_one():
 
 
 def test_variance_objective_zero_for_ph_curves():
-    assert _coef_variance(_row_sums([0.7, 0.7, 0.7])) <= 1e-20
+    assert hand_variance_value([0.7, 0.7, 0.7]) <= 1e-20
 
 
 def test_variance_objective_single_row_error():
@@ -1330,21 +1362,14 @@ OVERFLOW_TAUS = np.array([0.9, 0.98, 0.94])
 def test_overflowing_theta_fails_alone_in_its_chunk(kind):
     ds = overflow_dataset()
     if kind == "3se":
-        plan = _cvm_plan(ds, "weibull", "aft")
-
-        def kernel(thetas):
-            return _cvm_value(plan, _row_values(plan, thetas)[0], False)[:2]
+        kernel = functools.partial(_cvm_kernel, _cvm_plan(ds, "weibull", "aft"), False)
     else:
-        plan = _variance_plan(ds)
-
-        def kernel(thetas):
-            return _variance_value(plan, thetas)[:2]
-
-    values, errors = kernel(_thetas(OVERFLOW_TAUS))
+        kernel = functools.partial(_variance_value, _variance_plan(ds))
+    values, errors, *_ = kernel(_thetas(OVERFLOW_TAUS))
     assert errors == [None, CURVE_OVERFLOW, None]
     assert np.isnan(values[1])
     for i in (0, 2):
-        (one,), _ = kernel(_thetas(OVERFLOW_TAUS[i:i + 1]))
+        (one,), *_ = kernel(_thetas(OVERFLOW_TAUS[i:i + 1]))
         np.testing.assert_allclose(values[i], one, rtol=1e-12, atol=0)
 
 
@@ -1423,6 +1448,35 @@ def test_model_rejects_an_alpha_outside_the_float_range(model_kind, coef, log_al
     fit = FglsFit("weibull", model_kind, np.array(coef), 0)
     with pytest.raises(EstimationError, match=f"^estimated log alpha = {log_alpha} puts alpha"):
         fit.model()
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0])
+def test_model_rejects_a_ph_shape_that_is_not_positive(sigma):
+    fit = FglsFit("weibull", "ph", np.array([0.5, sigma, 1.0]), 0)
+    with pytest.raises(EstimationError, match="^estimated baseline shape .* is not positive"):
+        fit.model()
+
+
+@pytest.mark.parametrize("inv_sigma", [-1.0, 0.0])
+def test_model_rejects_a_slope_that_is_not_positive(inv_sigma):
+    fit = FglsFit("weibull", "aft", np.array([0.0, 1.0, inv_sigma]), 0)
+    with pytest.raises(EstimationError,
+                       match=r"^estimated inverse shape 1/sigma = \S+ is not positive"):
+        fit.model()
+
+
+def copied_covariate_dataset():
+    """The benchmark sample of batch_dataset with its covariate repeated as
+    a second column: two strata for two coefficients."""
+    ds = batch_dataset()
+    return Dataset(ds.x, ds.delta, np.column_stack([ds.z, ds.z]))
+
+
+def test_2se_rejects_level_contrasts_that_do_not_span():
+    ds = copied_covariate_dataset()
+    assert (ds.k, stratify(ds).n_strata) == (2, 2)
+    with pytest.raises(EstimationError, match="level contrasts do not span"):
+        fit_2se(ds)
 
 
 @pytest.mark.parametrize("inv_sigma", [1e-320, 5e-324])

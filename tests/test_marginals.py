@@ -45,8 +45,12 @@ def test_hazard_strictly_increasing():
 
 
 def test_survival_rejects_negative_time():
+    # a comparison with NaN is false, so NaN fails the check too
+    for bad in ([1.0, -0.5], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            survival(model("weibull"), bad, np.zeros((2, 1)))
     with pytest.raises(ValueError, match="t must be >= 0"):
-        survival(model("weibull"), [1.0, -0.5], np.zeros((2, 1)))
+        survival(model("weibull"), np.nan, [0.0])
 
 
 def test_survival_examples():
@@ -91,7 +95,7 @@ def test_inverse_survival_domain_errors():
     # the check applies to the value inverted: a PhModel's u ** exp(-z'beta)
     for family in FAMILIES:
         for m in (model(family), PhModel(family, 1.0, [1.0], model(family).sigma)):
-            for bad in (0.0, 1.0, [0.5, 1.5]):
+            for bad in (0.0, 1.0, [0.5, 1.5], np.nan, [0.5, np.nan]):
                 with pytest.raises(ValueError, match="inverse_survival argument u"):
                     inverse_survival(m, bad, [0.0])
 
