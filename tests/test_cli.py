@@ -398,6 +398,8 @@ def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
      "5e0b2d3cd95c0e16a53a964fdf062196ce6fa7e34ed84b4af14f80cf07079a34"),
     (("fit", "--method", "3se-ph"),
      "3d5006041ab94d5e120d08eee2246d2d368165a631029c708dedb2103dd7c1bd"),
+    (("fit", "--events-only"),
+     "799688ae0a853244c268b45223d789a9a20597bd2165ddea61872bd7b316eab5"),
     (("fit", "--method", "2se"),
      "d1e8e0e646d08ececcd04b6c5de480120574b213c65aef470fa0a7a9ff875a6f"),
     (("bootstrap", "--reps", "4"),
@@ -405,7 +407,7 @@ def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
     (("simulate", "--n", "400", "--reps", "2"),
      "05038b80fd46c19ffe5a8f6b3885f5c93c4258a9b172d0e98851eabfe0593460"),
 ], ids=["3se-aft-exponential", "3se-aft-weibull", "3se-aft-loglogistic",
-        "3se-aft-lognormal", "3se-ph", "2se", "bootstrap", "simulate"])
+        "3se-aft-lognormal", "3se-ph", "3se-events-only", "2se", "bootstrap", "simulate"])
 def test_json_bytes_are_recorded(tmp_path, capsys, monkeypatch, argv, sha256):
     # recorded JSON of `fit` and `bootstrap` on the `coprisk gen --seed 1
     # --n 400` sample and of `simulate`; the input path is relative, so the

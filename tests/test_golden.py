@@ -37,6 +37,8 @@ FITS = {
     **{f"3se-aft-{family}": (lambda ds, family=family: fit_3se(ds, family))
        for family in ("exponential", "weibull", "loglogistic", "lognormal")},
     "3se-ph": lambda ds: fit_3se(ds, "weibull", model_kind="ph"),
+    "3se-aft-weibull-events-only": lambda ds: fit_3se(ds, "weibull", events_only=True),
+    "3se-ph-events-only": lambda ds: fit_3se(ds, "weibull", model_kind="ph", events_only=True),
     "2se": fit_2se,
 }
 CASES = [f"{data}/{fit}" for data in DATASETS for fit in FITS]
