@@ -13,10 +13,10 @@ before same-time censorings.
 Only the generator depends on theta.  A ``CurveTable`` lays the theta-free
 pieces of one or more curves out as the columns of one table.
 ``sorted_table`` builds the table of every stratum of a dataset from one
-sort of its durations, the whole first stage, and returns the sort too.
-From the sort, ``left_columns`` gives each row's left-limit column for the
-three-stage fit and ``kept_columns`` each kept row's right-continuous
-column in every stratum for the two-stage fit.  One kernel fills a table
+sort of its durations, the whole first stage, and returns the sort with
+each knot's run end.  From them, ``left_columns`` gives each row's
+left-limit column for the three-stage fit and ``kept_columns`` each kept
+row's right-continuous column in every stratum for the two-stage fit.  One kernel fills a table
 at a chunk of thetas: ``log_curves`` forms each curve's running sum and
 applies the generator's log-scale step, log S, which the two-stage
 criterion transforms without an exp and log round trip.  ``curves`` is its
@@ -82,14 +82,13 @@ class SortedStrata:
     strata in the order of strata.levels.  Tied durations come in no set
     order, which no count depends on.  knot_ends[j] holds, for each knot of
     stratum j, the end of its run of tied durations within the stratum's
-    slice, and knot_rows[j] one row at that knot.
+    slice.
     """
 
     order: np.ndarray
     rows: np.ndarray
     slices: tuple[slice, ...]
     knot_ends: tuple[np.ndarray, ...]
-    knot_rows: tuple[np.ndarray, ...]
 
 
 def sorted_table(ds: Dataset, strata: StrataIndex) -> tuple[CurveTable, SortedStrata]:
@@ -108,31 +107,30 @@ def sorted_table(ds: Dataset, strata: StrataIndex) -> tuple[CurveTable, SortedSt
     is_event = ds.delta == 1
     stops = np.cumsum(strata.sizes)
     slices = tuple(slice(stop - size, stop) for stop, size in zip(stops, strata.sizes))
-    spans, knot_ends, knot_rows, times, log_pi_left, jumps = [], [], [], [], [], []
+    spans, knot_ends, times, log_pi_left, jumps = [], [], [], [], []
     start = 0
     for part in slices:
-        below, ends, *curve = _stratum_curve(ds.x[rows[part]], is_event[rows[part]])
-        spans.append(slice(start, start + 1 + below.size))
+        ends, *curve = _stratum_curve(ds.x[rows[part]], is_event[rows[part]])
+        spans.append(slice(start, start + 1 + ends.size))
         knot_ends.append(ends)
-        knot_rows.append(rows[part][below])
         for pieces, piece in zip((times, log_pi_left, jumps), curve):
             pieces += [[0.0], piece]
-        start += 1 + below.size
+        start += 1 + ends.size
     table = CurveTable(tuple(spans), np.concatenate(times), np.concatenate(log_pi_left),
                        np.concatenate(jumps))
-    return table, SortedStrata(order, rows, slices, tuple(knot_ends), tuple(knot_rows))
+    return table, SortedStrata(order, rows, slices, tuple(knot_ends))
 
 
 def _stratum_curve(x: np.ndarray, events: np.ndarray):
     """One stratum's knots from its durations in ascending order and their
     cause-1 flags.
 
-    Returns the start and the end of each knot's run of tied durations, and
-    the curve's knot times, log pi_hat(t-) and jumps dF.  A run with a
-    cause-1 event is a knot, and its start counts the stratum's durations
-    below it.  At a knot, pi_hat(t-) is 1 - (durations below) / n and F(t)
-    is (events up to the knot) / n: the empirical survivor of the
-    durations and the empirical cause-1 incidence.
+    Returns the end of each knot's run of tied durations, and the curve's
+    knot times, log pi_hat(t-) and jumps dF.  A run with a cause-1 event is
+    a knot, and its start counts the stratum's durations below it.  At a
+    knot, pi_hat(t-) is 1 - (durations below) / n and F(t) is (events up to
+    the knot) / n: the empirical survivor of the durations and the
+    empirical cause-1 incidence.
     """
     n = x.size
     # the runs' starts, then n
@@ -146,7 +144,7 @@ def _stratum_curve(x: np.ndarray, events: np.ndarray):
     # no event lies between knot runs, so the sums from each knot's start to
     # the next knot's are its events
     cum_events = np.cumsum(np.add.reduceat(events, below, dtype=np.intp))
-    return (below, ends, x[below], np.log(1.0 - below / n),
+    return (ends, x[below], np.log(1.0 - below / n),
             np.diff(cum_events / n, prepend=0.0))
 
 
@@ -173,8 +171,8 @@ def kept_columns(ds: Dataset, table: CurveTable, sample: SortedStrata, kept: np.
 
     The counts run over the durations in ascending order.  Each run of tied
     durations gets a number, each curve's knots are marked at the runs of
-    its knot rows, and a kept row reads the running count of marks at its
-    own run.
+    the knots' last rows, and a kept row reads the running count of marks
+    at its own run.
     """
     order = sample.order
     x = ds.x[order]
@@ -186,7 +184,7 @@ def kept_columns(ds: Dataset, table: CurveTable, sample: SortedStrata, kept: np.
     run[order] = np.cumsum(new, dtype=np.intp)  # numbered from 1
     n_runs = int(run[order[-1]])
     kept_runs = run[kept]
-    knot_runs = [run[sample.knot_rows[j]] for j in strata]
+    knot_runs = [run[sample.rows[sample.slices[j]][sample.knot_ends[j] - 1]] for j in strata]
     del run
     columns = np.empty((len(strata), kept.size), dtype=np.intp)
     knots = np.empty(n_runs + 1, dtype=np.intp)

@@ -31,14 +31,14 @@ the search catches nothing; it fails only if every grid point fails.
 Each fit builds one plan per dataset before its search, from one sort of
 the durations (``cge.sorted_table``, the first stage).  Both plans hold one
 ``cge.CurveTable`` of every stratum's curve (strata from ``stratify``) and
-the table columns that the rows read: each row's own stratum at its left
-limit (3SE, ``cge.left_columns``), or each kept row in every stratum,
-right-continuously (2SE, ``cge.kept_columns``).  Both come from running
-counts over the sorted rows; no plan searches the knots.  The three-stage
-plan also holds a thin QR of the regression's theta-free columns over the
-cause-1 rows, the number of rows that read each column, and each row's
-stratum code (from ``stratify``) with the strata's covariate levels; the
-two-stage plan holds the weights of that linear combination.
+the table columns that the rows read: each scored row's own stratum at its
+left limit (3SE, ``cge.left_columns``), or each kept row in every stratum,
+right-continuously (2SE, ``cge.kept_columns``), both from running counts
+over the sorted rows, not a search of the knots.  The three-stage plan
+scores all rows, or the cause-1 rows alone (events_only); it holds a thin
+QR of the regression's theta-free columns over the cause-1 rows, how many
+of all rows read each column, and each scored row's stratum code with the
+strata's levels; the two-stage plan holds that combination's weights.
 The criterion is one kernel that scores a chunk of thetas at once: it
 fills the table (one row per theta) and presmooths and clamps the curves
 (3SE, ``cge.curves``) or takes log(-log S) of their logs (2SE,
@@ -430,13 +430,13 @@ class _CvmPlan:
     """What the three-stage criterion needs that does not depend on theta.
 
     table holds every stratum's curve and windows each curve's presmoothing
-    window (1 for none); gather holds each row's column in the table, for
-    the left-limit lookup.  regression holds the QR over the cause-1 rows
-    (events); log_x and codes, each row's stratum, cover all rows, for the
-    model's survival, which reads each row's covariates from the strata's
-    levels (strata x k).  chunk is the number of thetas per grid-pass call.
-    counts[c] is the number of rows that read column c, so clamped table
-    values count as clamped rows.
+    window (1 for none).  gather (each row's column in the table, for the
+    left-limit lookup), log_x and codes (each row's stratum, whose levels,
+    strata x k, give its covariates) cover the scored rows: all rows, or
+    the cause-1 rows alone (events_only).  regression holds the QR over the
+    cause-1 rows, at positions events.  chunk is the number of thetas per
+    grid-pass call.  counts[c] is the number of all rows that read column c,
+    so clamped table values count as clamped rows.
     """
 
     table: CurveTable
@@ -451,25 +451,29 @@ class _CvmPlan:
     chunk: int
 
 
-def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None) -> _CvmPlan:
+def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None,
+              events_only: bool = False) -> _CvmPlan:
     strata = stratify(ds)
     table, sample = sorted_table(ds, strata)
     gather = left_columns(table, sample)
     del sample  # see _variance_plan
     windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
                     for span in table.spans)
+    counts = np.bincount(gather, minlength=table.times.size)
     events = np.flatnonzero(ds.delta == 1)
-    log_x = np.log(ds.x)
+    log_x, codes = np.log(ds.x), strata.codes
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
-    return _CvmPlan(table=table, windows=windows, gather=gather,
-                    counts=np.bincount(gather, minlength=table.times.size), events=events,
-                    regression=regression, log_x=log_x,
+    if events_only:
+        gather, log_x, codes = gather[events], log_x[events], codes[events]
+        events = np.arange(events.size)
+    return _CvmPlan(table=table, windows=windows, gather=gather, counts=counts,
+                    events=events, regression=regression, log_x=log_x,
                     levels=np.array(strata.levels, dtype=float),
-                    codes=strata.codes, chunk=_grid_chunk(ds.n))
+                    codes=codes, chunk=_grid_chunk(ds.n))
 
 
 def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row curve values at the left limit of each observed duration,
+    """Curve values at the left limit of each scored row's duration,
     clamped, one row per theta, and each theta's number of clamped rows.
 
     The table is clamped before the rows are gathered from it: clipping
@@ -484,8 +488,8 @@ def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.take(values, plan.gather, axis=1), n_clamped
 
 
-def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray, events_only: bool):
-    """Criterion from clamped per-row curve values, one row of s_cl per theta.
+def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray):
+    """Criterion from the scored rows' clamped values, one row of s_cl per theta.
 
     Returns (values, failure messages, regression coefficients, mean gaps),
     one entry per theta; a failed theta's value is NaN and its message is in
@@ -497,8 +501,6 @@ def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray, events_only: bool):
     coef, errors = _solve(plan.regression, np.take(s_cl, plan.events, axis=1))
     gap = _model_survival(plan.regression, coef, plan.log_x, plan.levels, plan.codes, errors)
     gap -= s_cl
-    if events_only:
-        gap = np.take(gap, plan.events, axis=1)
     mean_gap = np.mean(gap, axis=1)
     values = np.mean(np.square(gap, out=gap), axis=1)
     # a theta that failed above has NaN coefficients, hence a NaN value
@@ -513,11 +515,11 @@ def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray, events_only: bool):
     return values, errors, coef, mean_gap
 
 
-def _cvm_kernel(plan: _CvmPlan, events_only: bool, thetas: np.ndarray):
+def _cvm_kernel(plan: _CvmPlan, thetas: np.ndarray):
     """The three-stage criterion at each theta of a chunk: _cvm_value's
     outputs and each theta's number of clamped rows."""
     s_cl, n_clamped = _row_values(plan, thetas)
-    return (*_cvm_value(plan, s_cl, events_only), n_clamped)
+    return (*_cvm_value(plan, s_cl), n_clamped)
 
 
 def _pair_structure(strata: StrataIndex):
@@ -821,9 +823,9 @@ def fit_3se(
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
     _check_smooth_knots(smooth_knots)
     grid = _validate_tau_grid(tau_grid)
-    plan = _cvm_plan(ds, family, model_kind, smooth_knots)
+    plan = _cvm_plan(ds, family, model_kind, smooth_knots, events_only)
     tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
-        functools.partial(_cvm_kernel, plan, events_only), grid, plan.chunk)
+        functools.partial(_cvm_kernel, plan), grid, plan.chunk)
     return FitResult3SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),

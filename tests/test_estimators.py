@@ -245,7 +245,7 @@ def test_cvm_perfect_fit_is_zero():
     ds, _, model = noiseless_dataset("weibull", n=120)
     plan = _cvm_plan(ds, "weibull", "aft", smooth_knots=0)
     s_exact = survival(model, ds.x, ds.z)
-    values, errors, _, _ = _cvm_value(plan, s_exact[None, :], False)
+    values, errors, _, _ = _cvm_value(plan, s_exact[None, :])
     assert errors == [None]
     assert values[0] <= 1e-18
 
@@ -606,7 +606,7 @@ def test_search_returns_the_kernel_outputs_at_tau_hat(kind):
     def kernel_of(plan):
         if kind == "2se":
             return functools.partial(_variance_value, plan)
-        return functools.partial(_cvm_kernel, plan, False)
+        return functools.partial(_cvm_kernel, plan)
 
     def plan_of():
         return _variance_plan(ds) if kind == "2se" else _cvm_plan(ds, "weibull", "aft")
@@ -710,16 +710,16 @@ def test_curve_kernel_rows_equal_copula_graphic():
     ("exponential", "aft", False), ("weibull", "ph", False),
 ])
 def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
-    plan = amplified_plan(_cvm_plan(batch_dataset(), family, model_kind))
+    plan = amplified_plan(_cvm_plan(batch_dataset(), family, model_kind, events_only=events_only))
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     rows, clamped = _row_values(plan, thetas)
-    batch = _cvm_value(plan, rows, events_only)
+    batch = _cvm_value(plan, rows)
     assert clamped[1] > 2 and clamped[2] > 2  # rows read a curve clamped at zero
     for i in range(thetas.size):
         one_rows, n_clamped = _row_values(plan, thetas[i:i + 1])
         assert_rows_equal(rows[i], one_rows[0])
-        values, errors, coef, mean_gap = _cvm_value(plan, one_rows, events_only)
+        values, errors, coef, mean_gap = _cvm_value(plan, one_rows)
         assert errors == [None] and batch[1][i] is None
         assert_rows_equal(batch[0][i], values[0])
         assert_rows_equal(batch[2][i], coef[0])
@@ -802,7 +802,7 @@ def test_failed_theta_keeps_its_chunk_mates():
     def kernel(thetas):
         rows, _ = _row_values(plan, thetas)
         rows[thetas == theta_04] = 0.5
-        return _cvm_value(plan, rows, False)
+        return _cvm_value(plan, rows)
 
     single = {tau: kernel(_thetas([tau]))[0][0] for tau in BATCH_TAUS}
     grid_errors = kernel(_thetas(BATCH_TAUS))[1]
@@ -1362,7 +1362,7 @@ OVERFLOW_TAUS = np.array([0.9, 0.98, 0.94])
 def test_overflowing_theta_fails_alone_in_its_chunk(kind):
     ds = overflow_dataset()
     if kind == "3se":
-        kernel = functools.partial(_cvm_kernel, _cvm_plan(ds, "weibull", "aft"), False)
+        kernel = functools.partial(_cvm_kernel, _cvm_plan(ds, "weibull", "aft"))
     else:
         kernel = functools.partial(_variance_value, _variance_plan(ds))
     values, errors, *_ = kernel(_thetas(OVERFLOW_TAUS))
