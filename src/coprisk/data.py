@@ -176,8 +176,7 @@ def load_csv(
         raise DataError(f"{path}: no data rows")
     _check_rows(path, cols)
     try:
-        return Dataset(np.ascontiguousarray(cols[:, 0]), cols[:, 1].astype(int),
-                       np.ascontiguousarray(cols[:, 2:]))
+        return Dataset(cols[:, 0], cols[:, 1].astype(int), cols[:, 2:])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -259,10 +258,10 @@ def _first_rejected(fields: list[str]) -> int | None:
 def pool_risks(ds: Dataset, target: int) -> Dataset:
     """Recode the target risk label to 1 and pool all other risks as 0."""
     target = int(target)
-    if not np.any(ds.delta == target):
+    is_target = ds.delta == target
+    if not is_target.any():
         raise DataError(f"target risk label {target} does not occur in the data")
-    pooled = (ds.delta == target).astype(int)
-    return Dataset(ds.x, pooled, ds.z)
+    return Dataset(ds.x, is_target.astype(int), ds.z)
 
 
 def stratify(ds: Dataset) -> StrataIndex:

@@ -169,31 +169,36 @@ class FglsFit:
     n_clamped: int
 
     def model(self) -> AftModel:
-        """Decode (alpha, beta, sigma); fails if the implied shape is not
-        positive or alpha = exp(log alpha) is not a positive finite float."""
+        """Decode (alpha, beta, sigma); fails unless beta is finite and the
+        shape and alpha = exp(log alpha) are positive finite floats."""
         c = self.coef
+        beta = c[2:] if self.model_kind == "ph" else c[1:-1]
+        if not np.all(np.isfinite(beta)):
+            raise EstimationError(f"estimated beta = {beta.tolist()} is not finite")
         if self.model_kind == "ph":
             sigma = c[1]
-            if not sigma > 0:
+            # a comparison with NaN is false
+            if not 0.0 < sigma < math.inf:
                 raise EstimationError(
-                    f"estimated baseline shape {sigma:.6g} is not positive"
+                    f"estimated baseline shape {sigma:.6g} is not positive and finite"
                 )
-            return PhModel("weibull", _alpha(c[0] / sigma), c[2:], sigma)
+            return PhModel("weibull", _alpha(c[0] / sigma), beta, sigma)
         inv_sigma = float(c[-1])
         if not inv_sigma > 0:
             raise EstimationError(
                 f"estimated inverse shape 1/sigma = {inv_sigma:.6g} is not positive; "
                 "the regression slope on the transformed curve is degenerate"
             )
-        # a Python float division overflows to inf without a warning
+        # a Python float division overflows to inf, or underflows to 0 for
+        # an infinite slope, without a warning
         sigma = 1.0 / inv_sigma
-        if not math.isfinite(sigma):
+        if not 0.0 < sigma < math.inf:
             raise EstimationError(
                 f"estimated inverse shape 1/sigma = {inv_sigma:.6g} puts sigma "
                 "outside the floating-point range; the regression slope on the "
                 "transformed curve is degenerate"
             )
-        return AftModel(self.family, _alpha(c[0]), c[1:-1], sigma)
+        return AftModel(self.family, _alpha(c[0]), beta, sigma)
 
 
 def _alpha(log_alpha: float) -> float:
@@ -362,6 +367,9 @@ def fgls_fit(ds: Dataset, s_hat, family: str) -> FglsFit:
     s_hat = np.asarray(s_hat, dtype=float)
     if s_hat.shape != (ds.n,):
         raise ValueError("s_hat must supply one survival value per dataset row")
+    # a comparison with NaN is false
+    if not np.all((s_hat >= 0.0) & (s_hat <= 1.0)):
+        raise ValueError("s_hat values must lie in [0, 1]")
     s_cl, n_clamped = _clamp_curve_values(s_hat)
     coef, errors = _solve(_regression(family, "aft", np.log(ds.x), ds.z), s_cl[None, :])
     if errors[0] is not None:

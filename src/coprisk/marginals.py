@@ -39,6 +39,8 @@ def _as_beta(beta) -> np.ndarray:
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     if beta.ndim != 1:
         raise ValueError("beta must be a 1-d coefficient vector")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError(f"beta must be finite, got {beta.tolist()}")
     return beta
 
 
@@ -58,10 +60,11 @@ class AftModel:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "sigma", float(self.sigma))
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        # a comparison with NaN is false
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.family == "exponential" and self.sigma != 1.0:
             raise ValueError("the exponential family fixes sigma = 1")
 

@@ -111,6 +111,37 @@ def test_missing_file_exits_3(tmp_path, capsys):
     assert json.loads(err)["error"]["kind"] == "data"
 
 
+def test_one_row_csv_exits_3(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("x,delta,z1\n1.0,1,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "fit", "--input", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "data", "message": f"{path}: a dataset needs at least 2 rows, got 1"}
+
+
+def test_empty_z_cols_fits_without_covariates(tmp_path, capsys):
+    path = gen_csv(tmp_path, capsys, n=400)
+    code, out, err = run(capsys, "fit", "--input", str(path), "--z-cols", "")
+    assert code == 0, err
+    assert json.loads(out)["result"]["params"]["beta"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--n", "50", "--beta-t", "nan"), "beta must be finite, got [nan]"),
+    (("simulate", "--n", "200", "--reps", "1", "--alpha-t", "inf"),
+     "alpha must be finite and > 0, got inf"),
+    (("simulate", "--n", "200", "--reps", "1", "--sigma-t", "inf"),
+     "sigma must be finite and > 0, got inf"),
+], ids=["gen-beta-nan", "simulate-alpha-inf", "simulate-sigma-inf"])
+def test_non_finite_model_parameters_exit_2(tmp_path, capsys, argv, message):
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"kind": "usage", "message": message}
+    assert not target.exists()
+
+
 def test_bad_row_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("x,delta\n1.0,1\n-2.0,0\n", encoding="utf-8")
@@ -137,6 +168,10 @@ def test_bad_tau_grid_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", "oops")
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "usage"
+    code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", "0.5:0.1:0.1")
+    assert code == 2
+    assert json.loads(err)["error"] == {"kind": "usage",
+                                        "message": "--tau-grid needs step > 0 and hi >= lo"}
 
 
 @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.1:0.5:inf"])
@@ -492,6 +527,14 @@ def test_curve_bad_tau_writes_nothing(tmp_path, capsys, to_file):
     assert json.loads(err)["error"]["message"] == "tau must lie in [-1, 1), got inf"
     assert out == ""
     assert not target.exists()
+
+
+def test_curve_tau_list_without_values_exits_2(tmp_path, capsys):
+    path = gen_csv(tmp_path, capsys, n=200)
+    code, out, err = run(capsys, "curve", "--input", str(path), "--tau-list", ",")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"kind": "usage",
+                                        "message": "--tau-list must contain at least one value"}
 
 
 def test_curve_overflow_is_an_estimation_error(tmp_path, capsys):

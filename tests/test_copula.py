@@ -81,6 +81,9 @@ def test_inverse_domain_errors():
         for f in (generator_inverse, generator_inverse_deriv):
             with pytest.raises(ValueError, match="argument s must lie in"):
                 f(bad, 1.0)
+    for f in (generator_inverse, generator_inverse_deriv):
+        with pytest.raises(ValueError, match=r"^theta must be a finite number >= -1, got -2.0$"):
+            f(0.5, -2.0)
 
 
 @pytest.mark.parametrize("theta", THETAS)
@@ -137,6 +140,8 @@ def test_tau_round_trip_and_monotone():
 def test_tau_domain_error():
     with pytest.raises(ValueError):
         theta_from_tau(1.0)
+    with pytest.raises(ValueError, match=r"^theta must be a finite number >= -1, got nan$"):
+        tau_from_theta(math.nan)
 
 
 @given(st.floats(min_value=-0.999, max_value=0.999))

@@ -45,6 +45,8 @@ def test_load_missing_columns(tmp_path):
         load_csv(path)
     ds = load_csv(path, x_col="time", delta_col="status")
     assert ds.n == 2
+    with pytest.raises(DataError, match=r"covariate columns not found: \['z9'\]$"):
+        load_csv(path, x_col="time", delta_col="status", z_cols=["z9"])
 
 
 def test_load_unparseable_row(tmp_path):
@@ -90,6 +92,12 @@ def test_dataset_validation():
         Dataset([1.0, 0.0], [1, 0])  # nonpositive duration
     with pytest.raises(DataError):
         Dataset([1.0, 2.0], [1, -1])  # negative label
+    with pytest.raises(DataError, match="^x and delta must be 1-d, z at most 2-d$"):
+        Dataset([[1.0, 2.0]], [1, 0])
+    with pytest.raises(DataError, match="^x, delta and z must have the same number of rows$"):
+        Dataset([1.0, 2.0, 3.0], [1, 0])
+    with pytest.raises(DataError, match="^covariates z must be finite$"):
+        Dataset([1.0, 2.0], [1, 0], [0.0, np.nan])
     ds = Dataset([1.0, 2.0], [1, 0])
     assert ds.k == 0
     with pytest.raises(ValueError):

@@ -104,6 +104,26 @@ def test_fgls_rank_deficiency():
         fgls_fit(ds, np.full(ds.n, 0.5), "weibull")
 
 
+@pytest.mark.parametrize("family", ["exponential", "weibull"])
+@pytest.mark.parametrize("value", [-0.1, 1.5, np.nan, np.inf, -np.inf])
+def test_fgls_rejects_s_hat_outside_the_unit_interval(family, value):
+    ds, s_exact, _ = noiseless_dataset(family, n=30)
+    s = s_exact.copy()
+    s[3] = value
+    with pytest.raises(ValueError, match=r"^s_hat values must lie in \[0, 1\]$"):
+        fgls_fit(ds, s, family)
+    # the ends of the interval are clamped, not rejected
+    s[3] = 0.0
+    s[4] = 1.0
+    assert fgls_fit(ds, s, family).n_clamped == 2
+
+
+def test_fgls_rejects_a_wrong_length_s_hat():
+    ds, s_exact, _ = noiseless_dataset("weibull", n=30)
+    with pytest.raises(ValueError, match="^s_hat must supply one survival value per dataset row$"):
+        fgls_fit(ds, s_exact[:-1], "weibull")
+
+
 def test_fgls_scale_consistency():
     ds, s_exact, _ = noiseless_dataset("weibull")
     base = fgls_fit(ds, s_exact, "weibull").model()
@@ -1450,10 +1470,20 @@ def test_model_rejects_an_alpha_outside_the_float_range(model_kind, coef, log_al
         fit.model()
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
 def test_model_rejects_a_ph_shape_that_is_not_positive(sigma):
     fit = FglsFit("weibull", "ph", np.array([0.5, sigma, 1.0]), 0)
     with pytest.raises(EstimationError, match="^estimated baseline shape .* is not positive"):
+        fit.model()
+
+
+@pytest.mark.parametrize("model_kind, coef", [
+    ("aft", [0.0, np.nan, 0.5]), ("aft", [0.0, -np.inf, 0.5]),
+    ("ph", [0.5, 2.0, np.nan]), ("ph", [0.5, 2.0, np.inf]),
+])
+def test_model_rejects_a_beta_that_is_not_finite(model_kind, coef):
+    fit = FglsFit("weibull", model_kind, np.array(coef), 0)
+    with pytest.raises(EstimationError, match=r"^estimated beta = \[\S+\] is not finite$"):
         fit.model()
 
 
@@ -1479,10 +1509,10 @@ def test_2se_rejects_level_contrasts_that_do_not_span():
         fit_2se(ds)
 
 
-@pytest.mark.parametrize("inv_sigma", [1e-320, 5e-324])
+@pytest.mark.parametrize("inv_sigma", [1e-320, 5e-324, np.inf])
 def test_model_rejects_a_slope_whose_inverse_overflows(inv_sigma):
-    # 1 / inv_sigma is inf; the suite turns numpy's overflow warning into an
-    # error, so the decode must not compute it in numpy
+    # 1 / inv_sigma is inf (0 for an infinite slope); the suite turns numpy's
+    # overflow warning into an error, so the decode must not compute it in numpy
     fit = FglsFit("weibull", "aft", np.array([0.0, 1.0, inv_sigma]), 0)
     with pytest.raises(EstimationError,
                        match=r"^estimated inverse shape 1/sigma = \S+ puts sigma outside"):

@@ -181,3 +181,19 @@ def test_model_validation():
         AftModel("weibull", 1.0, [], -0.5)
     with pytest.raises(ValueError):
         AftModel("exponential", 1.0, [], 2.0)  # sigma fixed at 1
+    with pytest.raises(ValueError, match="^beta must be a 1-d coefficient vector$"):
+        AftModel("weibull", 1.0, [[1.0]], 1.5)
+
+
+@pytest.mark.parametrize("cls", [AftModel, PhModel])
+@pytest.mark.parametrize("alpha, beta, sigma, message", [
+    (1.0, [np.nan], 1.5, r"beta must be finite, got \[nan\]"),
+    (1.0, [np.inf], 1.5, r"beta must be finite, got \[inf\]"),
+    (np.inf, [0.0], 1.5, "alpha must be finite and > 0, got inf"),
+    (np.nan, [0.0], 1.5, "alpha must be finite and > 0, got nan"),
+    (1.0, [0.0], np.inf, "sigma must be finite and > 0, got inf"),
+    (1.0, [0.0], np.nan, "sigma must be finite and > 0, got nan"),
+])
+def test_model_rejects_non_finite_parameters(cls, alpha, beta, sigma, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls("weibull", alpha, beta, sigma)

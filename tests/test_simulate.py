@@ -149,6 +149,11 @@ def test_monte_carlo_names_truth_parameters_the_estimator_lacks():
         monte_carlo(spec, tau_only, {"sigma": 1.5, "tau": 0.8, "alpha": 1.0}, reps=2)
 
 
+def test_monte_carlo_rejects_zero_reps():
+    with pytest.raises(ValueError, match="^reps must be at least 1$"):
+        monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=0)
+
+
 def test_monte_carlo_too_many_failures():
     spec = benchmark_spec(n=40)
 
