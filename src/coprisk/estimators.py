@@ -467,10 +467,10 @@ def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None,
     del sample  # see _variance_plan
     windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
                     for span in table.spans)
-    counts = np.bincount(gather, minlength=table.times.size)
     events = np.flatnonzero(ds.delta == 1)
     log_x, codes = np.log(ds.x), strata.codes
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
+    counts = np.bincount(gather, minlength=table.times.size)  # after the QR: lower peak RSS
     if events_only:
         gather, log_x, codes = gather[events], log_x[events], codes[events]
         events = np.arange(events.size)
