@@ -13,16 +13,16 @@ before same-time censorings.
 Only the generator depends on theta.  A ``CurveTable`` lays the theta-free
 pieces of one or more curves out as the columns of one table.
 ``sorted_table`` builds the table of every stratum of a dataset from one
-sort of its durations, the whole first stage, and returns the sort with
-each knot's run end.  From them, ``left_columns`` gives each row's
+sort of its durations, the whole first stage, and returns the sort and
+each knot's run end, from which ``left_columns`` gives each row's
 left-limit column for the three-stage fit and ``kept_columns`` each kept
-row's right-continuous column in every stratum for the two-stage fit.  One kernel fills a table
-at a chunk of thetas: ``log_curves`` forms each curve's running sum and
-applies the generator's log-scale step, log S, which the two-stage
-criterion transforms without an exp and log round trip.  ``curves`` is its
-exp, taken in place, and serves the three-stage search and the CLI's curve
-dump.  The step runs without the generator's input checks: the running
-sums are finite and >= 0 by construction.
+row's right-continuous column in every stratum for the two-stage fit.
+One kernel fills a table at a chunk of thetas: ``log_curves`` forms each
+curve's running sum and applies the generator's log-scale step, log S,
+which the two-stage criterion transforms without an exp and log round
+trip.  ``curves`` is its exp, taken in place, and serves the three-stage
+search and the CLI's curve dump.  The step runs without the generator's
+input checks: the running sums are finite and >= 0 by construction.
 """
 
 from __future__ import annotations
