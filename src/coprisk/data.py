@@ -255,9 +255,15 @@ def _first_rejected(fields: list[str]) -> int | None:
     return lo
 
 
+def _is_integer(value) -> bool:
+    # a bool is an int to Python, and a float would be truncated
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def pool_risks(ds: Dataset, target: int) -> Dataset:
     """Recode the target risk label to 1 and pool all other risks as 0."""
-    target = int(target)
+    if not _is_integer(target):
+        raise ValueError(f"target risk label must be an integer, got {target!r}")
     is_target = ds.delta == target
     if not is_target.any():
         raise DataError(f"target risk label {target} does not occur in the data")

@@ -77,13 +77,13 @@ designs; see the package README for the summary):
   The transform is convex near 1 and near 0, so plug-in noise otherwise
   translates into a systematic distortion of the fitted shape parameter that
   tilts the dependence search.  The default window for K knots is
-  min(round(K * SMOOTH_KNOT_FRACTION), round(SMOOTH_KNOT_CAP * K^(1/3))).
-  Padding with the end values biases the curve's ends by order window / K;
-  the cap makes that bias o(K^(-1/2)), so it vanishes faster than the
-  root-n noise.  A window that stays a fixed fraction of the knots keeps the
-  bias of order one; on the benchmark design it pinned the dependence search
-  at the grid edge for n >= 20000.  ``smooth_knots`` fixes the window (not
-  capped) or, at 0, disables presmoothing.
+  min(round(K * SMOOTH_KNOT_FRACTION), SMOOTH_WINDOW_CAP).  Padding with the
+  end values biases the curve's ends by order window / K; the constant cap
+  makes that bias O(1/K), so it vanishes faster than the root-n noise.  A
+  window that stays a fixed fraction of the knots keeps the bias of order
+  one; on the benchmark design it pinned the dependence search at the grid
+  edge for n >= 20000.  ``smooth_knots`` fixes the window (not capped) or,
+  at 0, disables presmoothing.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ from .cge import (
     trim_support,
 )
 from .copula import theta_from_tau
-from .data import Dataset, StrataIndex, stratify
+from .data import Dataset, StrataIndex, _is_integer, stratify
 from .errors import EstimationError
 from .marginals import AftModel, PhModel, _check_family, _sw_inverse, sw_survival
 
@@ -121,13 +121,11 @@ S_CLAMP = 1e-6
 DEFAULT_TAU_GRID = np.linspace(-0.9, 0.9, 37)
 
 # Default presmoothing window of the three-stage fit for K jump knots:
-# round(K * SMOOTH_KNOT_FRACTION), capped at round(SMOOTH_KNOT_CAP * K^(1/3))
-# (see module docstring).  The fraction is simulation-calibrated at n = 2000.
-# The cap's constant is not derived from theory: it is chosen so that the cap
-# binds only from 1084 knots on, above every n = 2000 benchmark stratum (at
-# most 761 knots), which keeps the n = 2000 fits unchanged.
+# round(K * SMOOTH_KNOT_FRACTION), capped at SMOOTH_WINDOW_CAP (see module
+# docstring).  The fraction is simulation-calibrated at n = 2000; the cap
+# binds from 762 knots on, above every n = 2000 benchmark stratum.
 SMOOTH_KNOT_FRACTION = 2.0 / 15.0
-SMOOTH_KNOT_CAP = 14.0
+SMOOTH_WINDOW_CAP = 101
 
 # The grid pass evaluates max(1, GRID_CHUNK_ELEMENTS // rows) thetas per
 # kernel call, so its (thetas x rows) arrays stay cache-sized: 16 thetas at
@@ -415,17 +413,14 @@ def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def _check_smooth_knots(smooth_knots) -> None:
-    # a bool is an int to Python, and a float would be truncated
-    if smooth_knots is None or (isinstance(smooth_knots, (int, np.integer))
-                                and not isinstance(smooth_knots, bool) and smooth_knots >= 0):
+    if smooth_knots is None or (_is_integer(smooth_knots) and smooth_knots >= 0):
         return
     raise ValueError(f"smooth_knots must be None or an integer >= 0, got {smooth_knots!r}")
 
 
 def _smooth_window(n_knots: int, smooth_knots) -> int:
     if smooth_knots is None:
-        return max(1, min(int(round(n_knots * SMOOTH_KNOT_FRACTION)),
-                          int(round(SMOOTH_KNOT_CAP * n_knots ** (1.0 / 3.0)))))
+        return max(1, min(round(n_knots * SMOOTH_KNOT_FRACTION), SMOOTH_WINDOW_CAP))
     return max(1, int(smooth_knots))
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _is_integer
 from .errors import EstimationError
 
 
@@ -116,9 +116,9 @@ def bootstrap(
     runs the replicates in worker processes, so fit must then be picklable
     (see map_replicates).
     """
+    if not _is_integer(b) or b < 2:
+        raise ValueError(f"bootstrap needs an integer b >= 2 replicates, got {b!r}")
     b = int(b)
-    if b < 2:
-        raise ValueError("bootstrap needs at least 2 replicates")
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
     point_raw = fit(ds)

@@ -10,7 +10,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .copula import conditional_v_given_u, theta_from_tau
-from .data import Dataset
+from .data import Dataset, _is_integer
 from .inference import map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
@@ -34,8 +34,8 @@ class DgpSpec:
     p_z: float = 0.3
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("sample size n must be at least 2")
+        if not _is_integer(self.n) or self.n < 2:
+            raise ValueError(f"sample size n must be an integer >= 2, got {self.n!r}")
         if not 0.0 < self.p_z < 1.0:
             raise ValueError("p_z must lie in (0, 1)")
         if self.model_t.k != self.model_c.k or self.model_t.k > 1:
@@ -114,6 +114,8 @@ def monte_carlo(
     abort with their reasons.  jobs > 1 runs the replicates in worker
     processes, so the estimator must then be picklable.
     """
+    if not _is_integer(reps):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     reps = int(reps)
     if reps < 1:
         raise ValueError("reps must be at least 1")

@@ -353,11 +353,11 @@ def test_criterion_12_three_stage_large_n_consistency(large_samples):
     sqrt(2000 / n), i.e. by 0.141 at n = 100000, they are 0.0114 and 0.0106.
     Three scaled spreads, rounded up to the next hundredth as in criterion 4,
     give the tolerances |tau_hat - 0.8| <= 0.04 and |sigma_hat - 1.5| <= 0.04
-    for every large sample.  The four tau errors measured 0.005 to 0.038, all
-    positive: the capped presmoothing window still leaves a small upward bias
-    at this n.  The window must shrink relative to the curve for the
-    criterion to hold at all: with a fixed fraction of the knots the fit
-    pinned at the grid edge (tau_hat 0.9, sigma_hat about 1.36).
+    for every large sample.  The four tau errors measured -0.011 to 0.021
+    with the presmoothing window capped at 101 knots.  The window must
+    shrink relative to the curve for the criterion to hold at all: with a
+    fixed fraction of the knots the fit pinned at the grid edge (tau_hat
+    0.9, sigma_hat about 1.36).
     """
     tol_tau, tol_sigma = 0.04, 0.04
     fits = [fit_3se(ds, "weibull") for ds in large_samples]
@@ -372,6 +372,37 @@ def test_criterion_12_three_stage_large_n_consistency(large_samples):
     )
     criterion(
         "criterion 12 (three-stage benchmark, tau0=0.8, root-n consistency)",
+        tau_err <= tol_tau and sigma_err <= tol_sigma,
+        detail,
+    )
+
+
+def test_criterion_13_three_stage_consistency_competing_shape_1():
+    """Three-stage estimator is root-n consistent with a competing shape of 1.
+
+    The target risk follows the benchmark's Weibull model (sigma 1.5), the
+    competing risk a Weibull with sigma 1; the criterion then has one basin.
+    At n = 2000 (150 replicates, substream_rng(SEED, r)) the default fit's
+    RMS errors are 0.0372 in tau around 0.8 and 0.0835 in sigma around 1.5.
+    Scaled by sqrt(2000 / 20000) and tripled, as in criteria 4 and 12, they
+    are 0.0353 and 0.0792, which give the tolerances |tau_hat - 0.8| <= 0.04
+    and |sigma_hat - 1.5| <= 0.08 for each of four n = 20000 samples.
+    """
+    n, tol_tau, tol_sigma = 20_000, 0.04, 0.08
+    spec = DgpSpec(n=n, tau=0.8, model_t=AftModel("weibull", 1.0, [1.0], 1.5),
+                   model_c=AftModel("weibull", 1.0, [1.0], 1.0), p_z=0.3)
+    fits = [fit_3se(generate_dataset(spec, substream_rng(SEED, r)), "weibull")
+            for r in range(4)]
+    tau_err = max(abs(f.tau_hat - 0.8) for f in fits)
+    sigma_err = max(abs(f.model.sigma - 1.5) for f in fits)
+    detail = (
+        f"n={n}: tau_hat={[round(f.tau_hat, 3) for f in fits]}, "
+        f"sigma_hat={[round(f.model.sigma, 3) for f in fits]}, "
+        f"max|tau err|={tau_err:.4f} (<={tol_tau}), "
+        f"max|sigma err|={sigma_err:.4f} (<={tol_sigma})"
+    )
+    criterion(
+        "criterion 13 (three-stage, competing shape 1, tau0=0.8, root-n consistency)",
         tau_err <= tol_tau and sigma_err <= tol_sigma,
         detail,
     )

@@ -172,6 +172,11 @@ def test_pool_risks():
     assert list(pool_risks(binary, 1).delta) == [1, 0]
     with pytest.raises(DataError):
         pool_risks(ds, 5)
+    assert list(pool_risks(ds, np.int64(3)).delta) == [0, 0, 1, 0]
+    # 1.5 would pool label 1, and True is label 1 to numpy
+    for target in (1.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="^target risk label must be an integer, got "):
+            pool_risks(ds, target)
 
 
 def test_pool_preserves_durations():

@@ -435,7 +435,7 @@ def test_smoother_equals_the_always_projected_reference(case):
 @pytest.mark.parametrize("window", [459, 4684])
 def test_smoother_matches_padded_window_mean_on_a_long_curve(window):
     # 35128 knots is the largest stratum of the n = 100000 benchmark sample;
-    # its default window is 459, and 4684 without the cap.  The running sums
+    # 4684 is its window of 2K/15 without a cap.  The running sums
     # reach about 12000, so each difference of two carries an absolute
     # rounding error of a few 1e-12, divided by the window.
     values = noisy_curve(35_128, seed=window, tail=1e-8)
@@ -448,10 +448,11 @@ def test_smoother_matches_padded_window_mean_on_a_long_curve(window):
 
 @pytest.mark.parametrize("n_knots, smooth_knots, window", [
     (761, None, 101),     # largest n = 2000 benchmark stratum: 2K/15, uncapped
-    (1076, None, 143),    # 2K/15 = 14 K^(1/3) near here; both round to 143
-    (1083, None, 144),
-    (1084, None, 144),    # first capped: round(2K/15) = 145
-    (35_128, None, 459),  # largest n = 100000 stratum: 14 K^(1/3), not 4684
+    (762, None, 101),     # first capped: round(2K/15) = 102
+    (1076, None, 101),    # capped: round(2K/15) = 143, 144 and 145
+    (1083, None, 101),
+    (1084, None, 101),
+    (35_128, None, 101),  # largest n = 100000 stratum: 101, not 4684
     (35_128, 4684, 4684),  # an explicit window is not capped
     (35_128, 0, 1),
     (5, None, 1),
@@ -876,17 +877,17 @@ def test_fit_3se_deterministic():
 
 
 def test_fits_keep_their_recorded_values():
-    # values recorded with the Brent refinement, exact: a faster plan or
-    # kernel must not move a fit by one bit
+    # values recorded with the Brent refinement and the default OpenBLAS
+    # threads, exact: a faster plan or kernel must not move a fit by one bit
     model = AftModel("weibull", **BENCH)
     ds = generate_dataset(DgpSpec(n=20000, tau=0.8, model_t=model, model_c=model), 3)
     res = fit_3se(ds, family="weibull")
-    assert (res.tau_hat, res.theta_hat) == (0.8358485046009945, 10.183867074366699)
+    assert (res.tau_hat, res.theta_hat) == (0.7960902696872094, 7.808261709394976)
     assert (res.model.alpha, res.model.beta[0], res.model.sigma) == (
-        1.013343005771904, 1.0016805669800741, 1.452997734757733)
-    assert min(v for _, v in res.objective_trace) == 1.1521902249117773e-05
+        0.9996486546725237, 1.0000312730808907, 1.4820087308036236)
+    assert min(v for _, v in res.objective_trace) == 8.648566870160246e-06
     assert res.diagnostics["n_clamped"] == 2
-    assert res.diagnostics["mean_gap"] == 0.0013973299176473788
+    assert res.diagnostics["mean_gap"] == 0.0010236608585417089
     # the 2SE half recorded with the log-scale kernel (cge.log_curves)
     res = fit_2se(ds)
     assert (res.tau_hat, res.theta_hat) == (0.7919888230389316, 7.614867956707548)

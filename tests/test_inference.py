@@ -196,6 +196,11 @@ def test_argument_validation():
         bootstrap(mean_duration, ds, b=1)
     with pytest.raises(ValueError):
         bootstrap(mean_duration, ds, b=10, level=1.2)
+    # a count must be an integer: 2.7 would run 2 replicates
+    for b in (2.7, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="^bootstrap needs an integer b >= 2 replicates, got "):
+            bootstrap(mean_duration, ds, b=b)
+    assert bootstrap(mean_duration, ds, b=np.int64(3)).n_requested == 3
 
 
 def test_substream_rng_independence():

@@ -84,6 +84,10 @@ def test_no_exact_ties():
 def test_spec_validation():
     with pytest.raises(ValueError):
         benchmark_spec(n=1)
+    for n in (100.5, 100.0, True):
+        with pytest.raises(ValueError, match="^sample size n must be an integer >= 2, got "):
+            benchmark_spec(n=n)
+    assert generate_dataset(benchmark_spec(n=np.int64(10)), 0).n == 10
     with pytest.raises(ValueError):
         DgpSpec(n=10, tau=1.0, model_t=AftModel("weibull", **BENCH),
                 model_c=AftModel("weibull", **BENCH))
@@ -152,6 +156,10 @@ def test_monte_carlo_names_truth_parameters_the_estimator_lacks():
 def test_monte_carlo_rejects_zero_reps():
     with pytest.raises(ValueError, match="^reps must be at least 1$"):
         monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=0)
+    # 1.9 would run 1 replicate
+    for reps in (1.9, 2.0, True):
+        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+            monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=reps)
 
 
 def test_monte_carlo_too_many_failures():
