@@ -76,14 +76,13 @@ designs; see the package README for the summary):
   where the average rises).
   The transform is convex near 1 and near 0, so plug-in noise otherwise
   translates into a systematic distortion of the fitted shape parameter that
-  tilts the dependence search.  The default window for K knots is
+  tilts the dependence search.  The window for K knots is
   min(round(K * SMOOTH_KNOT_FRACTION), SMOOTH_WINDOW_CAP).  Padding with the
   end values biases the curve's ends by order window / K; the constant cap
   makes that bias O(1/K), so it vanishes faster than the root-n noise.  A
   window that stays a fixed fraction of the knots keeps the bias of order
   one; on the benchmark design it pinned the dependence search at the grid
-  edge for n >= 20000.  ``smooth_knots`` fixes the window (not capped) or,
-  at 0, disables presmoothing.
+  edge for n >= 20000.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ from .cge import (
     trim_support,
 )
 from .copula import theta_from_tau
-from .data import Dataset, StrataIndex, _is_integer, stratify
+from .data import Dataset, StrataIndex, stratify
 from .errors import EstimationError
 from .marginals import AftModel, PhModel, _check_family, _sw_inverse, sw_survival
 
@@ -120,7 +119,7 @@ S_CLAMP = 1e-6
 # so a global grid pass precedes the local refinement.
 DEFAULT_TAU_GRID = np.linspace(-0.9, 0.9, 37)
 
-# Default presmoothing window of the three-stage fit for K jump knots:
+# Presmoothing window of the three-stage fit for K jump knots:
 # round(K * SMOOTH_KNOT_FRACTION), capped at SMOOTH_WINDOW_CAP (see module
 # docstring).  The fraction is simulation-calibrated at n = 2000; the cap
 # binds from 762 knots on, above every n = 2000 benchmark stratum.
@@ -412,16 +411,8 @@ def smooth_curve_values(values: np.ndarray, window: int) -> np.ndarray:
     return smoothed
 
 
-def _check_smooth_knots(smooth_knots) -> None:
-    if smooth_knots is None or (_is_integer(smooth_knots) and smooth_knots >= 0):
-        return
-    raise ValueError(f"smooth_knots must be None or an integer >= 0, got {smooth_knots!r}")
-
-
-def _smooth_window(n_knots: int, smooth_knots) -> int:
-    if smooth_knots is None:
-        return max(1, min(round(n_knots * SMOOTH_KNOT_FRACTION), SMOOTH_WINDOW_CAP))
-    return max(1, int(smooth_knots))
+def _smooth_window(n_knots: int) -> int:
+    return max(1, min(round(n_knots * SMOOTH_KNOT_FRACTION), SMOOTH_WINDOW_CAP))
 
 
 def _grid_chunk(rows: int) -> int:
@@ -454,14 +445,13 @@ class _CvmPlan:
     chunk: int
 
 
-def _cvm_plan(ds: Dataset, family: str, model_kind: str, smooth_knots=None,
+def _cvm_plan(ds: Dataset, family: str, model_kind: str,
               events_only: bool = False) -> _CvmPlan:
     strata = stratify(ds)
     table, sample = sorted_table(ds, strata)
     gather = left_columns(table, sample)
     del sample  # see _variance_plan
-    windows = tuple(_smooth_window(span.stop - span.start - 1, smooth_knots)
-                    for span in table.spans)
+    windows = tuple(_smooth_window(span.stop - span.start - 1) for span in table.spans)
     events = np.flatnonzero(ds.delta == 1)
     log_x, codes = np.log(ds.x), strata.codes
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
@@ -809,24 +799,20 @@ def fit_3se(
     model_kind: str = "aft",
     tau_grid=None,
     events_only: bool = False,
-    smooth_knots=None,
 ) -> FitResult3SE:
     """Three-stage fit: stratified curves, marginal regression, dependence search.
 
     model_kind 'aft' fits the chosen family on the acceleration scale; 'ph'
     fits the Weibull-baseline proportional-hazards form (the only baseline
-    supported on the hazard scale).  smooth_knots=None applies the default
-    presmoothing window, an integer >= 1 fixes it, and 0 disables
-    presmoothing; any other value is a ValueError.
+    supported on the hazard scale).
     """
     _check_family(family)
     if model_kind not in ("aft", "ph"):
         raise ValueError(f"unknown model_kind {model_kind!r}; use 'aft' or 'ph'")
     if model_kind == "ph" and family != "weibull":
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
-    _check_smooth_knots(smooth_knots)
     grid = _validate_tau_grid(tau_grid)
-    plan = _cvm_plan(ds, family, model_kind, smooth_knots, events_only)
+    plan = _cvm_plan(ds, family, model_kind, events_only)
     tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
         functools.partial(_cvm_kernel, plan), grid, plan.chunk)
     return FitResult3SE(

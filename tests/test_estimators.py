@@ -263,7 +263,7 @@ def test_qr_solve_needs_more_rows_than_columns(family, model_kind):
 def test_cvm_perfect_fit_is_zero():
     # per-row curve values equal to the true survival fit the model exactly
     ds, _, model = noiseless_dataset("weibull", n=120)
-    plan = _cvm_plan(ds, "weibull", "aft", smooth_knots=0)
+    plan = _cvm_plan(ds, "weibull", "aft")
     s_exact = survival(model, ds.x, ds.z)
     values, errors, _, _ = _cvm_value(plan, s_exact[None, :])
     assert errors == [None]
@@ -446,19 +446,17 @@ def test_smoother_matches_padded_window_mean_on_a_long_curve(window):
     assert np.all(np.diff(smoothed) <= 0.0)
 
 
-@pytest.mark.parametrize("n_knots, smooth_knots, window", [
-    (761, None, 101),     # largest n = 2000 benchmark stratum: 2K/15, uncapped
-    (762, None, 101),     # first capped: round(2K/15) = 102
-    (1076, None, 101),    # capped: round(2K/15) = 143, 144 and 145
-    (1083, None, 101),
-    (1084, None, 101),
-    (35_128, None, 101),  # largest n = 100000 stratum: 101, not 4684
-    (35_128, 4684, 4684),  # an explicit window is not capped
-    (35_128, 0, 1),
-    (5, None, 1),
+@pytest.mark.parametrize("n_knots, window", [
+    (761, 101),     # largest n = 2000 benchmark stratum: 2K/15, uncapped
+    (762, 101),     # first capped: round(2K/15) = 102
+    (1076, 101),    # capped: round(2K/15) = 143, 144 and 145
+    (1083, 101),
+    (1084, 101),
+    (35_128, 101),  # largest n = 100000 stratum: 101, not 4684
+    (5, 1),
 ])
-def test_smooth_window(n_knots, smooth_knots, window):
-    assert _smooth_window(n_knots, smooth_knots) == window
+def test_smooth_window(n_knots, window):
+    assert _smooth_window(n_knots) == window
 
 
 # ---------------------------------------------------------------------------
@@ -1175,20 +1173,24 @@ def test_plan_values_equal_curve_lookups():
         np.concatenate([ds2.z, np.full((40, 1), 2.0)]),
     )
     strata3 = stratify(ds3)
+    plan3 = _cvm_plan(ds3, "weibull", "aft")
+    # the rule's windows, then fixed windows of 25 and of 1 (no presmoothing)
+    plans3 = {None: plan3} | {
+        window: dataclasses.replace(plan3, windows=(window,) * len(plan3.windows))
+        for window in (25, 1)
+    }
     strata2 = stratify(ds2)
     ref, others, _ = _pair_structure(strata2)
     plan2 = _variance_plan(ds2)
     x_kept = ds2.x[plan2.trim.kept]
     for theta in (-0.5, 0.0, 2.0, 8.0):
         by_level = stratum_curves(ds3, theta)
-        for smooth_knots in (None, 25, 0):
-            rows = _row_values(_cvm_plan(ds3, "weibull", "aft", smooth_knots),
-                               np.array([theta]))[0][0]
+        for window, plan in plans3.items():
+            rows = _row_values(plan, np.array([theta]))[0][0]
             for level, idx in zip(strata3.levels, stratum_rows(strata3)):
                 times, values = by_level[level]
-                if smooth_knots is None or smooth_knots > 1:
-                    window = _smooth_window(values.size - 1, smooth_knots)
-                    values = np.append(1.0, smooth_curve_values(values[1:], window))
+                knot_window = _smooth_window(values.size - 1) if window is None else window
+                values = np.append(1.0, smooth_curve_values(values[1:], knot_window))
                 left = step_value(times, values, ds3.x[idx], side="left")
                 assert np.all(rows[idx] == np.clip(left, S_CLAMP, 1.0 - S_CLAMP))
             assert np.all(rows[strata3.codes == 2] == 1.0 - S_CLAMP)
@@ -1444,19 +1446,6 @@ def test_curve_dump_builds_no_step_function_and_sorts_the_durations_once(
     assert cli.main(["curve", "--input", str(path), "--tau-list", "0,0.5"]) == 0
     assert float_sorts == [400]
     assert capsys.readouterr().out.startswith("stratum,tau,t,survival")
-
-
-@pytest.mark.parametrize("smooth_knots", [-5, 2.9, 2.0, math.nan, True, "3"])
-def test_fit_3se_rejects_an_invalid_smoothing_window(smooth_knots):
-    with pytest.raises(ValueError, match="^smooth_knots must be None or an integer >= 0, got "):
-        fit_3se(batch_dataset(), "weibull", smooth_knots=smooth_knots)
-
-
-@pytest.mark.parametrize("smooth_knots", [0, 3, np.int64(3)])
-def test_fit_3se_accepts_an_integer_smoothing_window(smooth_knots):
-    res = fit_3se(batch_dataset(), "weibull", smooth_knots=smooth_knots)
-    expected = fit_3se(batch_dataset(), "weibull", smooth_knots=int(smooth_knots))
-    assert res.objective_trace == expected.objective_trace
 
 
 @pytest.mark.parametrize("model_kind, coef, log_alpha", [
