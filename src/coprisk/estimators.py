@@ -314,7 +314,9 @@ def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
         if deficient.any():
             _mark(errors, deficient, RANK_DEFICIENT)
             ss[deficient] = np.nan
-        slope = (resid @ reg.log_x_resid) / ss
+        # an einsum, not a matmul: OpenBLAS's (1 x m) product sums in an
+        # order that depends on its thread count
+        slope = np.einsum("ij,j->i", resid, reg.log_x_resid) / ss
     coef = np.empty((s.shape[0], reg.q.shape[1] + 1))
     coef[:, :-1] = (reg.q_log_x - slope[:, None] * qv) @ reg.r_inv.T
     coef[:, -1] = slope

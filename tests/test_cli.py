@@ -426,21 +426,21 @@ def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
     (("fit", "--family", "exponential"),
      "6393f3b91b6fb6809dd3b4130d3bb28615502a1c90d2411bb1da00c8fba637dc"),
     (("fit", "--family", "weibull"),
-     "594a44571e4dfb636eb6bd3da6040aeec27e0ebe900904b67a92d1411f319a3c"),
+     "64fa63b26f1d982b766892c84684c825c7f95304f34136452fe9db40e2fd1299"),
     (("fit", "--family", "loglogistic"),
-     "70f5995a1b2b9ef9f0dbb46bedeeda672d72675d207015c4b8497bb1d70f7834"),
+     "17022a5d5062269fb636f22579ebe92d8c1e62e06c7d047babf092b820095a23"),
     (("fit", "--family", "lognormal"),
-     "5e0b2d3cd95c0e16a53a964fdf062196ce6fa7e34ed84b4af14f80cf07079a34"),
+     "44caacaec22524d5dfb8dd421d2f6bbc7b1f0f9f94722290499b053a77de2c96"),
     (("fit", "--method", "3se-ph"),
      "3d5006041ab94d5e120d08eee2246d2d368165a631029c708dedb2103dd7c1bd"),
     (("fit", "--events-only"),
-     "799688ae0a853244c268b45223d789a9a20597bd2165ddea61872bd7b316eab5"),
+     "4aebd15a63d31c2dd751ffe1814d4a70ec66417f0a637986344badbf8db208e9"),
     (("fit", "--method", "2se"),
      "d1e8e0e646d08ececcd04b6c5de480120574b213c65aef470fa0a7a9ff875a6f"),
     (("bootstrap", "--reps", "4"),
-     "eefa0e16e50e7e6861602d694c7f32b2dc9a49206c741ccf6635b8073fd098aa"),
+     "305f0b4728b892c40d0be445bf716edb29e79f8623aebe8b5b52de3d8b605662"),
     (("simulate", "--n", "400", "--reps", "2"),
-     "05038b80fd46c19ffe5a8f6b3885f5c93c4258a9b172d0e98851eabfe0593460"),
+     "1b6d4f2bf055c5f510e3d5e8bc113edad47f62046230c4ead764158b1c2dae18"),
 ], ids=["3se-aft-exponential", "3se-aft-weibull", "3se-aft-loglogistic",
         "3se-aft-lognormal", "3se-ph", "3se-events-only", "2se", "bootstrap", "simulate"])
 def test_json_bytes_are_recorded(tmp_path, capsys, monkeypatch, argv, sha256):

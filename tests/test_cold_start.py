@@ -1,8 +1,10 @@
-"""The CLI in a fresh interpreter: what it imports, and what it writes.
+"""The CLI and the fits in a fresh interpreter.
 
 The other test modules import scipy before any test runs, so only a new
 process shows what ``coprisk fit`` loads on its own and that the families
 whose scipy functions are imported on first use give the same output.
+OpenBLAS reads its thread count once, when numpy is imported, so only a new
+process shows that a fit's bits do not depend on it.
 """
 
 import json
@@ -21,8 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 COLD_UNUSED = ("scipy.special", "concurrent.futures.process", "multiprocessing")
 
 
-def fresh_python(*args):
-    env = dict(os.environ)
+def fresh_python(*args, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=300)
@@ -79,3 +81,24 @@ def test_cold_cli_writes_what_in_process_main_writes(sample, capsys, argv):
     assert proc.returncode == 0, proc.stderr
     assert main([command, "--input", str(sample), *options]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_fits_do_not_depend_on_the_blas_thread_count():
+    # the n = 20000 sample of test_fits_keep_their_recorded_values
+    script = (
+        "from coprisk.estimators import fit_2se, fit_3se\n"
+        "from coprisk.marginals import AftModel\n"
+        "from coprisk.simulate import DgpSpec, generate_dataset\n"
+        "model = AftModel('weibull', 1.0, [1.0], 1.5)\n"
+        "ds = generate_dataset(DgpSpec(n=20000, tau=0.8, model_t=model, model_c=model), 3)\n"
+        "res, res2 = fit_3se(ds, 'weibull'), fit_2se(ds)\n"
+        "print(repr((res.tau_hat, res.model.alpha, res.model.beta.tolist(), res.model.sigma,\n"
+        "            res.objective_trace, res.diagnostics, res2.tau_hat,\n"
+        "            res2.beta_hat.tolist(), res2.objective_trace)))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        proc = fresh_python("-c", script, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
