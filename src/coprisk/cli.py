@@ -118,6 +118,10 @@ def _method(args, point: bool = False):
     view, with the method options bound; fit, bootstrap and simulate all
     take their estimator from here."""
     options = {"tau_grid": _parse_tau_grid(args.tau_grid)}
+    if args.method != "3se-aft" and args.family != "weibull":
+        # 3se-ph fits a weibull baseline and 2se no parametric family
+        raise ValueError(f"--family {args.family} applies only to --method 3se-aft, "
+                         f"not {args.method}")
     if args.method == "2se":
         if args.events_only:
             raise ValueError("--events-only applies only to the 3se methods")

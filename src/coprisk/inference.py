@@ -58,6 +58,11 @@ def _attempt(worker: Callable, fn: Callable, *args):
         return exc
 
 
+def _check_jobs(jobs) -> None:
+    if not _is_integer(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
 def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs: int,
                    chunksize: int, failed: str) -> list:
     """[worker(fn, *args, r) for r in range(count)] without the failed replicates.
@@ -112,15 +117,16 @@ def bootstrap(
     fit maps a Dataset to a {name: value} dict; the names of the point fit
     order the result's parameters.  A replicate on which fit raises an
     EstimationError is skipped and counted; more than B/2 failed replicates,
-    or fewer than 2 completed ones, abort with an EstimationError.  jobs > 1
-    runs the replicates in worker processes, so fit must then be picklable
-    (see map_replicates).
+    or fewer than 2 completed ones, abort with an EstimationError.  jobs, an
+    integer >= 1, is checked before any fit; jobs > 1 runs the replicates in
+    worker processes, so fit must then be picklable (see map_replicates).
     """
     if not _is_integer(b) or b < 2:
         raise ValueError(f"bootstrap needs an integer b >= 2 replicates, got {b!r}")
     b = int(b)
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
+    _check_jobs(jobs)
     point_raw = fit(ds)
     names = tuple(point_raw)
     point = _as_vector(point_raw, names)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .copula import conditional_v_given_u, theta_from_tau
 from .data import Dataset, _is_integer
-from .inference import map_replicates, substream_rng
+from .inference import _check_jobs, map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
 _OPEN_UNIT_EPS = 1e-15
@@ -111,14 +111,16 @@ def monte_carlo(
     Only parameters named in ``truth`` are summarised, and the estimator
     must return each of them.  Replicates on which the estimator raises an
     EstimationError are skipped and counted; more than reps/2 failures
-    abort with their reasons.  jobs > 1 runs the replicates in worker
-    processes, so the estimator must then be picklable.
+    abort with their reasons.  jobs must be an integer >= 1; jobs > 1 runs
+    the replicates in worker processes, so the estimator must then be
+    picklable.
     """
     if not _is_integer(reps):
         raise ValueError(f"reps must be an integer, got {reps!r}")
     reps = int(reps)
     if reps < 1:
         raise ValueError("reps must be at least 1")
+    _check_jobs(jobs)
     start = time.perf_counter()
     results = map_replicates(
         _mc_replicate, estimator, (spec, seed), reps, jobs, chunksize=1,

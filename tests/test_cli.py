@@ -388,6 +388,30 @@ def test_2se_with_events_only_is_a_usage_error(tmp_path, capsys, command):
     assert "--events-only" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command, options, message", [
+    ("fit", ("--method", "3se-ph", "--family", "lognormal"),
+     "--family lognormal applies only to --method 3se-aft, not 3se-ph"),
+    ("fit", ("--method", "2se", "--family", "lognormal"),
+     "--family lognormal applies only to --method 3se-aft, not 2se"),
+    ("bootstrap", ("--method", "3se-ph", "--family", "exponential"),
+     "--family exponential applies only to --method 3se-aft, not 3se-ph"),
+    ("simulate", ("--method", "2se", "--family", "loglogistic"),
+     "--family loglogistic applies only to --method 3se-aft, not 2se"),
+    ("bootstrap", ("--jobs", "0"), "jobs must be an integer >= 1, got 0"),
+    ("simulate", ("--jobs", "-3"), "jobs must be an integer >= 1, got -3"),
+], ids=["fit-3se-ph-family", "fit-2se-family", "bootstrap-3se-ph-family",
+        "simulate-2se-family", "bootstrap-jobs-0", "simulate-jobs-negative"])
+def test_options_outside_their_range_are_usage_errors(tmp_path, capsys, command, options,
+                                                      message):
+    # 3se-ph fits a weibull baseline and 2se no parametric family
+    source = (["--n", "200"] if command == "simulate"
+              else ["--input", str(gen_csv(tmp_path, capsys, n=200))])
+    reps = [] if command == "fit" else ["--reps", "2"]
+    code, out, err = run(capsys, command, *source, *reps, *options)
+    assert code == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {"kind": "usage", "message": message}
+
+
 def test_curve_dump(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys, n=120)
     code, out, _ = run(capsys, "curve", "--input", str(path), "--tau-list", "0,0.8")

@@ -201,6 +201,12 @@ def test_argument_validation():
         with pytest.raises(ValueError, match="^bootstrap needs an integer b >= 2 replicates, got "):
             bootstrap(mean_duration, ds, b=b)
     assert bootstrap(mean_duration, ds, b=np.int64(3)).n_requested == 3
+    # jobs is checked before the point fit
+    fits = []
+    for jobs in (2.5, 0, -3, True, 1.0):
+        with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1, got "):
+            bootstrap(lambda ds: fits.append(ds), ds, b=3, jobs=jobs)
+    assert fits == []
 
 
 def test_substream_rng_independence():

@@ -160,6 +160,9 @@ def test_monte_carlo_rejects_zero_reps():
     for reps in (1.9, 2.0, True):
         with pytest.raises(ValueError, match="^reps must be an integer, got "):
             monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=reps)
+    for jobs in (1.5, 0, -3, True):
+        with pytest.raises(ValueError, match="^jobs must be an integer >= 1, got "):
+            monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=2, jobs=jobs)
 
 
 def test_monte_carlo_too_many_failures():
