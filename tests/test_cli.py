@@ -10,7 +10,7 @@ from coprisk import cli
 from coprisk.cge import CURVE_OVERFLOW
 from coprisk.cli import main
 from coprisk.data import load_csv
-from coprisk.estimators import three_stage_point
+from coprisk.estimators import DEFAULT_TAU_GRID, three_stage_point
 from coprisk.inference import substream_rng
 from coprisk.marginals import AftModel
 from coprisk.simulate import DgpSpec, generate_dataset
@@ -172,6 +172,15 @@ def test_bad_tau_grid_exits_2(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"] == {"kind": "usage",
                                         "message": "--tau-grid needs step > 0 and hi >= lo"}
+
+
+def test_cli_and_library_share_one_default_tau_grid():
+    parser = cli.build_parser()
+    for argv in (["fit", "--input", "in.csv"], ["bootstrap", "--input", "in.csv"],
+                 ["simulate"]):
+        grid = cli._parse_tau_grid(parser.parse_args(argv).tau_grid)
+        assert grid.dtype == DEFAULT_TAU_GRID.dtype
+        assert grid.tobytes() == DEFAULT_TAU_GRID.tobytes()
 
 
 @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.1:0.5:inf"])
