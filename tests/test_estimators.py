@@ -446,7 +446,7 @@ def test_smoother_matches_padded_window_mean_on_a_long_curve(window):
     assert np.all(np.diff(smoothed) <= 0.0)
 
 
-@pytest.mark.parametrize("n_knots, window", [
+SMOOTH_WINDOW_CASES = [
     (761, 101),     # largest n = 2000 benchmark stratum: 2K/15, uncapped
     (762, 101),     # first capped: round(2K/15) = 102
     (1076, 101),    # capped: round(2K/15) = 143, 144 and 145
@@ -454,7 +454,13 @@ def test_smoother_matches_padded_window_mean_on_a_long_curve(window):
     (1084, 101),
     (35_128, 101),  # largest n = 100000 stratum: 101, not 4684
     (5, 1),
-])
+]
+
+
+# each case keeps the id it had when a second argument, None for the rule,
+# could fix the window
+@pytest.mark.parametrize("n_knots, window", SMOOTH_WINDOW_CASES,
+                         ids=[f"{k}-None-{w}" for k, w in SMOOTH_WINDOW_CASES])
 def test_smooth_window(n_knots, window):
     assert _smooth_window(n_knots) == window
 
