@@ -489,6 +489,21 @@ def test_json_bytes_are_recorded(tmp_path, capsys, monkeypatch, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_replicate_csv_bytes_are_recorded(tmp_path, capsys):
+    # recorded `bootstrap --replicates-out` file of 4 replicates on the
+    # `coprisk gen --seed 1 --n 400` sample
+    sample, target = tmp_path / "sample.csv", tmp_path / "reps.csv"
+    code, _, _ = run(capsys, "gen", "--seed", "1", "--n", "400", "--output", str(sample))
+    assert code == 0
+    code, _, err = run(capsys, "bootstrap", "--reps", "4", "--input", str(sample),
+                       "--replicates-out", str(target))
+    assert code == 0, err
+    data = target.read_bytes()
+    assert data.count(b"\n") == 5
+    assert hashlib.sha256(data).hexdigest() == (
+        "2e4227b0835240a18f181c04ff4c100594f0061a7e477eedd3865b0d4b64cd7d")
+
+
 def test_gen_without_covariate(tmp_path, capsys):
     path = gen_csv(tmp_path, capsys, name="flat.csv", extra=("--no-covariate",))
     header = path.read_text().splitlines()[0]
