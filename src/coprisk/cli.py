@@ -25,6 +25,7 @@ from .copula import theta_from_tau
 from .data import Dataset, load_csv, pool_risks, stratify
 from .errors import DataError, EstimationError
 from .estimators import (
+    DEFAULT_TAU_GRID,
     FitResult2SE,
     FitResult3SE,
     fit_2se,
@@ -316,9 +317,10 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 def _add_method_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=METHODS, default="3se-aft")
     parser.add_argument("--family", choices=FAMILIES, default="weibull")
-    parser.add_argument(
-        "--tau-grid", default="-0.9:0.9:0.05", help="dependence search grid lo:hi:step"
-    )
+    # the library's grid written as lo:hi:step, so the two defaults are one
+    lo, second, hi = DEFAULT_TAU_GRID[[0, 1, -1]]
+    parser.add_argument("--tau-grid", default=f"{lo:g}:{hi:g}:{second - lo:g}",
+                        help="dependence search grid lo:hi:step")
     parser.add_argument(
         "--events-only",
         action="store_true",

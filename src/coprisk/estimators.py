@@ -629,8 +629,8 @@ def _variance_value(plan: _VariancePlan, thetas: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _brent(f: Callable[[float], float], lo: float, hi: float, tol: float,
-           start: Sequence[tuple[float, float]] = ()) -> tuple[float, float]:
+def _brent(f: Callable[[float], float], lo: float, hi: float,
+           start: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Bounded Brent minimisation of f on [lo, hi], in fminbound's form:
     parabolic steps through the three best points x, w and v, with a
     golden-section step wherever the parabola is rejected.  Returns the best
@@ -639,23 +639,17 @@ def _brent(f: Callable[[float], float], lo: float, hi: float, tol: float,
     start holds two or three (point, value) pairs in [lo, hi] that are
     already scored, best first: they seed x, w and v (v = w if there are
     two), and the previous two steps count as the bracket's width, so the
-    first step can be parabolic.  Without start, the first evaluation is at
-    the bracket's golden section.  A value may be inf (a failed point); a
+    first step can be parabolic.  A value may be inf (a failed point); a
     parabola through it is rejected.  The search stops when both ends of the
-    bracket lie within 2 * (sqrt(eps) |x| + tol / 3) of x.
+    bracket lie within 2 * (sqrt(eps) |x| + TAU_TOL / 3) of x.
     """
     a, b = lo, hi
-    if start:
-        (x, fx), (w, fw), *rest = start
-        v, fv = rest[0] if rest else (w, fw)
-        e = step = b - a
-    else:
-        x = v = w = a + _GOLDEN * (b - a)
-        fx = fv = fw = f(x)
-        e = step = 0.0
+    (x, fx), (w, fw), *rest = start
+    v, fv = rest[0] if rest else (w, fw)
+    e = step = b - a
     while True:
         mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol1 = _SQRT_EPS * abs(x) + TAU_TOL / 3.0
         tol2 = 2.0 * tol1
         if abs(x - mid) <= tol2 - 0.5 * (b - a):
             return x, fx
@@ -715,7 +709,7 @@ def _thetas(taus: np.ndarray) -> np.ndarray:
 
 def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
     """Grid pass in chunks of up to chunk taus, then Brent refinement inside
-    the best bracket one tau at a time.
+    the best bracket one tau at a time, seeded with its three grid points.
 
     kernel maps an array of thetas to (values, failure messages, *outputs)
     as the kernels do; it never raises, it sets a failed theta's value to
@@ -754,7 +748,6 @@ def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
     if best[2] is None:
         messages = dict.fromkeys(failed)  # distinct, in grid order
         raise EstimationError("criterion failed at every grid point: " + "; ".join(messages))
-    i = int(np.nanargmin(values))
     # a comparison with NaN is false, so failed points never count
     mid = values[1:-1]
     is_min = (mid < values[:-2]) & (mid < values[2:])
@@ -767,10 +760,11 @@ def _search_tau(kernel: Callable, grid: np.ndarray, chunk: int):
     # the best grid point first, then its neighbours by value; a failed
     # point enters the refinement as inf
     scores = np.where(np.isfinite(values), values, math.inf)
+    i = int(np.argmin(scores))
     lo, hi = max(i - 1, 0), min(i + 1, grid.size - 1)
     if hi > lo:
         seeds = sorted({i, lo, hi}, key=lambda j: (j != i, scores[j]))
-        _brent(value, float(grid[lo]), float(grid[hi]), TAU_TOL,
+        _brent(value, float(grid[lo]), float(grid[hi]),
                [(float(grid[j]), float(scores[j])) for j in seeds])
     trace.sort(key=lambda tv: tv[0])
     _, tau_hat, outputs = best

@@ -22,6 +22,7 @@ from coprisk.errors import EstimationError
 from coprisk.estimators import (
     S_CLAMP,
     TAU_TOL,
+    _GOLDEN,
     FglsFit,
     _brent,
     _covariate_term,
@@ -535,8 +536,14 @@ def test_brent_matches_bounded_fminbound(case, seeded):
         evaluated.append(t)
         return f(t)
 
-    start = [(t, f(t)) for t in points] if seeded else ()
-    x, fx = _brent(counted, lo, hi, TAU_TOL, start)
+    if seeded:
+        start = [(t, f(t)) for t in points]
+    else:
+        # a cold start: three copies of the bracket's golden-section point,
+        # whose evaluation counts
+        g = lo + _GOLDEN * (hi - lo)
+        start = [(g, counted(g))] * 3
+    x, fx = _brent(counted, lo, hi, start)
     oracle_x, oracle_fx, oracle_evals = bounded_minimum(f, lo, hi, TAU_TOL)
     assert fx == f(x) and lo <= x <= hi
     assert all(lo < t < hi for t in evaluated)
