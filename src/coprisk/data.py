@@ -117,7 +117,8 @@ def load_csv(
     delta_col: str = "delta",
     z_cols: Sequence[str] | None = None,
 ) -> Dataset:
-    """Read a dataset from a UTF-8 CSV file with a header row.
+    """Read a dataset from a UTF-8 CSV file with a header row; a leading
+    byte-order mark, as spreadsheet exports write, is ignored.
 
     z_cols=None auto-detects covariate columns named z1, z2, ... in order.
     Header names are stripped of surrounding whitespace.  A column may be
@@ -131,7 +132,7 @@ def load_csv(
     blank lines.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
     with fh:

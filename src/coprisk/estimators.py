@@ -293,10 +293,10 @@ def _solve(reg: _Regression, s: np.ndarray) -> tuple[np.ndarray, list]:
     (0, 1), and an overflowed curve's NaN maps to NaN.
     """
     errors: list = [None] * s.shape[0]
-    if reg.model_kind == "ph":
-        return (np.log(-np.log(s)) @ reg.q) @ reg.r_inv.T, errors
     v = _sw_inverse(reg.family, s)
     qv = v @ reg.q
+    if reg.model_kind == "ph":
+        return qv @ reg.r_inv.T, errors
     if reg.family == "exponential":
         slope = np.ones(s.shape[0])
     else:

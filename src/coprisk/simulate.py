@@ -11,7 +11,7 @@ import numpy as np
 
 from .copula import conditional_v_given_u, theta_from_tau
 from .data import Dataset, _is_integer
-from .inference import _check_jobs, map_replicates, substream_rng
+from .inference import _check_count, map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
 _OPEN_UNIT_EPS = 1e-15
@@ -64,9 +64,13 @@ def sample_pair(theta: float, rng: np.random.Generator, size=None):
 def generate_dataset(spec: DgpSpec, seed) -> Dataset:
     """One sample of (x, delta, z) rows from the design.
 
-    seed may be an integer or a numpy Generator.
+    seed may be an integer >= 0 or a numpy Generator.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        _check_count("seed", seed, 0)
+        rng = np.random.default_rng(seed)
     if spec.model_t.k == 0:
         z = np.empty((spec.n, 0))
     else:
@@ -111,16 +115,17 @@ def monte_carlo(
     Only parameters named in ``truth`` are summarised, and the estimator
     must return each of them.  Replicates on which the estimator raises an
     EstimationError are skipped and counted; more than reps/2 failures
-    abort with their reasons.  jobs must be an integer >= 1; jobs > 1 runs
-    the replicates in worker processes, so the estimator must then be
-    picklable.
+    abort with their reasons.  seed must be an integer >= 0 and jobs an
+    integer >= 1; jobs > 1 runs the replicates in worker processes, so the
+    estimator must then be picklable.
     """
     if not _is_integer(reps):
         raise ValueError(f"reps must be an integer, got {reps!r}")
     reps = int(reps)
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    _check_jobs(jobs)
+    _check_count("seed", seed, 0)
+    _check_count("jobs", jobs, 1)
     start = time.perf_counter()
     results = map_replicates(
         _mc_replicate, estimator, (spec, seed), reps, jobs, chunksize=1,

@@ -408,14 +408,22 @@ def test_2se_with_events_only_is_a_usage_error(tmp_path, capsys, command):
      "--family loglogistic applies only to --method 3se-aft, not 2se"),
     ("bootstrap", ("--jobs", "0"), "jobs must be an integer >= 1, got 0"),
     ("simulate", ("--jobs", "-3"), "jobs must be an integer >= 1, got -3"),
+    ("gen", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    ("bootstrap", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    ("simulate", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
 ], ids=["fit-3se-ph-family", "fit-2se-family", "bootstrap-3se-ph-family",
-        "simulate-2se-family", "bootstrap-jobs-0", "simulate-jobs-negative"])
+        "simulate-2se-family", "bootstrap-jobs-0", "simulate-jobs-negative",
+        "gen-seed-negative", "bootstrap-seed-negative", "simulate-seed-negative"])
 def test_options_outside_their_range_are_usage_errors(tmp_path, capsys, command, options,
                                                       message):
     # 3se-ph fits a weibull baseline and 2se no parametric family
-    source = (["--n", "200"] if command == "simulate"
-              else ["--input", str(gen_csv(tmp_path, capsys, n=200))])
-    reps = [] if command == "fit" else ["--reps", "2"]
+    if command == "gen":
+        source = ["--n", "200", "--output", str(tmp_path / "out.csv")]
+    elif command == "simulate":
+        source = ["--n", "200"]
+    else:
+        source = ["--input", str(gen_csv(tmp_path, capsys, n=200))]
+    reps = ["--reps", "2"] if command in ("bootstrap", "simulate") else []
     code, out, err = run(capsys, command, *source, *reps, *options)
     assert code == 2 and out == ""
     assert json.loads(err.splitlines()[-1])["error"] == {"kind": "usage", "message": message}

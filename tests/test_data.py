@@ -76,6 +76,19 @@ def test_load_strips_header_whitespace(tmp_path):
     assert ds.k == 1
 
 
+def test_load_ignores_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+    text = "x,delta,z1\n1.0,1,0\n2.0,0,1\n0.5,2,0\n"
+    plain = load_csv(write(tmp_path, text))
+    marked = load_csv(write(tmp_path, "\ufeff" + text, "marked.csv"))
+    for a, b in ((plain.x, marked.x), (plain.delta, marked.delta), (plain.z, marked.z)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # an unparseable file is read again from the top, past the mark
+    path = write(tmp_path, "\ufeffx,delta\n1.0,1\nnot-a-number,0\n", "bad.csv")
+    with pytest.raises(DataError, match=r"line 3: unparseable row \(could not convert"):
+        load_csv(path)
+
+
 def test_load_empty(tmp_path):
     # np.loadtxt's "input contained no data" warning is handled inside
     for text in ("x,delta\n", "x,delta\n\n\n"):

@@ -206,7 +206,15 @@ def test_argument_validation():
     for jobs in (2.5, 0, -3, True, 1.0):
         with pytest.raises(ValueError, match=r"^jobs must be an integer >= 1, got "):
             bootstrap(lambda ds: fits.append(ds), ds, b=3, jobs=jobs)
+    # so is seed, which must be an integer >= 0
+    for seed in (1.5, -1, True, "3"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            bootstrap(lambda ds: fits.append(ds), ds, b=3, seed=seed)
     assert fits == []
+    reference = bootstrap(mean_duration, ds, b=3, seed=3).replicates
+    assert np.array_equal(bootstrap(mean_duration, ds, b=3, seed=np.int64(3)).replicates,
+                          reference)
+    assert bootstrap(mean_duration, ds, b=3, seed=2**64 + 1).n_effective == 3
 
 
 def test_substream_rng_independence():

@@ -88,6 +88,14 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="^sample size n must be an integer >= 2, got "):
             benchmark_spec(n=n)
     assert generate_dataset(benchmark_spec(n=np.int64(10)), 0).n == 10
+    # the seed is an integer >= 0 or a Generator
+    for seed in (1.5, -1, True, "3"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            generate_dataset(benchmark_spec(n=10), seed)
+    x = generate_dataset(benchmark_spec(n=10), 7).x
+    for seed in (np.int64(7), np.random.default_rng(7)):
+        assert np.array_equal(generate_dataset(benchmark_spec(n=10), seed).x, x)
+    assert generate_dataset(benchmark_spec(n=10), 2**64 + 1).n == 10
     with pytest.raises(ValueError):
         DgpSpec(n=10, tau=1.0, model_t=AftModel("weibull", **BENCH),
                 model_c=AftModel("weibull", **BENCH))
@@ -163,6 +171,11 @@ def test_monte_carlo_rejects_zero_reps():
     for jobs in (1.5, 0, -3, True):
         with pytest.raises(ValueError, match="^jobs must be an integer >= 1, got "):
             monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=2, jobs=jobs)
+    for seed in (1.5, -1, True, "3"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=2, seed=seed)
+    assert monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=2,
+                       seed=np.int64(2**62)).n_completed == 2
 
 
 def test_monte_carlo_too_many_failures():
