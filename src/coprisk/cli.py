@@ -71,7 +71,10 @@ def _parse_z_cols(text):
     text = text.strip()
     if not text:
         return []
-    return [c.strip() for c in text.split(",")]
+    names = [c.strip() for c in text.split(",")]
+    if "" in names:
+        raise ValueError(f"--z-cols has an empty column name: {text!r}")
+    return names
 
 
 def _jsonable(obj):
@@ -124,15 +127,9 @@ def _method(args, point: bool = False):
         raise ValueError(f"--family {args.family} applies only to --method 3se-aft, "
                          f"not {args.method}")
     if args.method == "2se":
-        if args.events_only:
-            raise ValueError("--events-only applies only to the 3se methods")
         return functools.partial(two_stage_point if point else fit_2se, **options)
     ph = args.method == "3se-ph"
-    options.update(
-        family="weibull" if ph else args.family,
-        model_kind="ph" if ph else "aft",
-        events_only=args.events_only,
-    )
+    options.update(family="weibull" if ph else args.family, model_kind="ph" if ph else "aft")
     return functools.partial(three_stage_point if point else fit_3se, **options)
 
 
@@ -245,7 +242,11 @@ def cmd_simulate(args) -> dict:
 
 def cmd_curve(args) -> None:
     ds = _load_dataset(args)
-    taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
+    try:
+        taus = [float(t) for t in args.tau_list.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"--tau-list expects comma-separated numbers, "
+                         f"got {args.tau_list!r}") from None
     if not taus:
         raise ValueError("--tau-list must contain at least one value")
     thetas = np.array([theta_from_tau(tau) for tau in taus])
@@ -321,11 +322,6 @@ def _add_method_options(parser: argparse.ArgumentParser) -> None:
     lo, second, hi = DEFAULT_TAU_GRID[[0, 1, -1]]
     parser.add_argument("--tau-grid", default=f"{lo:g}:{hi:g}:{second - lo:g}",
                         help="dependence search grid lo:hi:step")
-    parser.add_argument(
-        "--events-only",
-        action="store_true",
-        help="restrict the distance criterion to cause-1 rows (sensitivity option)",
-    )
 
 
 def _add_dgp_options(parser: argparse.ArgumentParser) -> None:

@@ -31,14 +31,14 @@ the search catches nothing; it fails only if every grid point fails.
 Each fit builds one plan per dataset before its search, from one sort of
 the durations (``cge.sorted_table``, the first stage).  Both plans hold one
 ``cge.CurveTable`` of every stratum's curve (strata from ``stratify``) and
-the table columns that the rows read: each scored row's own stratum at its
+the table columns that the rows read: each row's own stratum at its
 left limit (3SE, ``cge.left_columns``), or each kept row in every stratum,
 right-continuously (2SE, ``cge.kept_columns``), both from running counts
 over the sorted rows, not a search of the knots.  The three-stage plan
-scores all rows, or the cause-1 rows alone (events_only); it holds a thin
-QR of the regression's theta-free columns over the cause-1 rows, how many
-of all rows read each column, and each scored row's stratum code with the
-strata's levels; the two-stage plan holds that combination's weights.
+scores all rows; it holds a thin QR of the regression's theta-free columns
+over the cause-1 rows, how many rows read each column, and each row's
+stratum code with the strata's levels; the two-stage plan holds that
+combination's weights.
 The criterion is one kernel that scores a chunk of thetas at once: it
 fills the table (one row per theta) and presmooths and clamps the curves
 (3SE, ``cge.curves``) or takes log(-log S) of their logs (2SE,
@@ -428,11 +428,11 @@ class _CvmPlan:
     table holds every stratum's curve and windows each curve's presmoothing
     window (1 for none).  gather (each row's column in the table, for the
     left-limit lookup), log_x and codes (each row's stratum, whose levels,
-    strata x k, give its covariates) cover the scored rows: all rows, or
-    the cause-1 rows alone (events_only).  regression holds the QR over the
-    cause-1 rows, at positions events.  chunk is the number of thetas per
-    grid-pass call.  counts[c] is the number of all rows that read column c,
-    so clamped table values count as clamped rows.
+    strata x k, give its covariates) cover all rows, which the criterion
+    scores.  regression holds the QR over the cause-1 rows, at positions
+    events.  chunk is the number of thetas per grid-pass call.  counts[c]
+    is the number of rows that read column c, so clamped table values
+    count as clamped rows.
     """
 
     table: CurveTable
@@ -447,28 +447,24 @@ class _CvmPlan:
     chunk: int
 
 
-def _cvm_plan(ds: Dataset, family: str, model_kind: str,
-              events_only: bool = False) -> _CvmPlan:
+def _cvm_plan(ds: Dataset, family: str, model_kind: str) -> _CvmPlan:
     strata = stratify(ds)
     table, sample = sorted_table(ds, strata)
     gather = left_columns(table, sample)
     del sample  # see _variance_plan
     windows = tuple(_smooth_window(span.stop - span.start - 1) for span in table.spans)
     events = np.flatnonzero(ds.delta == 1)
-    log_x, codes = np.log(ds.x), strata.codes
+    log_x = np.log(ds.x)
     regression = _regression(family, model_kind, log_x[events], ds.z[events])
     counts = np.bincount(gather, minlength=table.times.size)  # after the QR: lower peak RSS
-    if events_only:
-        gather, log_x, codes = gather[events], log_x[events], codes[events]
-        events = np.arange(events.size)
     return _CvmPlan(table=table, windows=windows, gather=gather, counts=counts,
                     events=events, regression=regression, log_x=log_x,
                     levels=np.array(strata.levels, dtype=float),
-                    codes=codes, chunk=_grid_chunk(ds.n))
+                    codes=strata.codes, chunk=_grid_chunk(ds.n))
 
 
 def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Curve values at the left limit of each scored row's duration,
+    """Curve values at the left limit of each row's duration,
     clamped, one row per theta, and each theta's number of clamped rows.
 
     The table is clamped before the rows are gathered from it: clipping
@@ -484,7 +480,7 @@ def _row_values(plan: _CvmPlan, thetas: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _cvm_value(plan: _CvmPlan, s_cl: np.ndarray):
-    """Criterion from the scored rows' clamped values, one row of s_cl per theta.
+    """Criterion from the rows' clamped values, one row of s_cl per theta.
 
     Returns (values, failure messages, regression coefficients, mean gaps),
     one entry per theta; a failed theta's value is NaN and its message is in
@@ -794,7 +790,6 @@ def fit_3se(
     family: str,
     model_kind: str = "aft",
     tau_grid=None,
-    events_only: bool = False,
 ) -> FitResult3SE:
     """Three-stage fit: stratified curves, marginal regression, dependence search.
 
@@ -808,7 +803,7 @@ def fit_3se(
     if model_kind == "ph" and family != "weibull":
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
     grid = _validate_tau_grid(tau_grid)
-    plan = _cvm_plan(ds, family, model_kind, events_only)
+    plan = _cvm_plan(ds, family, model_kind)
     tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
         functools.partial(_cvm_kernel, plan), grid, plan.chunk)
     return FitResult3SE(
@@ -873,12 +868,9 @@ def three_stage_point(
     family: str,
     model_kind: str = "aft",
     tau_grid=None,
-    events_only: bool = False,
 ) -> dict[str, float]:
     """fit_3se reduced to a flat {name: value} parameter map."""
-    res = fit_3se(
-        ds, family, model_kind=model_kind, tau_grid=tau_grid, events_only=events_only
-    )
+    res = fit_3se(ds, family, model_kind=model_kind, tau_grid=tau_grid)
     out = {"tau": res.tau_hat, "alpha": res.model.alpha, "sigma": res.model.sigma}
     for j, bj in enumerate(res.model.beta, start=1):
         out[f"beta{j}"] = float(bj)

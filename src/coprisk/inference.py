@@ -117,13 +117,12 @@ def bootstrap(
     fit maps a Dataset to a {name: value} dict; the names of the point fit
     order the result's parameters.  A replicate on which fit raises an
     EstimationError is skipped and counted; more than B/2 failed replicates,
-    or fewer than 2 completed ones, abort with an EstimationError.  seed, an
-    integer >= 0, and jobs, an integer >= 1, are checked before any fit;
-    jobs > 1 runs the replicates in worker processes, so fit must then be
-    picklable (see map_replicates).
+    or fewer than 2 completed ones, abort with an EstimationError.  b, an
+    integer >= 2, seed, an integer >= 0, and jobs, an integer >= 1, are
+    checked before any fit; jobs > 1 runs the replicates in worker
+    processes, so fit must then be picklable (see map_replicates).
     """
-    if not _is_integer(b) or b < 2:
-        raise ValueError(f"bootstrap needs an integer b >= 2 replicates, got {b!r}")
+    _check_count("b", b, 2)
     b = int(b)
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")

@@ -10,7 +10,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .copula import conditional_v_given_u, theta_from_tau
-from .data import Dataset, _is_integer
+from .data import Dataset
 from .inference import _check_count, map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
@@ -34,8 +34,7 @@ class DgpSpec:
     p_z: float = 0.3
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 2:
-            raise ValueError(f"sample size n must be an integer >= 2, got {self.n!r}")
+        _check_count("n", self.n, 2)
         if not 0.0 < self.p_z < 1.0:
             raise ValueError("p_z must lie in (0, 1)")
         if self.model_t.k != self.model_c.k or self.model_t.k > 1:
@@ -115,15 +114,12 @@ def monte_carlo(
     Only parameters named in ``truth`` are summarised, and the estimator
     must return each of them.  Replicates on which the estimator raises an
     EstimationError are skipped and counted; more than reps/2 failures
-    abort with their reasons.  seed must be an integer >= 0 and jobs an
-    integer >= 1; jobs > 1 runs the replicates in worker processes, so the
-    estimator must then be picklable.
+    abort with their reasons.  reps must be an integer >= 1, seed one >= 0
+    and jobs one >= 1; jobs > 1 runs the replicates in worker processes, so
+    the estimator must then be picklable.
     """
-    if not _is_integer(reps):
-        raise ValueError(f"reps must be an integer, got {reps!r}")
+    _check_count("reps", reps, 1)
     reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
     _check_count("seed", seed, 0)
     _check_count("jobs", jobs, 1)
     start = time.perf_counter()

@@ -10,10 +10,8 @@ from coprisk import cli
 from coprisk.cge import CURVE_OVERFLOW
 from coprisk.cli import main
 from coprisk.data import load_csv
-from coprisk.estimators import DEFAULT_TAU_GRID, three_stage_point
-from coprisk.inference import substream_rng
-from coprisk.marginals import AftModel
-from coprisk.simulate import DgpSpec, generate_dataset
+from coprisk.estimators import DEFAULT_TAU_GRID
+from coprisk.simulate import generate_dataset
 
 from oracles import csv_writer_rows
 
@@ -365,36 +363,14 @@ def test_simulate_echoes_the_design(capsys, covariate):
     }
 
 
-def test_events_only_reaches_bootstrap_and_simulate(tmp_path, capsys):
-    path = gen_csv(tmp_path, capsys, n=400)
-    ds = load_csv(path)
-    expected = three_stage_point(ds, "weibull", events_only=True)
-    assert expected != three_stage_point(ds, "weibull")
-    code, out, _ = run(capsys, "bootstrap", "--input", str(path), "--reps", "2",
-                       "--events-only")
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert dict(zip(result["param_names"], result["estimate"])) == expected
-
-    # one replicate: the Monte Carlo mean is that replicate's estimate
-    model = AftModel("weibull", 1.0, [1.0], 1.5)
-    spec = DgpSpec(n=400, tau=0.5, model_t=model, model_c=model, p_z=0.3)
-    sample = generate_dataset(spec, substream_rng(2, 0))
-    expected = three_stage_point(sample, "weibull", events_only=True)
-    assert expected != three_stage_point(sample, "weibull")
-    code, out, _ = run(capsys, "simulate", "--n", "400", "--tau", "0.5", "--reps", "1",
-                       "--seed", "2", "--events-only")
-    assert code == 0
-    assert json.loads(out)["result"]["mean"] == expected
-
-
 @pytest.mark.parametrize("command", ["fit", "bootstrap", "simulate"])
-def test_2se_with_events_only_is_a_usage_error(tmp_path, capsys, command):
+def test_events_only_is_a_usage_error(tmp_path, capsys, command):
     source = (["--n", "200", "--reps", "2"] if command == "simulate"
               else ["--input", str(gen_csv(tmp_path, capsys, n=200))])
-    code, _, err = run(capsys, command, *source, "--method", "2se", "--events-only")
-    assert code == 2
-    assert "--events-only" in json.loads(err)["error"]["message"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--events-only"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --events-only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, options, message", [
@@ -411,9 +387,12 @@ def test_2se_with_events_only_is_a_usage_error(tmp_path, capsys, command):
     ("gen", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
     ("bootstrap", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
     ("simulate", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    ("fit", ("--z-cols", "z1,"), "--z-cols has an empty column name: 'z1,'"),
+    ("bootstrap", ("--z-cols", "z1,,z2"), "--z-cols has an empty column name: 'z1,,z2'"),
 ], ids=["fit-3se-ph-family", "fit-2se-family", "bootstrap-3se-ph-family",
         "simulate-2se-family", "bootstrap-jobs-0", "simulate-jobs-negative",
-        "gen-seed-negative", "bootstrap-seed-negative", "simulate-seed-negative"])
+        "gen-seed-negative", "bootstrap-seed-negative", "simulate-seed-negative",
+        "fit-z-cols-empty-name", "bootstrap-z-cols-empty-name"])
 def test_options_outside_their_range_are_usage_errors(tmp_path, capsys, command, options,
                                                       message):
     # 3se-ph fits a weibull baseline and 2se no parametric family
@@ -465,25 +444,23 @@ def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
 
 @pytest.mark.parametrize("argv, sha256", [
     (("fit", "--family", "exponential"),
-     "6393f3b91b6fb6809dd3b4130d3bb28615502a1c90d2411bb1da00c8fba637dc"),
+     "ab254038adea9ddeac43e9f7a2a1877fb7ff8d6e17355322d25a0087b5b7f8ad"),
     (("fit", "--family", "weibull"),
-     "64fa63b26f1d982b766892c84684c825c7f95304f34136452fe9db40e2fd1299"),
+     "845976aab90747f60cb55248281bc5af891bd4ff4fd652a2dd2618e3cccc7aca"),
     (("fit", "--family", "loglogistic"),
-     "17022a5d5062269fb636f22579ebe92d8c1e62e06c7d047babf092b820095a23"),
+     "1f84927f1010b11e4788204d25287f61222b547c60bdb92a2e37679e225fdb80"),
     (("fit", "--family", "lognormal"),
-     "44caacaec22524d5dfb8dd421d2f6bbc7b1f0f9f94722290499b053a77de2c96"),
+     "75ce9ad43f3db3c17774bb4c2a20f53f2a56286b3fb027e1a8e36a8a0c33dc9b"),
     (("fit", "--method", "3se-ph"),
-     "3d5006041ab94d5e120d08eee2246d2d368165a631029c708dedb2103dd7c1bd"),
-    (("fit", "--events-only"),
-     "4aebd15a63d31c2dd751ffe1814d4a70ec66417f0a637986344badbf8db208e9"),
+     "4f88e4e410574ba9584f3418d2a5da60c40eed3943ad5c45e2821daf39bd65f9"),
     (("fit", "--method", "2se"),
-     "d1e8e0e646d08ececcd04b6c5de480120574b213c65aef470fa0a7a9ff875a6f"),
+     "c4f5ef379f8e5bb3dbff2ed09efa6d26d93c8f248698060824f8abec25cfb639"),
     (("bootstrap", "--reps", "4"),
-     "305f0b4728b892c40d0be445bf716edb29e79f8623aebe8b5b52de3d8b605662"),
+     "0eb98d687e6be3bb6a6592ea1d3faa9ff7c9c1be7f02aff05e41e5f74320512e"),
     (("simulate", "--n", "400", "--reps", "2"),
-     "1b6d4f2bf055c5f510e3d5e8bc113edad47f62046230c4ead764158b1c2dae18"),
+     "c2f4e380925ea182037148a3ef1258cd3ebdc03b460b973bc31dd75e551c9beb"),
 ], ids=["3se-aft-exponential", "3se-aft-weibull", "3se-aft-loglogistic",
-        "3se-aft-lognormal", "3se-ph", "3se-events-only", "2se", "bootstrap", "simulate"])
+        "3se-aft-lognormal", "3se-ph", "2se", "bootstrap", "simulate"])
 def test_json_bytes_are_recorded(tmp_path, capsys, monkeypatch, argv, sha256):
     # recorded JSON of `fit` and `bootstrap` on the `coprisk gen --seed 1
     # --n 400` sample and of `simulate`; the input path is relative, so the
@@ -591,6 +568,10 @@ def test_curve_tau_list_without_values_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == {"kind": "usage",
                                         "message": "--tau-list must contain at least one value"}
+    code, out, err = run(capsys, "curve", "--input", str(path), "--tau-list", "0.5,abc")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "usage", "message": "--tau-list expects comma-separated numbers, got '0.5,abc'"}
 
 
 def test_curve_overflow_is_an_estimation_error(tmp_path, capsys):

@@ -737,12 +737,11 @@ def test_curve_kernel_rows_equal_copula_graphic():
             np.testing.assert_array_equal(row[span], curves(alone, [theta])[0])
 
 
-@pytest.mark.parametrize("family, model_kind, events_only", [
-    ("weibull", "aft", False), ("weibull", "aft", True), ("lognormal", "aft", False),
-    ("exponential", "aft", False), ("weibull", "ph", False),
+@pytest.mark.parametrize("family, model_kind", [
+    ("weibull", "aft"), ("lognormal", "aft"), ("exponential", "aft"), ("weibull", "ph"),
 ])
-def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind, events_only):
-    plan = amplified_plan(_cvm_plan(batch_dataset(), family, model_kind, events_only=events_only))
+def test_cvm_kernel_rows_equal_one_theta_calls(family, model_kind):
+    plan = amplified_plan(_cvm_plan(batch_dataset(), family, model_kind))
     assert plan.chunk >= BATCH_TAUS.size
     thetas = _thetas(BATCH_TAUS)
     rows, clamped = _row_values(plan, thetas)

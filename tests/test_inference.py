@@ -192,13 +192,13 @@ def test_fewer_than_two_completed_replicates():
 
 def test_argument_validation():
     ds = make_dataset()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^b must be an integer >= 2, got 1$"):
         bootstrap(mean_duration, ds, b=1)
     with pytest.raises(ValueError):
         bootstrap(mean_duration, ds, b=10, level=1.2)
     # a count must be an integer: 2.7 would run 2 replicates
     for b in (2.7, 3.0, True, "3"):
-        with pytest.raises(ValueError, match="^bootstrap needs an integer b >= 2 replicates, got "):
+        with pytest.raises(ValueError, match="^b must be an integer >= 2, got "):
             bootstrap(mean_duration, ds, b=b)
     assert bootstrap(mean_duration, ds, b=np.int64(3)).n_requested == 3
     # jobs is checked before the point fit

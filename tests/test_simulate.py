@@ -82,10 +82,10 @@ def test_no_exact_ties():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be an integer >= 2, got 1$"):
         benchmark_spec(n=1)
     for n in (100.5, 100.0, True):
-        with pytest.raises(ValueError, match="^sample size n must be an integer >= 2, got "):
+        with pytest.raises(ValueError, match="^n must be an integer >= 2, got "):
             benchmark_spec(n=n)
     assert generate_dataset(benchmark_spec(n=np.int64(10)), 0).n == 10
     # the seed is an integer >= 0 or a Generator
@@ -162,11 +162,11 @@ def test_monte_carlo_names_truth_parameters_the_estimator_lacks():
 
 
 def test_monte_carlo_rejects_zero_reps():
-    with pytest.raises(ValueError, match="^reps must be at least 1$"):
+    with pytest.raises(ValueError, match="^reps must be an integer >= 1, got 0$"):
         monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=0)
     # 1.9 would run 1 replicate
     for reps in (1.9, 2.0, True):
-        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+        with pytest.raises(ValueError, match="^reps must be an integer >= 1, got "):
             monte_carlo(benchmark_spec(n=40), _mean_duration, {"m": 0.5}, reps=reps)
     for jobs in (1.5, 0, -3, True):
         with pytest.raises(ValueError, match="^jobs must be an integer >= 1, got "):
