@@ -22,10 +22,9 @@ import numpy as np
 
 from . import __version__
 from .copula import theta_from_tau
-from .data import Dataset, load_csv, pool_risks, stratify
+from .data import Dataset, _check_count, load_csv, pool_risks, stratify
 from .errors import DataError, EstimationError
 from .estimators import (
-    DEFAULT_TAU_GRID,
     FitResult2SE,
     FitResult3SE,
     fit_2se,
@@ -45,24 +44,6 @@ EXIT_DATA = 3
 EXIT_ESTIMATION = 4
 
 METHODS = ("3se-aft", "3se-ph", "2se")
-MAX_TAU_GRID_POINTS = 10**6  # checked before the grid is allocated
-
-
-def _parse_tau_grid(text: str) -> np.ndarray:
-    try:
-        lo, hi, step = (float(part) for part in text.split(":"))
-    except ValueError:
-        raise ValueError(f"--tau-grid expects lo:hi:step, got {text!r}") from None
-    if not np.all(np.isfinite([lo, hi, step])):
-        raise ValueError(f"--tau-grid needs finite lo, hi and step, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise ValueError("--tau-grid needs step > 0 and hi >= lo")
-    count = np.rint((hi - lo) / step) + 1  # a float, inf where the quotient overflows
-    if count > MAX_TAU_GRID_POINTS:
-        raise ValueError(f"--tau-grid {text!r} has {count:.7g} points, more than "
-                         f"{MAX_TAU_GRID_POINTS}")
-    grid = lo + step * np.arange(int(count))
-    return grid[grid <= hi + 1e-12]
 
 
 def _parse_z_cols(text):
@@ -119,18 +100,18 @@ def _load_dataset(args) -> Dataset:
 
 def _method(args, point: bool = False):
     """The fit that --method names, or with point=True its flat parameter
-    view, with the method options bound; fit, bootstrap and simulate all
-    take their estimator from here."""
-    options = {"tau_grid": _parse_tau_grid(args.tau_grid)}
+    view, with the family and model kind bound; fit, bootstrap and simulate
+    all take their estimator from here."""
     if args.method != "3se-aft" and args.family != "weibull":
         # 3se-ph fits a weibull baseline and 2se no parametric family
         raise ValueError(f"--family {args.family} applies only to --method 3se-aft, "
                          f"not {args.method}")
     if args.method == "2se":
-        return functools.partial(two_stage_point if point else fit_2se, **options)
+        return two_stage_point if point else fit_2se
     ph = args.method == "3se-ph"
-    options.update(family="weibull" if ph else args.family, model_kind="ph" if ph else "aft")
-    return functools.partial(three_stage_point if point else fit_3se, **options)
+    return functools.partial(three_stage_point if point else fit_3se,
+                             family="weibull" if ph else args.family,
+                             model_kind="ph" if ph else "aft")
 
 
 def cmd_fit(args) -> dict:
@@ -154,6 +135,7 @@ def cmd_fit(args) -> dict:
 
 
 def cmd_bootstrap(args) -> dict:
+    _check_count("reps", args.reps, 2)
     ds = _load_dataset(args)
     estimator = _method(args, point=True)
     result = bootstrap(
@@ -318,10 +300,6 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
 def _add_method_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=METHODS, default="3se-aft")
     parser.add_argument("--family", choices=FAMILIES, default="weibull")
-    # the library's grid written as lo:hi:step, so the two defaults are one
-    lo, second, hi = DEFAULT_TAU_GRID[[0, 1, -1]]
-    parser.add_argument("--tau-grid", default=f"{lo:g}:{hi:g}:{second - lo:g}",
-                        help="dependence search grid lo:hi:step")
 
 
 def _add_dgp_options(parser: argparse.ArgumentParser) -> None:

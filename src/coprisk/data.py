@@ -256,15 +256,16 @@ def _first_rejected(fields: list[str]) -> int | None:
     return lo
 
 
-def _is_integer(value) -> bool:
+def _check_count(name: str, value, minimum: int) -> None:
     # a bool is an int to Python, and a float would be truncated
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def pool_risks(ds: Dataset, target: int) -> Dataset:
-    """Recode the target risk label to 1 and pool all other risks as 0."""
-    if not _is_integer(target):
-        raise ValueError(f"target risk label must be an integer, got {target!r}")
+    """Recode the target risk label to 1 and pool all other risks as 0;
+    0 is censoring, so the target is an integer >= 1."""
+    _check_count("target risk label", target, 1)
     is_target = ds.delta == target
     if not is_target.any():
         raise DataError(f"target risk label {target} does not occur in the data")

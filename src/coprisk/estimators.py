@@ -11,10 +11,11 @@ curves have minimal variance; their mean at the minimiser is the coefficient
 estimate.  The variance is of each row's summed coefficients, which is one
 fixed linear combination of the strata's log cumulative hazards.
 
-Both searches run on a Kendall's-tau grid followed by a bounded Brent
-refinement inside the winning bracket, seeded with the grid's best point and
-its neighbours, so local minima away from the global one are handled; the
-grid pass's local minima are reported in the fit's diagnostics.  The fit
+Both searches run on one Kendall's-tau grid, DEFAULT_TAU_GRID (-0.9 to 0.9
+in steps of 0.05), followed by a bounded Brent refinement inside the
+winning bracket, seeded with the grid's best point and its neighbours, so
+local minima away from the global one are handled; the grid pass's local
+minima are reported in the fit's diagnostics.  The fit
 reports the kernel's outputs at its best evaluation, so no evaluation
 follows the refinement.  Estimation is deterministic: no randomness is
 involved.
@@ -115,8 +116,11 @@ from .marginals import AftModel, PhModel, _check_family, _sw_inverse, sw_surviva
 # reported as a diagnostic.
 S_CLAMP = 1e-6
 
-# 37 points from -0.90 to 0.90; the criterion can have secondary local minima,
-# so a global grid pass precedes the local refinement.
+# The grid both fits search: 37 points from -0.90 to 0.90 in steps of 0.05.
+# The criterion can have secondary local minima, so a global grid pass
+# precedes the local refinement.  The fits read this constant at call time,
+# so a scratch experiment sets estimators.DEFAULT_TAU_GRID to try another
+# grid (sorted, distinct, strictly inside (-1, 1)).
 DEFAULT_TAU_GRID = np.linspace(-0.9, 0.9, 37)
 
 # Presmoothing window of the three-stage fit for K jump knots:
@@ -688,17 +692,6 @@ def _brent(f: Callable[[float], float], lo: float, hi: float,
                 v, fv = u, fu
 
 
-def _validate_tau_grid(tau_grid) -> np.ndarray:
-    grid = DEFAULT_TAU_GRID if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    grid = np.unique(grid)
-    if grid.size == 0:
-        raise ValueError("tau_grid must be nonempty")
-    # NaN sorts last and fails the comparison
-    if not (-1.0 < grid[0] and grid[-1] < 1.0):
-        raise ValueError("tau_grid values must lie strictly inside (-1, 1)")
-    return grid
-
-
 def _thetas(taus: np.ndarray) -> np.ndarray:
     return np.array([theta_from_tau(t) for t in taus])
 
@@ -785,12 +778,7 @@ class FitResult3SE:
     diagnostics: dict
 
 
-def fit_3se(
-    ds: Dataset,
-    family: str,
-    model_kind: str = "aft",
-    tau_grid=None,
-) -> FitResult3SE:
+def fit_3se(ds: Dataset, family: str, model_kind: str = "aft") -> FitResult3SE:
     """Three-stage fit: stratified curves, marginal regression, dependence search.
 
     model_kind 'aft' fits the chosen family on the acceleration scale; 'ph'
@@ -802,10 +790,9 @@ def fit_3se(
         raise ValueError(f"unknown model_kind {model_kind!r}; use 'aft' or 'ph'")
     if model_kind == "ph" and family != "weibull":
         raise ValueError("model_kind 'ph' supports only the weibull baseline")
-    grid = _validate_tau_grid(tau_grid)
     plan = _cvm_plan(ds, family, model_kind)
     tau_hat, trace, (coef, mean_gap, n_clamped), search = _search_tau(
-        functools.partial(_cvm_kernel, plan), grid, plan.chunk)
+        functools.partial(_cvm_kernel, plan), DEFAULT_TAU_GRID, plan.chunk)
     return FitResult3SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
@@ -835,17 +822,16 @@ class FitResult2SE:
     diagnostics: dict
 
 
-def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
+def fit_2se(ds: Dataset) -> FitResult2SE:
     """Two-stage fit: dependence by minimum coefficient variance, then the mean.
 
     Requires at least one covariate with two observed levels; the coefficient
     contrasts are taken against the largest stratum.  The coefficient is on
     the proportional-hazards scale.
     """
-    grid = _validate_tau_grid(tau_grid)
     plan = _variance_plan(ds)
     tau_hat, trace, (contrasts,), diagnostics = _search_tau(
-        functools.partial(_variance_value, plan), grid, plan.chunk)
+        functools.partial(_variance_value, plan), DEFAULT_TAU_GRID, plan.chunk)
     return FitResult2SE(
         tau_hat=tau_hat,
         theta_hat=theta_from_tau(tau_hat),
@@ -863,23 +849,18 @@ def fit_2se(ds: Dataset, tau_grid=None) -> FitResult2SE:
 # ---------------------------------------------------------------------------
 
 
-def three_stage_point(
-    ds: Dataset,
-    family: str,
-    model_kind: str = "aft",
-    tau_grid=None,
-) -> dict[str, float]:
+def three_stage_point(ds: Dataset, family: str, model_kind: str = "aft") -> dict[str, float]:
     """fit_3se reduced to a flat {name: value} parameter map."""
-    res = fit_3se(ds, family, model_kind=model_kind, tau_grid=tau_grid)
+    res = fit_3se(ds, family, model_kind=model_kind)
     out = {"tau": res.tau_hat, "alpha": res.model.alpha, "sigma": res.model.sigma}
     for j, bj in enumerate(res.model.beta, start=1):
         out[f"beta{j}"] = float(bj)
     return out
 
 
-def two_stage_point(ds: Dataset, tau_grid=None) -> dict[str, float]:
+def two_stage_point(ds: Dataset) -> dict[str, float]:
     """fit_2se reduced to a flat {name: value} parameter map."""
-    res = fit_2se(ds, tau_grid=tau_grid)
+    res = fit_2se(ds)
     out = {"tau": res.tau_hat}
     for j, bj in enumerate(res.beta_hat, start=1):
         out[f"beta{j}"] = float(bj)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, _is_integer
+from .data import Dataset, _check_count
 from .errors import EstimationError
 
 
@@ -56,11 +56,6 @@ def _attempt(worker: Callable, fn: Callable, *args):
         return worker(fn, *args)
     except EstimationError as exc:
         return exc
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    if not _is_integer(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def map_replicates(worker: Callable, fn: Callable, args: tuple, count: int, jobs: int,

@@ -10,8 +10,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .copula import conditional_v_given_u, theta_from_tau
-from .data import Dataset
-from .inference import _check_count, map_replicates, substream_rng
+from .data import Dataset, _check_count
+from .inference import map_replicates, substream_rng
 from .marginals import AftModel, inverse_survival
 
 _OPEN_UNIT_EPS = 1e-15

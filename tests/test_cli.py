@@ -2,15 +2,16 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coprisk import cli
+from coprisk import cli, estimators
 from coprisk.cge import CURVE_OVERFLOW
 from coprisk.cli import main
 from coprisk.data import load_csv
-from coprisk.estimators import DEFAULT_TAU_GRID
 from coprisk.simulate import generate_dataset
 
 from oracles import csv_writer_rows
@@ -20,6 +21,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands() -> list[list[str]]:
+    """The coprisk commands of the README's "Command line" block, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("coprisk ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys, monkeypatch):
+    # each documented command exits 0, so a removed option cannot linger there
+    commands = readme_commands()
+    assert [argv[1] for argv in commands] == ["gen", "fit", "bootstrap", "simulate", "curve"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def gen_csv(tmp_path, capsys, name="sim.csv", n=300, tau=0.5, seed=3, extra=()):
@@ -161,60 +180,12 @@ def test_column_used_twice_exits_3(tmp_path, capsys, extra):
     assert repr(extra[1].split(",")[0]) in error["message"]
 
 
-def test_bad_tau_grid_exits_2(tmp_path, capsys):
-    path = gen_csv(tmp_path, capsys)
-    code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", "oops")
-    assert code == 2
-    assert json.loads(err)["error"]["kind"] == "usage"
-    code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", "0.5:0.1:0.1")
-    assert code == 2
-    assert json.loads(err)["error"] == {"kind": "usage",
-                                        "message": "--tau-grid needs step > 0 and hi >= lo"}
-
-
-def test_cli_and_library_share_one_default_tau_grid():
-    parser = cli.build_parser()
-    for argv in (["fit", "--input", "in.csv"], ["bootstrap", "--input", "in.csv"],
-                 ["simulate"]):
-        grid = cli._parse_tau_grid(parser.parse_args(argv).tau_grid)
-        assert grid.dtype == DEFAULT_TAU_GRID.dtype
-        assert grid.tobytes() == DEFAULT_TAU_GRID.tobytes()
-
-
-@pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:0.5:0.1", "0.1:0.5:inf"])
-def test_non_finite_tau_grid_exits_2(tmp_path, capsys, grid):
-    path = gen_csv(tmp_path, capsys, n=200)
-    code, _, err = run(capsys, "fit", "--input", str(path), "--tau-grid", grid)
-    assert code == 2
-    assert len(err.splitlines()) == 1
-    error = json.loads(err)["error"]
-    assert error["kind"] == "usage"
-    assert error["message"] == f"--tau-grid needs finite lo, hi and step, got {grid!r}"
-
-
-@pytest.mark.parametrize("grid, points", [
-    ("-0.9:0.9:9e-14", "2e+13"),  # an allocation of 146 TiB
-    ("-0.9:0.9:1e-300", "1.8e+300"),  # more points than numpy can index
-    ("0:1:0.000001", "1000001"),
-    ("-1e308:1e308:1", "inf"),  # hi - lo overflows
-])
-def test_too_fine_tau_grid_exits_2(tmp_path, capsys, grid, points):
-    path = gen_csv(tmp_path, capsys, n=200)
-    code, out, err = run(capsys, "fit", "--input", str(path), f"--tau-grid={grid}")
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == {
-        "kind": "usage",
-        "message": f"--tau-grid {grid!r} has {points} points, more than 1000000"}
-    assert cli._parse_tau_grid("0:0.999999:0.000001").size == cli.MAX_TAU_GRID_POINTS
-
-
 @pytest.mark.parametrize("argv", [
     ("fit", "--input", "{csv}", "--output", "{bad}"),
     ("curve", "--input", "{csv}", "--tau-list", "0.5", "--output", "{bad}"),
     ("gen", "--n", "50", "--output", "{bad}"),
-    ("bootstrap", "--input", "{csv}", "--reps", "2", "--tau-grid", "0:0.8:0.4",
-     "--replicates-out", "{bad}"),
-    ("simulate", "--n", "200", "--reps", "1", "--tau-grid", "0:0.8:0.4", "--output", "{bad}"),
+    ("bootstrap", "--input", "{csv}", "--reps", "2", "--replicates-out", "{bad}"),
+    ("simulate", "--n", "200", "--reps", "1", "--output", "{bad}"),
 ], ids=lambda argv: argv[0])
 def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     # a missing directory is a usage error reported as JSON, not a traceback;
@@ -365,12 +336,14 @@ def test_simulate_echoes_the_design(capsys, covariate):
 
 @pytest.mark.parametrize("command", ["fit", "bootstrap", "simulate"])
 def test_events_only_is_a_usage_error(tmp_path, capsys, command):
+    # --events-only and --tau-grid are removed options, so argparse rejects them
     source = (["--n", "200", "--reps", "2"] if command == "simulate"
               else ["--input", str(gen_csv(tmp_path, capsys, n=200))])
-    with pytest.raises(SystemExit) as exc:
-        main([command, *source, "--events-only"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --events-only" in capsys.readouterr().err
+    for option in (["--events-only"], ["--tau-grid", "-0.9:0.9:0.05"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, options, message", [
@@ -389,10 +362,13 @@ def test_events_only_is_a_usage_error(tmp_path, capsys, command):
     ("simulate", ("--seed", "-1"), "seed must be an integer >= 0, got -1"),
     ("fit", ("--z-cols", "z1,"), "--z-cols has an empty column name: 'z1,'"),
     ("bootstrap", ("--z-cols", "z1,,z2"), "--z-cols has an empty column name: 'z1,,z2'"),
+    ("fit", ("--target-risk", "0"), "target risk label must be an integer >= 1, got 0"),
+    ("bootstrap", ("--reps", "1"), "reps must be an integer >= 2, got 1"),
 ], ids=["fit-3se-ph-family", "fit-2se-family", "bootstrap-3se-ph-family",
         "simulate-2se-family", "bootstrap-jobs-0", "simulate-jobs-negative",
         "gen-seed-negative", "bootstrap-seed-negative", "simulate-seed-negative",
-        "fit-z-cols-empty-name", "bootstrap-z-cols-empty-name"])
+        "fit-z-cols-empty-name", "bootstrap-z-cols-empty-name", "fit-target-risk-0",
+        "bootstrap-reps-1"])
 def test_options_outside_their_range_are_usage_errors(tmp_path, capsys, command, options,
                                                       message):
     # 3se-ph fits a weibull baseline and 2se no parametric family
@@ -444,21 +420,21 @@ def test_curve_dump_bytes_are_recorded(tmp_path, capsys, extra, lines, sha256):
 
 @pytest.mark.parametrize("argv, sha256", [
     (("fit", "--family", "exponential"),
-     "ab254038adea9ddeac43e9f7a2a1877fb7ff8d6e17355322d25a0087b5b7f8ad"),
+     "b211ad8fba7b6923031f4096d3bb2ac27c25aa3fb4e396fbaa02bd1a4954416c"),
     (("fit", "--family", "weibull"),
-     "845976aab90747f60cb55248281bc5af891bd4ff4fd652a2dd2618e3cccc7aca"),
+     "5d9102624959a38109e818e0406d005699d9599bce2775ff665cc9f1cba4b911"),
     (("fit", "--family", "loglogistic"),
-     "1f84927f1010b11e4788204d25287f61222b547c60bdb92a2e37679e225fdb80"),
+     "1529a98b27669cf35fd3d9a9c970fa3a4ef607ddcd6f6561a5f906d8bd8f39d8"),
     (("fit", "--family", "lognormal"),
-     "75ce9ad43f3db3c17774bb4c2a20f53f2a56286b3fb027e1a8e36a8a0c33dc9b"),
+     "53904a990f204b8f817dd1e623455408aa8f8ad5d85af0b67a725f252de36404"),
     (("fit", "--method", "3se-ph"),
-     "4f88e4e410574ba9584f3418d2a5da60c40eed3943ad5c45e2821daf39bd65f9"),
+     "e80fbd6a339d31a8a267edf3d4ee0c20d4b4eceff744ff5fe20ceae3bf0defbd"),
     (("fit", "--method", "2se"),
-     "c4f5ef379f8e5bb3dbff2ed09efa6d26d93c8f248698060824f8abec25cfb639"),
+     "23f6ace49a5b4b49254d4ae11a7e714f777f2199fe1a3ef0d0593e624edc0045"),
     (("bootstrap", "--reps", "4"),
-     "0eb98d687e6be3bb6a6592ea1d3faa9ff7c9c1be7f02aff05e41e5f74320512e"),
+     "4deeeab18e831975200c2acc3e8f0f812f38a1fec401cf1b2351f7a1d9963821"),
     (("simulate", "--n", "400", "--reps", "2"),
-     "c2f4e380925ea182037148a3ef1258cd3ebdc03b460b973bc31dd75e551c9beb"),
+     "765e258489a3b6fd2dcca66aaefe0b36d154f1a3ee021a5023227cbf554d7a56"),
 ], ids=["3se-aft-exponential", "3se-aft-weibull", "3se-aft-loglogistic",
         "3se-aft-lognormal", "3se-ph", "2se", "bootstrap", "simulate"])
 def test_json_bytes_are_recorded(tmp_path, capsys, monkeypatch, argv, sha256):
@@ -532,18 +508,19 @@ def test_gen_bytes_equal_csv_writer_oracle(tmp_path, capsys, seed, extra):
 
 
 @pytest.mark.parametrize("method", ["3se-aft", "2se"])
-def test_overflowing_grid_point_is_skipped(tmp_path, capsys, method):
-    # at tau = 0.98 the larger stratum's curve integrand overflows
+def test_overflowing_grid_point_is_skipped(tmp_path, capsys, monkeypatch, method):
+    # at tau = 0.98, above the default grid, the larger stratum's curve
+    # integrand overflows
     path = gen_csv(tmp_path, capsys, n=2000, tau=0.8, seed=1)
-    code, out, err = run(capsys, "fit", "--input", str(path), "--method", method,
-                         "--tau-grid", "0.5:0.98:0.04")
+    monkeypatch.setattr(estimators, "DEFAULT_TAU_GRID", np.linspace(0.5, 0.98, 13))
+    code, out, err = run(capsys, "fit", "--input", str(path), "--method", method)
     assert code == 0, err
     result = json.loads(out)["result"]
     assert result["diagnostics"]["n_grid_failed"] == 1
     assert [0.98, None] in result["objective_trace"]
     assert result["tau_hat"] < 0.98
-    code, _, err = run(capsys, "fit", "--input", str(path), "--method", method,
-                       "--tau-grid", "0.98:0.99:0.01")
+    monkeypatch.setattr(estimators, "DEFAULT_TAU_GRID", np.array([0.98]))
+    code, _, err = run(capsys, "fit", "--input", str(path), "--method", method)
     assert code == 4
     error = json.loads(err)["error"]
     assert error["kind"] == "estimation"

@@ -188,7 +188,7 @@ def test_pool_risks():
     assert list(pool_risks(ds, np.int64(3)).delta) == [0, 0, 1, 0]
     # 1.5 would pool label 1, and True is label 1 to numpy
     for target in (1.5, 2.0, True, "2"):
-        with pytest.raises(ValueError, match="^target risk label must be an integer, got "):
+        with pytest.raises(ValueError, match="^target risk label must be an integer >= 1, got "):
             pool_risks(ds, target)
 
 

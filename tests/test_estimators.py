@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coprisk import cli
+from coprisk import cli, estimators
 from coprisk.cge import (
     CURVE_OVERFLOW,
     CurveTable,
@@ -29,6 +29,7 @@ from coprisk.estimators import (
     _cvm_kernel,
     _cvm_plan,
     _cvm_value,
+    _model_survival,
     _pair_structure,
     _regression,
     _row_values,
@@ -157,6 +158,27 @@ def test_ph_weibull_noiseless_recovery():
     assert fitted.alpha == pytest.approx(1.0, abs=1e-8)
     assert fitted.beta[0] == pytest.approx(0.8, abs=1e-8)
     assert fitted.sigma == pytest.approx(1.5, abs=1e-8)
+
+
+def test_zero_slope_fails_its_theta_alone():
+    # a theta whose fitted 1/sigma is exactly 0 gets a NaN survival row and
+    # its own message; the other thetas' rows are those of one-theta calls
+    rng = np.random.default_rng(5)
+    log_x = np.log(rng.uniform(0.1, 3.0, 50))
+    z = rng.integers(0, 2, (50, 1)).astype(float)
+    strata = stratify(Dataset(np.exp(log_x), np.ones(50, dtype=int), z))
+    levels = np.array(strata.levels, dtype=float)
+    reg = _regression("weibull", "aft", log_x, z)
+    coef = np.array([[0.1, 0.5, 0.8], [0.2, -0.3, 0.0], [-0.1, 0.4, 1.2]])
+    errors = [None] * 3
+    rows = _model_survival(reg, coef, log_x, levels, strata.codes, errors)
+    assert errors == [None, "zero inverse shape in the fitted regression", None]
+    assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
+    for i in (0, 2):
+        one_errors = [None]
+        one = _model_survival(reg, coef[i:i + 1], log_x, levels, strata.codes, one_errors)
+        assert one_errors == [None]
+        np.testing.assert_array_equal(rows[i], one[0])
 
 
 REGRESSION_FORMS = [("exponential", "aft"), ("weibull", "aft"), ("loglogistic", "aft"),
@@ -312,7 +334,7 @@ def test_cvm_trace_is_finite_on_simulated_data():
         model_c=AftModel("weibull", **BENCH),
     )
     ds = generate_dataset(spec, 11)
-    res = fit_3se(ds, "weibull", tau_grid=np.linspace(-0.9, 0.9, 13))
+    res = fit_3se(ds, "weibull")
     values = np.array([v for _, v in res.objective_trace])
     assert np.all(np.isfinite(values))
 
@@ -1031,17 +1053,10 @@ def test_fit_3se_all_censored_fails(monkeypatch):
     assert calls == []
 
 
-def test_fit_3se_grid_validation():
-    ds, s_exact, _ = noiseless_dataset("weibull", n=40)
+def test_fit_3se_validates_model_kind():
+    ds, _, _ = noiseless_dataset("weibull", n=40)
     with pytest.raises(ValueError):
-        fit_3se(ds, "weibull", tau_grid=[])
-    with pytest.raises(ValueError):
-        fit_3se(ds, "weibull", tau_grid=[0.0, 1.0])
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"^tau_grid values must lie strictly inside"):
-            fit_3se(ds, "weibull", tau_grid=[0.1, bad])
-    with pytest.raises(ValueError):
-        fit_3se(ds, "loglogistic", model_kind="ph", tau_grid=[0.0])  # family mismatch
+        fit_3se(ds, "loglogistic", model_kind="ph")  # family mismatch
     with pytest.raises(ValueError):
         fit_3se(ds, "weibull", model_kind="median")
 
@@ -1054,7 +1069,7 @@ def test_fit_3se_ph_variant_runs():
         model_c=AftModel("weibull", **BENCH),
     )
     ds = generate_dataset(spec, 21)
-    res = fit_3se(ds, "weibull", model_kind="ph", tau_grid=np.linspace(-0.6, 0.8, 8))
+    res = fit_3se(ds, "weibull", model_kind="ph")
     assert isinstance(res.model, PhModel)
     assert res.model.sigma > 0
 
@@ -1127,7 +1142,7 @@ def test_three_stage_point_keys():
         ),
         3,
     )
-    out = three_stage_point(ds, "weibull", tau_grid=np.linspace(-0.5, 0.8, 6))
+    out = three_stage_point(ds, "weibull")
     assert set(out) == {"tau", "alpha", "sigma", "beta1"}
 
 
@@ -1358,15 +1373,6 @@ def test_fit_2se_runs_and_is_deterministic():
     assert set(first.diagnostics) == {"n_grid_failed", "grid_local_minima"}
 
 
-def test_fit_2se_grid_validation():
-    ds = batch_dataset()
-    with pytest.raises(ValueError, match="^tau_grid must be nonempty$"):
-        fit_2se(ds, tau_grid=[])
-    for bad in (-1.0, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"^tau_grid values must lie strictly inside"):
-            fit_2se(ds, tau_grid=[0.1, bad])
-
-
 def test_fit_2se_requires_covariate_variation():
     x = np.linspace(0.2, 4.0, 60)
     delta = np.tile([1, 0], 30)
@@ -1387,7 +1393,7 @@ def test_two_stage_point_keys():
         ),
         9,
     )
-    out = two_stage_point(ds, tau_grid=np.linspace(-0.5, 0.8, 6))
+    out = two_stage_point(ds)
     assert set(out) == {"tau", "beta1"}
 
 
@@ -1409,17 +1415,19 @@ def test_overflowing_theta_fails_alone_in_its_chunk(kind):
         np.testing.assert_allclose(values[i], one, rtol=1e-12, atol=0)
 
 
-def test_fits_skip_an_overflowing_grid_point():
+def test_fits_skip_an_overflowing_grid_point(monkeypatch):
     ds = overflow_dataset()
     grid = np.arange(0.5, 0.99, 0.04)
     assert grid[-1] == pytest.approx(0.98)
     for fit in (functools.partial(fit_3se, family="weibull"), fit_2se):
-        result = fit(ds, tau_grid=grid)
+        monkeypatch.setattr(estimators, "DEFAULT_TAU_GRID", grid)
+        result = fit(ds)
         assert result.diagnostics["n_grid_failed"] == 1
         assert np.isnan(dict(result.objective_trace)[grid[-1]])
         assert result.tau_hat < 0.98
+        monkeypatch.setattr(estimators, "DEFAULT_TAU_GRID", np.array([0.98]))
         with pytest.raises(EstimationError, match="every grid point.*overflows"):
-            fit(ds, tau_grid=[0.98])
+            fit(ds)
 
 
 # ---------------------------------------------------------------------------
